@@ -43,11 +43,13 @@ from .method import (
     eval_basis_trace,
     eval_scattered,
     far_field,
+    iteration_contraction_margin,
     iteration_spectral_radius,
     kernel_profile,
     kernel_values,
     project_incident,
     refine_iterate,
+    refine_power,
     solve_diagonal,
     solve_galerkin,
 )
@@ -90,12 +92,14 @@ __all__ = [
     "eval_basis_trace",
     "eval_scattered",
     "far_field",
+    "iteration_contraction_margin",
     "iteration_spectral_radius",
     "kernel_profile",
     "kernel_values",
     "make_surface",
     "project_incident",
     "refine_iterate",
+    "refine_power",
     "solve_diagonal",
     "solve_galerkin",
     "__version__",

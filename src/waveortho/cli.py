@@ -387,9 +387,11 @@ def _solve_all(
             f"residual ordering violated: galerkin {r_g:.3e} exceeds diagonal {r_d:.3e}"
         )
     rho = mth.iteration_spectral_radius(sys)
+    margin = mth.iteration_contraction_margin(sys)
     report.metrics["iteration_spectral_radius"] = float(rho)
+    report.metrics["iteration_contraction_margin"] = margin
     if not refine:
-        if rho >= 1.0:
+        if margin <= 0.0:
             report.warnings.append(
                 f"refinement not contractive here (spectral radius {rho:.3e}); skipped"
             )
@@ -416,15 +418,12 @@ def _solve_all(
             f"{len(history)} entries, first {hist[0]:.3e}, last {hist[-1]:.3e}",
         )
     )
-    if rho < 1.0 and spectra["galerkin"] is not None and lam == 0.0:
+    if margin > 0.0 and spectra["galerkin"] is not None and lam == 0.0:
         # run the contraction out to its limit; 50 steps need not be enough
         # when the spectral radius is close to 1
-        n_limit = iterate_steps
-        if rho > 0.0:
-            n_limit = max(
-                n_limit, min(2_000_000, int(math.log(1e-9) / math.log(rho)) + 1)
-            )
-        v_lim = mth.refine_iterate(sys, n_limit)[0]
+        n_need = int(math.log(1e-9) / math.log1p(-margin)) + 1 if margin < 1.0 else 0
+        n_limit = max(iterate_steps, min(2_000_000, n_need))
+        v_lim = mth.refine_power(sys, n_limit)
         gap = float(
             np.linalg.norm(v_lim.v - spectra["galerkin"].v)
             / max(np.linalg.norm(spectra["galerkin"].v), 1e-300)
@@ -433,10 +432,8 @@ def _solve_all(
             f"relative gap {gap:.3e} after {n_limit} steps "
             f"at spectral radius {rho:.10f}"
         )
-        if gap > 1e-6 and 0.0 < rho < 1.0:
-            n_need = int(math.log(1e-9) / math.log(rho)) + 1
-            if n_need > n_limit:
-                detail += f"; full contraction needs ~{n_need:.0e} steps"
+        if gap > 1e-6 and n_need > n_limit:
+            detail += f"; full contraction needs ~{n_need:.0e} steps"
         report.checks.append(
             Check(
                 "iterate_limit_matches_galerkin",
@@ -526,7 +523,7 @@ def run_sphere(cfg: Dict[str, object]) -> RunReport:
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
         n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
-        res = int(cfg["quad_resolution"]) or max(32, math.ceil(ka) + 16)
+        res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
         s = geo.make_surface(geo.Sphere(1.0), res)
         basis = mth.SphericalModeBasis(max_order=n_order, k=k)
         traces = mth.eval_basis_trace(basis, bc, s)
@@ -967,7 +964,7 @@ def run_kernel_profile(cfg: Dict[str, object]) -> RunReport:
     k = ka
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
-    res = int(cfg["quad_resolution"]) or max(32, math.ceil(ka) + 16)
+    res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
     s = geo.make_surface(geo.Sphere(1.0), res)
     basis = mth.SphericalModeBasis(max_order=n_order, k=k)
     traces = mth.eval_basis_trace(basis, bc, s)

@@ -222,6 +222,26 @@ def test_strip_without_bem_is_fast_and_reports_kirchhoff():
     assert rep.passed
 
 
+def test_strip_limit_probe_fails_at_8pi_after_capped_steps():
+    cfg = cli.build_config(
+        "strip", overrides={"kd": str(8 * math.pi), "with_bem": "false"}
+    )
+    rep = cli.run_scenario("strip", cfg)
+    lim = {c.name: c for c in rep.checks}["iterate_limit_matches_galerkin"]
+    assert not lim.passed
+    assert "after 2000000 steps" in lim.detail
+    assert 0.0 < rep.metrics["iteration_contraction_margin"] < 1e-9
+
+
+def test_sphere_quadrature_follows_explicit_basis_size():
+    cfg = cli.build_config(
+        "sphere", overrides={"ka": "20", "bc": "hard", "basis_size": "40"}
+    )
+    rep = cli.run_scenario("sphere", cfg)
+    assert {c.name: c for c in rep.checks}["far_field_matches_mie"].passed
+    assert rep.metrics["far_rel_l2_vs_mie"] <= 1e-8
+
+
 def test_strip_incidence_domain():
     cfg = cli.build_config("strip", overrides={"incidence": "1.6", "with_bem": "false"})
     with pytest.raises(UsageError):

@@ -129,6 +129,10 @@ def test_refine_first_step_is_diagonal(strip_system):
     assert hist[0] == pytest.approx(float(np.linalg.norm(sys.b)))
     with pytest.raises(DomainError):
         mth.refine_iterate(sys, 0)
+    p1 = mth.refine_power(sys, 1)
+    assert np.allclose(p1.v, mth.solve_diagonal(sys).v, rtol=1e-15, atol=0.0)
+    with pytest.raises(DomainError):
+        mth.refine_power(sys, 0)
 
 
 def test_refine_converges_to_galerkin(strip_system):
@@ -147,11 +151,39 @@ def test_refine_converges_to_galerkin(strip_system):
     assert hist[-1] <= 1e-10 * hist[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 50, 5000])
+def test_refine_power_matches_stepped_iterate(strip_system, n):
+    *_, sys = strip_system
+    stepped = mth.refine_iterate(sys, n)[0].v
+    closed = mth.refine_power(sys, n).v
+    assert np.linalg.norm(closed - stepped) <= 1e-10 * np.linalg.norm(stepped)
+
+
+def test_hermitian_spectral_radius_matches_general_eigensolver(strip_system):
+    *_, sys = strip_system
+    m = np.eye(sys.size) - sys.beta[:, None] * sys.g
+    rho_general = float(np.max(np.abs(np.linalg.eigvals(m))))
+    rho = mth.iteration_spectral_radius(sys)
+    assert rho == pytest.approx(rho_general, abs=1e-12)
+    assert mth.iteration_contraction_margin(sys) == pytest.approx(1.0 - rho, abs=1e-12)
+
+
+def test_contraction_margin_reports_what_rho_rounds_away():
+    # B^1/2 G B^1/2 has eigenvalues 2e-11 and 2 - 2e-11, so rho rounds to
+    # 1 at ten decimals while the margin is read off the small eigenvalue
+    c = 1.0 - 2e-11
+    g = np.array([[1.0, c], [c, 1.0]], dtype=complex)
+    sys = mth.GramSystem(g=g, beta=np.ones(2))
+    assert f"{mth.iteration_spectral_radius(sys):.10f}" == "1.0000000000"
+    assert mth.iteration_contraction_margin(sys) == pytest.approx(2e-11, rel=1e-4)
+
+
 def test_spectral_radius_diagonal_system():
     # an exactly diagonal Gram makes the iteration matrix vanish
     g = np.diag([2.0, 0.5, 1.0]).astype(complex)
     sys = mth.GramSystem(g=g, beta=1.0 / np.diag(g).real)
     assert mth.iteration_spectral_radius(sys) == pytest.approx(0.0, abs=1e-14)
+    assert mth.iteration_contraction_margin(sys) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_epsilon_diagnostic_manual():
