@@ -18,7 +18,13 @@ import scipy.special as sp
 
 from .errors import DomainError, UnsupportedRegionError
 from .method import IncidentField
-from .oracles import EULER_GAMMA, VolumePotential, grid_green_matrix
+from .oracles import (
+    EULER_GAMMA,
+    VolumePotential,
+    _grid_distances,
+    _volume_green,
+    grid_green_matrix,
+)
 
 
 class BornOrder(Enum):
@@ -71,10 +77,7 @@ def _self_cell_green_sq(dim: int, k: float, h: float) -> float:
 
 def _green_sq_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """Cell-integrated |G|^2 kernel matrix (real, symmetric)."""
-    pts = pot.points()
-    d = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(d, axis=2)
-    np.fill_diagonal(r, 1.0)
+    r = _grid_distances(pot)
     if pot.dim == 2:
         kr = k * r
         g2 = (sp.j0(kr) ** 2 + sp.y0(kr) ** 2) / 16.0 * pot.h**2
@@ -99,12 +102,7 @@ def beta_weight(pot: VolumePotential, k: float) -> np.ndarray:
 
 def _exterior_green(pot: VolumePotential, k: float, points: np.ndarray) -> np.ndarray:
     """Cell-integrated G(p, r_j) rows for evaluation points off the support."""
-    pts = pot.points()
-    d = points[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(d, axis=2)
-    if pot.dim == 2:
-        return 0.25j * sp.hankel1(0, k * r) * pot.h**2
-    return np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
+    return _volume_green(pot, k, _grid_distances(pot, points))
 
 
 def _check_points(pot: VolumePotential, points: np.ndarray) -> np.ndarray:

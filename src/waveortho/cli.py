@@ -29,9 +29,6 @@ from . import method as mth
 from . import oracles as orc
 from .errors import SingularSystemError, UsageError
 
-logger = logging.getLogger("waveortho.cli")
-
-
 # ---------------------------------------------------------------------------
 # Report plumbing
 
@@ -264,7 +261,10 @@ def _coerce(scenario: str, key: str, raw: object, default: object) -> object:
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+            return value
     except ValueError:
         raise UsageError(
             f"bad value {raw!r} for config key '{key}' of scenario '{scenario}'"
@@ -315,10 +315,12 @@ def build_config(
             if allow_deg and key.endswith("_deg"):
                 base = key[: -len("_deg")]
                 if base in defaults and isinstance(defaults[base], float):
-                    key, value = base, math.radians(float(raw))
+                    key, value = base, math.radians(_coerce(scenario, key, raw, 0.0))
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
+    if "solver" in cfg:
+        _parse_solver(str(cfg["solver"]))
     return cfg
 
 
@@ -351,26 +353,47 @@ def _parse_solver(text: str) -> Tuple[str, int]:
     raise UsageError(f"unknown solver {text!r}; expected diagonal, galerkin, or iterate:N")
 
 
+def _build_system(
+    basis: mth.BasisFamily,
+    bc: mth.BoundaryCondition,
+    s: geo.Surface,
+    u0: Optional[mth.IncidentField] = None,
+) -> Tuple[mth.BasisTraces, mth.GramSystem]:
+    """Basis traces on s and their Gram system, projected onto u0 when given."""
+    traces = mth.eval_basis_trace(basis, bc, s)
+    sys = mth.assemble_gram(traces, s)
+    if u0 is not None:
+        sys = sys.with_incident(mth.project_incident(traces, s, u0, bc))
+    return traces, sys
+
+
 def _solve_all(
     s: geo.Surface,
     traces: mth.BasisTraces,
     u0: mth.IncidentField,
     sys: mth.GramSystem,
     lam: float,
-    iterate_steps: int,
     report: RunReport,
+    solver: str = "",
     refine: bool = True,
 ):
     """Diagonal, Galerkin, and iterated solves with per-solver residuals.
 
-    Returns (spectra dict, history). A singular Galerkin system downgrades
-    to a warning; a Galerkin residual above the diagonal one is flagged as a
-    residual-ordering violation. refine=False skips the iteration and its
-    checks for configurations where the iteration is known non-contractive.
+    Returns (v, history): v is the spectrum the solver spec selects, recorded
+    as the solver_used metric (the diagonal one, unrecorded, when solver is
+    empty). A singular Galerkin system downgrades to a warning; when Galerkin
+    is the one selected it also fails solver_available and the diagonal
+    spectrum takes its place. A Galerkin residual above the diagonal one is
+    flagged as a residual-ordering violation. refine=False skips the
+    iteration and its checks for configurations where the iteration is known
+    non-contractive, and returns the diagonal spectrum.
     """
+    name, steps = _parse_solver(solver or "diagonal")
+    iterate_steps = steps or 50
     spectra: Dict[str, Optional[mth.DensitySpectrum]] = {}
     v_diag = mth.solve_diagonal(sys)
     spectra["diagonal"] = v_diag
+    report.epsilon = mth.epsilon_diagnostic(sys, v_diag)
     report.residuals["diagonal"] = mth.boundary_residual(s, traces, u0, v_diag)
     try:
         v_gal = mth.solve_galerkin(sys, lam=lam)
@@ -380,22 +403,28 @@ def _solve_all(
         spectra["galerkin"] = None
         report.residuals["galerkin"] = None
         report.warnings.append(f"galerkin solve unavailable: {e}")
+        if name == "galerkin":
+            report.checks.append(
+                Check("solver_available", False, f"galerkin selected but unavailable: {e}")
+            )
+            solver, name = "diagonal", "diagonal"
 
     r_d, r_g = report.residuals["diagonal"], report.residuals["galerkin"]
     if r_g is not None and r_g > r_d * (1.0 + 1e-9) + 1e-12:
         report.warnings.append(
             f"residual ordering violated: galerkin {r_g:.3e} exceeds diagonal {r_d:.3e}"
         )
-    rho = mth.iteration_spectral_radius(sys)
+    # one eigendecomposition: rho = 1 - margin is iteration_spectral_radius
     margin = mth.iteration_contraction_margin(sys)
-    report.metrics["iteration_spectral_radius"] = float(rho)
+    rho = 1.0 - margin
+    report.metrics["iteration_spectral_radius"] = rho
     report.metrics["iteration_contraction_margin"] = margin
     if not refine:
         if margin <= 0.0:
             report.warnings.append(
                 f"refinement not contractive here (spectral radius {rho:.3e}); skipped"
             )
-        return spectra, []
+        return v_diag, []
 
     v_it, history = mth.refine_iterate(sys, iterate_steps)
     spectra["iterate"] = v_it
@@ -441,71 +470,37 @@ def _solve_all(
                 detail,
             )
         )
-    return spectra, history
+    if solver:
+        report.metrics["solver_used"] = solver
+    return spectra[name], history
 
 
-def _write_history(cfg, report, history) -> None:
-    if cfg.get("history_out"):
-        emit_history(cfg["history_out"], cfg["format"], history)
-        report.outputs.append(cfg["history_out"])
+def _write_table(cfg: Dict[str, object], report: RunReport, key: str, emit, *data) -> None:
+    """Write a table to the path under config key `key`, if one is set."""
+    if cfg.get(key):
+        emit(str(cfg[key]), str(cfg["format"]), *data)
+        report.outputs.append(str(cfg[key]))
 
 
 # ---------------------------------------------------------------------------
 # Sphere scenario (series comparison, and the plane-wave Im diagnostic)
 
 
-def _sphere_pw_directions(n_polar: int) -> np.ndarray:
-    """Direction grid: Gauss nodes in cos(theta) times midpoint azimuths."""
-    u, _ = geo.gauss_legendre(n_polar)
-    phis = 2.0 * np.pi * (np.arange(2 * n_polar) + 0.5) / (2 * n_polar)
-    st = np.sqrt(1.0 - u**2)
-    d = np.empty((n_polar * 2 * n_polar, 3))
-    idx = 0
-    for ui, si in zip(u, st):
-        for p in phis:
-            d[idx] = (si * np.cos(p), si * np.sin(p), ui)
-            idx += 1
-    return d
+def _sphere_modes(
+    cfg: Dict[str, object], ka: float
+) -> Tuple[mth.SphericalModeBasis, geo.Surface]:
+    """Spherical-mode basis on the unit sphere, with the automatic sizes.
 
-
-def _sphere_surface_odd_phi(radius: float, resolution: int) -> geo.Surface:
-    """Tensor sphere grid with an odd azimuth count.
-
-    An even azimuth count makes the node set antipodally symmetric, which
-    forces every quadrature pairing of plane-wave traces to be exactly real
-    regardless of resolution; an odd count breaks the pairing so the
-    imaginary-part diagnostic can actually measure quadrature error.
+    The highest mode order defaults to ceil(ka) + 8 and the quadrature
+    resolution to that order plus 8, at least 32.
     """
-    u, wu = geo.gauss_legendre(resolution)
-    n_phi = 2 * resolution + 1
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    st = np.sqrt(1.0 - u**2)
-    pos = np.empty((resolution * n_phi, 3))
-    w = np.empty(resolution * n_phi)
-    idx = 0
-    for ui, si, wi in zip(u, st, wu):
-        for p in phis:
-            pos[idx] = (
-                radius * si * np.cos(p),
-                radius * si * np.sin(p),
-                radius * ui,
-            )
-            w[idx] = radius**2 * wi * (2.0 * np.pi / n_phi)
-            idx += 1
-    normals = pos / radius
-    return geo.Surface(
-        positions=pos,
-        normals=normals,
-        weights=w,
-        closed=True,
-        dim=3,
-        char_size=2.0 * radius,
-    )
+    n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
+    res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
+    basis = mth.SphericalModeBasis(max_order=n_order, k=ka)
+    return basis, geo.make_surface(geo.Sphere(1.0), res)
 
 
-def run_sphere(cfg: Dict[str, object]) -> RunReport:
-    report = RunReport(scenario="sphere", config=dict(cfg))
-    t0 = time.perf_counter()
+def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     ka = float(cfg["ka"])
     if ka <= 0:
         raise UsageError("ka must be positive")
@@ -514,25 +509,14 @@ def run_sphere(cfg: Dict[str, object]) -> RunReport:
     # propagation along +z so the polar angle of the pattern is measured
     # from the forward direction, matching the series oracle
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, 1.0]), k=k)
-    _, iterate_steps = ("", 50)
-    if str(cfg["solver"]).startswith("iterate:"):
-        _, iterate_steps = _parse_solver(str(cfg["solver"]))
-    else:
-        _parse_solver(str(cfg["solver"]))
 
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
-        n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
-        res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
-        s = geo.make_surface(geo.Sphere(1.0), res)
-        basis = mth.SphericalModeBasis(max_order=n_order, k=k)
-        traces = mth.eval_basis_trace(basis, bc, s)
-        sys = mth.assemble_gram(traces, s).with_incident(
-            mth.project_incident(traces, s, u0, bc)
+        basis, s = _sphere_modes(cfg, ka)
+        traces, sys = _build_system(basis, bc, s, u0)
+        v, history = _solve_all(
+            s, traces, u0, sys, float(cfg["lambda"]), report, str(cfg["solver"])
         )
-        spectra, history = _solve_all(s, traces, u0, sys, float(cfg["lambda"]), iterate_steps, report)
-        v = spectra["diagonal"]
-        report.epsilon = mth.epsilon_diagnostic(sys, v)
         angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         pattern = mth.far_field(basis, v, angles)
         _, mie_ff, _ = orc.mie_series(bc, ka, angles)
@@ -547,10 +531,8 @@ def run_sphere(cfg: Dict[str, object]) -> RunReport:
                 f"relative L2 {rel:.3e} <= {float(cfg['far_tol']):.1e}",
             )
         )
-        if cfg["out"]:
-            emit_pattern(str(cfg["out"]), str(cfg["format"]), pattern)
-            report.outputs.append(str(cfg["out"]))
-        _write_history(cfg, report, history)
+        _write_table(cfg, report, "out", emit_pattern, pattern)
+        _write_table(cfg, report, "history_out", emit_history, history)
     elif basis_kind == "plane-waves":
         if bc is not mth.BoundaryCondition.HARD:
             report.warnings.append(
@@ -560,24 +542,17 @@ def run_sphere(cfg: Dict[str, object]) -> RunReport:
         if len(polar_counts) < 2:
             raise UsageError("pw_polar_list needs at least two grid sizes")
         ratios = []
-        last = None
         for npol in polar_counts:
-            dirs = _sphere_pw_directions(npol)
+            basis = mth.PlaneWaveBasis(directions=geo.gauss_midpoint_directions(npol), k=k)
             res = int(cfg["quad_resolution"]) or (npol + 4)
-            s = _sphere_surface_odd_phi(1.0, res)
-            basis = mth.PlaneWaveBasis(directions=dirs, k=k)
-            traces = mth.eval_basis_trace(basis, bc, s)
-            sys = mth.assemble_gram(traces, s).with_incident(
-                mth.project_incident(traces, s, u0, bc)
-            )
+            s = geo.odd_azimuth_sphere_surface(1.0, res)
+            traces, sys = _build_system(basis, bc, s, u0)
             v = mth.solve_diagonal(sys)
             ratio = float(np.max(np.abs(v.v.imag)) / np.max(np.abs(v.v)))
             ratios.append(ratio)
             report.metrics[f"im_ratio_npolar_{npol}"] = ratio
-            last = (s, traces, sys, v)
-        s, traces, sys, v = last
-        _solve_all(s, traces, u0, sys, float(cfg["lambda"]), iterate_steps, report, refine=False)
-        report.epsilon = mth.epsilon_diagnostic(sys, v)
+        # refinement diagnostics on the finest grid
+        _solve_all(s, traces, u0, sys, float(cfg["lambda"]), report, refine=False)
         decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
         report.checks.append(
             Check(
@@ -594,8 +569,6 @@ def run_sphere(cfg: Dict[str, object]) -> RunReport:
         raise UsageError(
             "sphere scenario supports basis = spherical-modes or plane-waves"
         )
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +625,16 @@ def _half_power_steps(a: np.ndarray) -> int:
     return hi - lo
 
 
-def _run_strip_pipeline(cfg: Dict[str, object], scenario: str, bc_solve: mth.BoundaryCondition) -> RunReport:
-    report = RunReport(scenario=scenario, config=dict(cfg))
-    t0 = time.perf_counter()
+def _run_strip_pipeline(
+    cfg: Dict[str, object], report: RunReport, bc_solve: mth.BoundaryCondition
+) -> None:
     kd = float(cfg["kd"])
     if kd <= 0:
         raise UsageError("kd must be positive")
     if str(cfg["basis"]) != "plane-waves":
-        raise UsageError(f"{scenario} scenario supports basis = plane-waves")
+        raise UsageError(f"{report.scenario} scenario supports basis = plane-waves")
     k = 2.0 * np.pi  # unit wavelength
     d = kd / k
-    _, iterate_steps = ("", 50)
-    if str(cfg["solver"]).startswith("iterate:"):
-        _, iterate_steps = _parse_solver(str(cfg["solver"]))
-    else:
-        _parse_solver(str(cfg["solver"]))
 
     alpha = float(cfg["incidence"])
     if not abs(alpha) < 0.5 * math.pi:
@@ -677,17 +645,15 @@ def _run_strip_pipeline(cfg: Dict[str, object], scenario: str, bc_solve: mth.Bou
     res = int(cfg["quad_resolution"]) or max(32, int(np.ceil(8.0 * kd / (2.0 * np.pi))))
     s = geo.make_surface(geo.Strip(width=d), res)
     u0 = mth.IncidentField(direction=np.array([math.sin(alpha), -math.cos(alpha)]), k=k)
-    traces = mth.eval_basis_trace(basis, bc_solve, s)
-    sys = mth.assemble_gram(traces, s).with_incident(
-        mth.project_incident(traces, s, u0, bc_solve)
+    traces, sys = _build_system(basis, bc_solve, s, u0)
+    v, history = _solve_all(
+        s, traces, u0, sys, float(cfg["lambda"]), report, str(cfg["solver"])
     )
-    spectra, history = _solve_all(s, traces, u0, sys, float(cfg["lambda"]), iterate_steps, report)
-    v = spectra["diagonal"]
-    report.epsilon = mth.epsilon_diagnostic(sys, v)
 
     # Aperture density against the geometric-optics field: correlate the
-    # normal-trace spectrum samples with the sinc spectrum of the aperture.
-    sinc_ref = np.sinc((0.5 * kd * (np.sin(th_d) - math.sin(alpha))) / np.pi)
+    # normal-trace spectrum samples with the Kirchhoff sinc of the aperture,
+    # copied to unit stride (BLAS sums a strided .real view in another order).
+    sinc_ref = orc.kirchhoff_pattern(kd, alpha, th_d).amplitude.real.copy()
     density = np.cos(th_d) * v.v if bc_solve is mth.BoundaryCondition.HARD else -v.v
     corr = _normalized_corr(density, sinc_ref.astype(complex))
     factor = complex(np.vdot(sinc_ref, density) / np.vdot(sinc_ref, sinc_ref))
@@ -763,19 +729,15 @@ def _run_strip_pipeline(cfg: Dict[str, object], scenario: str, bc_solve: mth.Bou
         except (SingularSystemError, ValueError) as e:
             report.checks.append(Check("bem_oracle", False, f"oracle failed: {e}"))
 
-    if cfg["out"]:
-        emit_pattern(str(cfg["out"]), str(cfg["format"]), pattern)
-        report.outputs.append(str(cfg["out"]))
-    _write_history(cfg, report, history)
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    _write_table(cfg, report, "out", emit_pattern, pattern)
+    _write_table(cfg, report, "history_out", emit_history, history)
 
 
-def run_strip(cfg: Dict[str, object]) -> RunReport:
-    return _run_strip_pipeline(cfg, "strip", mth.BoundaryCondition.from_string(str(cfg["bc"])))
+def run_strip(cfg: Dict[str, object], report: RunReport) -> None:
+    _run_strip_pipeline(cfg, report, mth.BoundaryCondition.from_string(str(cfg["bc"])))
 
 
-def run_slit(cfg: Dict[str, object]) -> RunReport:
+def run_slit(cfg: Dict[str, object], report: RunReport) -> None:
     """Slit in a screen via the Babinet complement of the strip problem."""
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     comp = (
@@ -783,20 +745,17 @@ def run_slit(cfg: Dict[str, object]) -> RunReport:
         if bc is mth.BoundaryCondition.HARD
         else mth.BoundaryCondition.HARD
     )
-    report = _run_strip_pipeline(cfg, "slit", comp)
+    _run_strip_pipeline(cfg, report, comp)
     report.warnings.append(
         f"slit diffraction computed as the Babinet complement: {comp.value} strip"
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Spheroid scenario
 
 
-def run_spheroid(cfg: Dict[str, object]) -> RunReport:
-    report = RunReport(scenario="spheroid", config=dict(cfg))
-    t0 = time.perf_counter()
+def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
     ka = float(cfg["ka"])
     c_over_a = float(cfg["c_over_a"])
     if c_over_a <= 1.0:
@@ -817,12 +776,8 @@ def run_spheroid(cfg: Dict[str, object]) -> RunReport:
     locs = np.zeros((n_src, 3))
     locs[:, 2] = focal * nodes
     basis = mth.PointSourceBasis(locations=locs, k=k)
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s).with_incident(
-        mth.project_incident(traces, s, u0, bc)
-    )
-    spectra, history = _solve_all(s, traces, u0, sys, float(cfg["lambda"]), 50, report)
-    report.epsilon = mth.epsilon_diagnostic(sys, spectra["diagonal"])
+    traces, sys = _build_system(basis, bc, s, u0)
+    v, history = _solve_all(s, traces, u0, sys, float(cfg["lambda"]), report)
 
     r_d = report.residuals["diagonal"]
     r_g = report.residuals["galerkin"]
@@ -844,23 +799,16 @@ def run_spheroid(cfg: Dict[str, object]) -> RunReport:
                 f"{r_d:.4f} <= {ratio_max} x {r_g:.4f}",
             )
         )
-    if cfg["out"]:
-        angles = np.linspace(-np.pi, np.pi, int(cfg["angles"]))
-        pattern = mth.far_field(basis, spectra["diagonal"], angles)
-        emit_pattern(str(cfg["out"]), str(cfg["format"]), pattern)
-        report.outputs.append(str(cfg["out"]))
-    _write_history(cfg, report, history)
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    angles = np.linspace(-np.pi, np.pi, int(cfg["angles"]))
+    _write_table(cfg, report, "out", emit_pattern, mth.far_field(basis, v, angles))
+    _write_table(cfg, report, "history_out", emit_history, history)
 
 
 # ---------------------------------------------------------------------------
 # Born scenario
 
 
-def run_born(cfg: Dict[str, object]) -> RunReport:
-    report = RunReport(scenario="born", config=dict(cfg))
-    t0 = time.perf_counter()
+def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     k = float(cfg["k"])
     pot = orc.gaussian_potential(
         float(cfg["amplitude"]), float(cfg["width"]), float(cfg["half_extent"]),
@@ -945,32 +893,19 @@ def run_born(cfg: Dict[str, object]) -> RunReport:
         err = _relative_l2(res[order].field, ref)
         report.metrics[f"err_vs_oracle_{order}"] = err
 
-    if cfg["out"]:
-        pattern = mth.FarFieldPattern(angles=ring_th, amplitude=res["second-modified"].field)
-        emit_pattern(str(cfg["out"]), str(cfg["format"]), pattern)
-        report.outputs.append(str(cfg["out"]))
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    pattern = mth.FarFieldPattern(angles=ring_th, amplitude=res["second-modified"].field)
+    _write_table(cfg, report, "out", emit_pattern, pattern)
 
 
 # ---------------------------------------------------------------------------
 # Kernel profile scenario
 
 
-def run_kernel_profile(cfg: Dict[str, object]) -> RunReport:
-    report = RunReport(scenario="kernel-profile", config=dict(cfg))
-    t0 = time.perf_counter()
-    ka = float(cfg["ka"])
-    k = ka
+def run_kernel_profile(cfg: Dict[str, object], report: RunReport) -> None:
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
-    n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
-    res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
-    s = geo.make_surface(geo.Sphere(1.0), res)
-    basis = mth.SphericalModeBasis(max_order=n_order, k=k)
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s)
-    anchor = int(cfg["anchor"])
-    dist, absphi = mth.kernel_profile(s, traces, sys.beta, anchor)
+    basis, s = _sphere_modes(cfg, float(cfg["ka"]))
+    traces, sys = _build_system(basis, bc, s)
+    dist, absphi = mth.kernel_profile(s, traces, sys.beta, int(cfg["anchor"]))
 
     report.metrics["profile_points"] = int(dist.shape[0])
     report.metrics["peak_value"] = float(absphi[0])
@@ -983,20 +918,14 @@ def run_kernel_profile(cfg: Dict[str, object]) -> RunReport:
     report.checks.append(
         Check("gram_hermitian", herm == 0.0, f"max |G - G^H| = {herm:.2e}")
     )
-    if cfg["out"]:
-        emit_profile(str(cfg["out"]), str(cfg["format"]), dist, absphi)
-        report.outputs.append(str(cfg["out"]))
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    _write_table(cfg, report, "out", emit_profile, dist, absphi)
 
 
 # ---------------------------------------------------------------------------
 # Riemann decay scenario
 
 
-def run_riemann_decay(cfg: Dict[str, object]) -> RunReport:
-    report = RunReport(scenario="riemann-decay", config=dict(cfg))
-    t0 = time.perf_counter()
+def run_riemann_decay(cfg: Dict[str, object], report: RunReport) -> None:
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     sep = float(cfg["separation"])
     if not 0.0 < sep < 2.0:
@@ -1010,13 +939,9 @@ def run_riemann_decay(cfg: Dict[str, object]) -> RunReport:
 
     offdiag = []
     for ka in ka_values:
-        k = ka
         res = int(cfg["quad_resolution"]) or (math.ceil(ka) + 24)
         s = geo.make_surface(geo.Sphere(1.0), res)
-        basis = mth.PlaneWaveBasis(directions=dirs, k=k)
-        traces = mth.eval_basis_trace(basis, bc, s)
-        sys = mth.assemble_gram(traces, s)
-        g = sys.g
+        g = _build_system(mth.PlaneWaveBasis(directions=dirs, k=ka), bc, s)[1].g
         val = float(np.abs(g[0, 1]) / math.sqrt(g[0, 0].real * g[1, 1].real))
         offdiag.append(val)
         report.metrics[f"offdiag_ka_{ka:g}"] = val
@@ -1034,11 +959,8 @@ def run_riemann_decay(cfg: Dict[str, object]) -> RunReport:
                 f"|G_12| fell {ratio:.2f}x (needs >= {rmin}x)",
             )
         )
-    if cfg["out"]:
-        emit_report(str(cfg["out"]), report)
-        report.outputs.append(str(cfg["out"]))
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    # the report itself is the data table; its wall clock is still unset here
+    _write_table(cfg, report, "out", lambda path, _fmt: emit_report(path, report))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,10 +983,11 @@ def run_scenario(name: str, cfg: Dict[str, object]) -> RunReport:
         raise UsageError(
             f"unknown scenario {name!r}; expected one of: " + ", ".join(sorted(_RUNNERS))
         )
-    report = _RUNNERS[name](cfg)
-    if cfg.get("report_out"):
-        emit_report(str(cfg["report_out"]), report)
-        report.outputs.append(str(cfg["report_out"]))
+    report = RunReport(scenario=name, config=dict(cfg))
+    t0 = time.perf_counter()
+    _RUNNERS[name](cfg, report)
+    report.wall_clock_s = time.perf_counter() - t0
+    _write_table(cfg, report, "report_out", lambda path, _fmt: emit_report(path, report))
     return report
 
 
@@ -1097,7 +1020,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         file_entries = parse_config_file(config_path) if config_path else None
         cfg = build_config(scenario, file_entries, overrides)
         report = run_scenario(scenario, cfg)
-    except UsageError as e:
+    except ValueError as e:
+        # every package error derives from ValueError, and all of them here
+        # come from the scenario's configuration
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     print(report.render())

@@ -11,7 +11,6 @@ cosine map, matching how field gradients concentrate near screen edges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -120,11 +119,14 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _axisymmetric_grid(resolution: int):
-    """Gauss nodes in u = cos(theta) crossed with a uniform azimuth grid."""
+def _axisymmetric_grid(resolution: int, n_phi: int = 0, shift: float = 0.0):
+    """Gauss nodes in u = cos(theta) crossed with a uniform azimuth grid.
+
+    n_phi azimuths (default 2 * resolution) start shift cells from phi = 0.
+    """
     u, wu = gauss_legendre(resolution)
-    n_phi = 2 * resolution
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    n_phi = n_phi or 2 * resolution
+    phi = 2.0 * np.pi * (np.arange(n_phi) + shift) / n_phi
     w_phi = 2.0 * np.pi / n_phi
     uu = np.repeat(u, n_phi)
     ww = np.repeat(wu, n_phi) * w_phi
@@ -151,8 +153,8 @@ def make_surface(shape: Shape, resolution: int) -> Surface:
     raise ValueError(f"unsupported shape {shape!r}")
 
 
-def _sphere_surface(radius: float, resolution: int) -> Surface:
-    u, phi, w = _axisymmetric_grid(resolution)
+def _sphere_surface(radius: float, resolution: int, n_phi: int = 0, shift: float = 0.0) -> Surface:
+    u, phi, w = _axisymmetric_grid(resolution, n_phi, shift)
     s = np.sqrt(1.0 - u * u)
     normals = np.column_stack((s * np.cos(phi), s * np.sin(phi), u))
     positions = radius * normals
@@ -165,6 +167,22 @@ def _sphere_surface(radius: float, resolution: int) -> Surface:
         dim=3,
         char_size=2.0 * radius,
     )
+
+
+def odd_azimuth_sphere_surface(radius: float, resolution: int) -> Surface:
+    """Sphere grid with 2 * resolution + 1 azimuths at cell midpoints.
+
+    An even azimuth count makes the node set antipodally symmetric, which
+    forces every quadrature pairing of plane-wave traces to be exactly real
+    regardless of resolution; an odd count breaks the pairing so the
+    imaginary-part diagnostic can actually measure quadrature error.
+    """
+    return _sphere_surface(radius, resolution, 2 * resolution + 1, 0.5)
+
+
+def gauss_midpoint_directions(n_polar: int) -> np.ndarray:
+    """Unit directions: Gauss nodes in cos(theta) times 2 n_polar midpoint azimuths."""
+    return _sphere_surface(1.0, n_polar, 2 * n_polar, 0.5).normals
 
 
 def _spheroid_surface(a: float, c: float, resolution: int) -> Surface:
@@ -206,14 +224,6 @@ def _strip_surface(width: float, resolution: int) -> Surface:
         dim=2,
         char_size=width,
     )
-
-
-def prolate_spheroid_area(a: float, c: float) -> float:
-    """Closed-form surface area of a prolate spheroid (c > a)."""
-    if c <= a:
-        raise NotProlateError("prolate area formula requires c > a")
-    e = math.sqrt(1.0 - (a / c) ** 2)
-    return 2.0 * math.pi * a * a * (1.0 + (c / (a * e)) * math.asin(e))
 
 
 @dataclass(frozen=True)

@@ -247,10 +247,9 @@ BasisFamily = Union[PlaneWaveBasis, PointSourceBasis, SphericalModeBasis]
 
 @dataclass(frozen=True, eq=False)
 class BasisTraces:
-    """Boundary traces A D_i and plain values D_i sampled at surface nodes."""
+    """Boundary traces A D_i sampled at surface nodes."""
 
     boundary: np.ndarray  # (n_nodes, n_basis) complex, A applied
-    values: np.ndarray  # (n_nodes, n_basis) complex
     bc: BoundaryCondition
 
     @property
@@ -277,20 +276,18 @@ def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
 
 
 def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> BasisTraces:
-    """Sample A D_i and D_i at the surface quadrature nodes."""
+    """Sample A D_i at the surface quadrature nodes."""
     if basis.dim != s.dim:
         raise InvalidBasisError(
             f"basis dimension {basis.dim} does not match surface dimension {s.dim}"
         )
     if isinstance(basis, PointSourceBasis):
         _check_point_sources_inside(basis, s)
-    values = basis.values(s.positions)
     if bc is BoundaryCondition.SOFT:
-        boundary = values.copy()
+        boundary = basis.values(s.positions)
     else:
-        grads = basis.gradients(s.positions)
-        boundary = np.einsum("pmd,pd->pm", grads, s.normals)
-    return BasisTraces(boundary=boundary, values=values, bc=bc)
+        boundary = np.einsum("pmd,pd->pm", basis.gradients(s.positions), s.normals)
+    return BasisTraces(boundary=boundary, bc=bc)
 
 
 def incident_trace(u0: IncidentField, bc: BoundaryCondition, s: Surface) -> np.ndarray:

@@ -46,10 +46,6 @@ class MieCoefficients:
     a_n: np.ndarray  # complex, n = 0..N
     sigma_total: float  # total scattering cross-section, units of a^2 absorbed via k
 
-    @property
-    def order(self) -> int:
-        return self.a_n.shape[0] - 1
-
 
 def mie_series(
     bc: BoundaryCondition, ka: float, angles: np.ndarray
@@ -277,12 +273,20 @@ class _CurveData:
         self.curv_dot = np.sum(self.ddx * self.normals, axis=1)  # x'' . n
 
 
-def _op_single(c: _CurveData, k: float) -> np.ndarray:
-    """Nystrom matrix of the single-layer operator (values -> values)."""
+def _op_single(c: _CurveData, k: float, weight: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nystrom matrix of the single-layer operator (values -> values).
+
+    weight multiplies the kernel entrywise; Maue's identity uses n(x) . n(y).
+    """
     kr = k * c.r
-    m1 = -(1.0 / (4.0 * np.pi)) * sp.j0(kr) * c.speed[None, :]
+    m1 = -(1.0 / (4.0 * np.pi)) * sp.j0(kr)
+    full = 0.25j * sp.hankel1(0, kr)
+    if weight is not None:
+        m1 *= weight
+        full *= weight
+    m1 *= c.speed[None, :]
+    full *= c.speed[None, :]
     np.fill_diagonal(m1, -c.speed / (4.0 * np.pi))
-    full = 0.25j * sp.hankel1(0, kr) * c.speed[None, :]
     m2 = full - m1 * c.log4sin2
     diag = (
         0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(0.5 * k * c.speed) / (2.0 * np.pi)
@@ -308,21 +312,6 @@ def _op_double(c: _CurveData, k: float, adjoint: bool) -> np.ndarray:
     m2 = full - m1 * c.log4sin2
     # both K and K' share the curvature diagonal (x'' . n) / (4 pi |x'|)
     diag = c.curv_dot / (4.0 * np.pi * c.speed)
-    np.fill_diagonal(m2, diag)
-    return c.kress * m1 + c.trap * m2
-
-
-def _op_single_nn(c: _CurveData, k: float) -> np.ndarray:
-    """Single-layer matrix with the n(x) . n(y) weight (Maue's regularization)."""
-    kr = k * c.r
-    nn = c.normals @ c.normals.T
-    m1 = -(1.0 / (4.0 * np.pi)) * sp.j0(kr) * nn * c.speed[None, :]
-    np.fill_diagonal(m1, -c.speed / (4.0 * np.pi))
-    full = 0.25j * sp.hankel1(0, kr) * nn * c.speed[None, :]
-    m2 = full - m1 * c.log4sin2
-    diag = (
-        0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(0.5 * k * c.speed) / (2.0 * np.pi)
-    ) * c.speed
     np.fill_diagonal(m2, diag)
     return c.kress * m1 + c.trap * m2
 
@@ -373,7 +362,7 @@ def bem_dense_solve(
     else:
         kpmat = _op_double(c, k, adjoint=True)
         ds = np.diag(1.0 / c.speed) @ _spectral_diff_matrix(c.n)
-        tmat = ds @ smat @ ds + k**2 * _op_single_nn(c, k)
+        tmat = ds @ smat @ ds + k**2 * _op_single(c, k, c.normals @ c.normals.T)
         a = tmat - 1j * eta * (kpmat - 0.5 * np.eye(c.n))
         rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
     psi = _solve_dense(a, rhs)
@@ -481,6 +470,23 @@ def _self_cell_green(dim: int, k: float, h: float) -> complex:
     return (1.0 - np.exp(1j * k * r0) * (1.0 - 1j * k * r0)) / k**2
 
 
+def _grid_distances(pot: VolumePotential, points: Optional[np.ndarray] = None) -> np.ndarray:
+    """Distances from points to the grid nodes; from the nodes, with 1 on the diagonal."""
+    nodes = pot.points()
+    src = nodes if points is None else points
+    r = np.linalg.norm(src[:, None, :] - nodes[None, :, :], axis=2)
+    if points is None:
+        np.fill_diagonal(r, 1.0)  # placeholder; the self-cell terms replace it
+    return r
+
+
+def _volume_green(pot: VolumePotential, k: float, r: np.ndarray) -> np.ndarray:
+    """Green's kernel h^d G(r) of one grid cell: (i/4) H0(kr) h^2 or e^(ikr)/(4 pi r) h^3."""
+    if pot.dim == 2:
+        return 0.25j * sp.hankel1(0, k * r) * pot.h**2
+    return np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
+
+
 def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
 
@@ -489,14 +495,7 @@ def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
-    pts = pot.points()
-    d = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(d, axis=2)
-    np.fill_diagonal(r, 1.0)
-    if pot.dim == 2:
-        g = 0.25j * sp.hankel1(0, k * r) * pot.h**2
-    else:
-        g = np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
+    g = _volume_green(pot, k, _grid_distances(pot))
     np.fill_diagonal(g, _self_cell_green(pot.dim, k, pot.h))
     return g
 
@@ -569,13 +568,8 @@ def scattered_field_at(
     support (no self-cell needed).
     """
     points = np.asarray(points, dtype=float)
-    pts = pot.points()
-    d = points[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(d, axis=2)
+    r = _grid_distances(pot, points)
     if np.any(r < 0.5 * pot.h):
         raise DomainError("evaluation points must be clear of the potential grid nodes")
-    if pot.dim == 2:
-        g = 0.25j * sp.hankel1(0, k * r) * pot.h**2
-    else:
-        g = np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
+    g = _volume_green(pot, k, r)
     return u0.values(points) - g @ (pot.flat() * np.asarray(u_grid).ravel())

@@ -100,19 +100,11 @@ def legendre_p_deriv(n: int, x: ArrayLike) -> np.ndarray:
     return np.where(near_pole, pole_val, body)
 
 
-def cyl_bessel_j0(x: ArrayLike) -> np.ndarray:
-    """Cylindrical Bessel function J_0(x) for x >= 0 (J_0(0) = 1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise DomainError("cyl_bessel_j0 requires finite x >= 0")
-    return _sp.j0(x)
-
-
 def cyl_bessel_j0y0(x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     """Order-zero cylindrical Bessel pair (J_0(x), Y_0(x)).
 
     Y_0 has a logarithmic singularity at the origin, so x must be strictly
-    positive here; use cyl_bessel_j0 when only J_0 at x = 0 is needed.
+    positive here.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):

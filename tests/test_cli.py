@@ -2,11 +2,10 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 from waveortho import cli
-from waveortho.errors import UsageError
+from waveortho.errors import SingularSystemError, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +173,24 @@ def test_main_exit_codes(tmp_path):
     assert cli.main([]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sphere", "--ka", "nan"], "'ka'"),
+        (["sphere", "--ka", "inf"], "'ka'"),
+        (["strip", "--kd", "nan", "--with_bem", "false"], "'kd'"),
+        (["born", "--h", "0"], "h must be positive"),
+        (["sphere", "--lambda", "-1"], "lam must be >= 0"),
+        (["kernel-profile", "--anchor", "999999"], "anchor index 999999"),
+    ],
+)
+def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert reason in err
+
+
 def test_main_prints_report(capsys):
     code = cli.main(["sphere", "--ka", "2.0", "--angles", "11"])
     out = capsys.readouterr().out
@@ -242,22 +259,36 @@ def test_sphere_quadrature_follows_explicit_basis_size():
     assert rep.metrics["far_rel_l2_vs_mie"] <= 1e-8
 
 
+def test_sphere_solver_selects_written_spectrum(tmp_path):
+    def run(solver):
+        out = str(tmp_path / f"{solver.replace(':', '-')}.csv")
+        cfg = cli.build_config("sphere", overrides={"ka": "5", "solver": solver, "out": out})
+        return cli.run_scenario("sphere", cfg), open(out, "rb").read()
+
+    rep_d, diag = run("diagonal")
+    rep_1, step1 = run("iterate:1")
+    rep_g, gal = run("galerkin")
+    assert step1 == diag  # one refinement step is the diagonal solve, bitwise
+    assert gal != diag
+    assert {c.name: c for c in rep_g.checks}["far_field_matches_mie"].passed
+    assert [r.metrics["solver_used"] for r in (rep_d, rep_1, rep_g)] == [
+        "diagonal", "iterate:1", "galerkin"
+    ]
+
+
+def test_selected_singular_galerkin_fails_solver_available(monkeypatch, capsys):
+    def singular(sys, lam=0.0):
+        raise SingularSystemError("Gram system is singular")
+
+    monkeypatch.setattr(cli.mth, "solve_galerkin", singular)
+    assert cli.main(["sphere", "--ka", "2", "--solver", "galerkin"]) == 1
+    out = capsys.readouterr().out
+    assert "check solver_available: FAIL (galerkin selected but unavailable" in out
+    assert "metric solver_used = diagonal" in out
+    assert cli.main(["sphere", "--ka", "2"]) == 0  # unselected, it stays a warning
+
+
 def test_strip_incidence_domain():
     cfg = cli.build_config("strip", overrides={"incidence": "1.6", "with_bem": "false"})
     with pytest.raises(UsageError):
         cli.run_scenario("strip", cfg)
-
-
-def test_odd_azimuth_sphere_grid():
-    s = cli._sphere_surface_odd_phi(1.0, 8)
-    assert s.positions.shape == (8 * 17, 3)
-    assert np.sum(s.weights) == pytest.approx(4 * np.pi, rel=1e-12)
-    # no antipodal pairs on the odd grid
-    d = np.linalg.norm(s.positions[:, None, :] + s.positions[None, :, :], axis=2)
-    assert d.min() > 1e-3
-
-
-def test_pw_direction_grid():
-    d = cli._sphere_pw_directions(6)
-    assert d.shape == (72, 3)
-    assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)

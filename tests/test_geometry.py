@@ -158,3 +158,40 @@ def test_surface_immutable():
     s = geo.make_surface(geo.Sphere(radius=1.0), 8)
     with pytest.raises(Exception):
         s.closed = False
+
+
+def test_odd_azimuth_sphere_grid():
+    s = geo.odd_azimuth_sphere_surface(1.0, 8)
+    assert s.positions.shape == (8 * 17, 3)
+    assert np.sum(s.weights) == pytest.approx(4 * np.pi, rel=1e-12)
+    # no antipodal pairs on the odd grid
+    d = np.linalg.norm(s.positions[:, None, :] + s.positions[None, :, :], axis=2)
+    assert d.min() > 1e-3
+
+
+def test_pw_direction_grid():
+    d = geo.gauss_midpoint_directions(6)
+    assert d.shape == (72, 3)
+    assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
+
+
+def test_midpoint_azimuth_grids_match_reference_loops():
+    """Node by node, the vectorized grids reproduce a plain double loop bitwise."""
+    res = 8
+
+    def loop(n_phi):
+        u, wu = geo.gauss_legendre(res)
+        phis = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        pos, w = [], []
+        for ui, si, wi in zip(u, np.sqrt(1.0 - u**2), wu):
+            for p in phis:
+                pos.append((si * np.cos(p), si * np.sin(p), ui))
+                w.append(wi * (2.0 * np.pi / n_phi))
+        return np.array(pos), np.array(w)
+
+    s = geo.odd_azimuth_sphere_surface(1.0, res)
+    pos, w = loop(2 * res + 1)
+    assert np.array_equal(s.positions, pos)
+    assert np.array_equal(s.normals, pos)
+    assert np.array_equal(s.weights, w)
+    assert np.array_equal(geo.gauss_midpoint_directions(res), loop(2 * res)[0])
