@@ -246,6 +246,13 @@ for _d in DEFAULTS.values():
     _d.update(_COMMON_DEFAULTS)
 
 
+# smallest accepted value of integer keys, with the reason
+_INT_MINIMA: Dict[str, Tuple[int, str]] = {
+    "angles": (2, "a far-field table compares at least two directions"),
+    "ring_points": (1, "the ring field table needs at least one point"),
+}
+
+
 def _coerce(scenario: str, key: str, raw: object, default: object) -> object:
     if not isinstance(raw, str):
         return raw
@@ -319,6 +326,9 @@ def build_config(
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
+    for key, (least, reason) in _INT_MINIMA.items():
+        if key in cfg and cfg[key] < least:
+            raise UsageError(f"{key} must be >= {least}: {reason}")
     if "solver" in cfg:
         _parse_solver(str(cfg["solver"]))
     return cfg
@@ -814,6 +824,12 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
         float(cfg["amplitude"]), float(cfg["width"]), float(cfg["half_extent"]),
         float(cfg["h"]), dim=2,
     )
+    if min(pot.values.shape) < 3:
+        raise UsageError(
+            f"h = {cfg['h']} and half_extent = {cfg['half_extent']} leave "
+            f"{pot.values.shape[0]} grid node(s) per axis; the disturbance needs at "
+            "least 3 (half_extent >= h), as the outer node layer is zeroed"
+        )
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     r_ring = float(cfg["ring_radius"]) or 6.0 * float(cfg["half_extent"])
     n_ring = int(cfg["ring_points"])
@@ -882,12 +898,15 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     handler = logging.Handler()
     handler.emit = records.append  # type: ignore[assignment]
     orc.logger.addHandler(handler)
+    ls_info: Dict[str, object] = {}
     try:
-        u_grid = orc.lippmann_schwinger(pot, u0, k, mode=str(cfg["ls_mode"]))
+        u_grid = orc.lippmann_schwinger(pot, u0, k, mode=str(cfg["ls_mode"]), info=ls_info)
     finally:
         orc.logger.removeHandler(handler)
     for rec in records:
         report.warnings.append(rec.getMessage())
+    for key in ("path", "iterations", "contraction"):
+        report.metrics[f"ls_{key}"] = ls_info[key]
     ref = orc.scattered_field_at(pot, u_grid, u0, k, pts)
     for order in ("first", "second-standard", "second-modified"):
         err = _relative_l2(res[order].field, ref)

@@ -470,13 +470,22 @@ def _self_cell_green(dim: int, k: float, h: float) -> complex:
     return (1.0 - np.exp(1j * k * r0) * (1.0 - 1j * k * r0)) / k**2
 
 
-def _grid_distances(pot: VolumePotential, points: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distances from points to the grid nodes; from the nodes, with 1 on the diagonal."""
-    nodes = pot.points()
-    src = nodes if points is None else points
-    r = np.linalg.norm(src[:, None, :] - nodes[None, :, :], axis=2)
-    if points is None:
-        np.fill_diagonal(r, 1.0)  # placeholder; the self-cell terms replace it
+def _grid_distances(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
+    """Distances from the given points to the grid nodes, one row per point."""
+    return np.linalg.norm(points[:, None, :] - pot.points()[None, :, :], axis=2)
+
+
+def _lattice_offsets(pot: VolumePotential) -> np.ndarray:
+    """Lengths h|m| of the lattice offsets m between grid nodes, with 1 at m = 0.
+
+    The offsets fill a (2n - 1)^d grid in FFT order: along an axis with n
+    nodes, index i holds offset i for i < n and i - (2n - 1) above. The 1 at
+    m = 0 is a placeholder for the self-cell terms that replace it.
+    """
+    axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1)) * pot.h for n in pot.values.shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    r = np.sqrt(sum(m**2 for m in mesh))
+    r[(0,) * pot.dim] = 1.0
     return r
 
 
@@ -487,52 +496,103 @@ def _volume_green(pot: VolumePotential, k: float, r: np.ndarray) -> np.ndarray:
     return np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
 
 
-def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
-    """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
+class LatticeOperator:
+    """Grid matrix A[p, q] = kernel[offset p - q], applied by FFT.
 
-    The diagonal carries the analytic integral of G over the equal-measure
-    disk (2D) or ball (3D), which regularizes the singular self-interaction.
+    On a uniform grid a kernel of the node offset gives a d-level Toeplitz
+    matrix. Embedded in the circulant of the (2n - 1)^d offset grid (laid out
+    as by `_lattice_offsets`) its product with a grid vector is a cyclic
+    convolution: `op @ x` pads x to the offset grid, multiplies the FFTs and
+    crops the result back to the n^d nodes. No N x N array is formed.
+    """
+
+    def __init__(self, kernel: np.ndarray):
+        self.kernel = kernel
+        self.shape = tuple((m + 1) // 2 for m in kernel.shape)
+        self._kernel_hat = np.fft.fftn(kernel)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        xg = np.asarray(x).reshape(self.shape)
+        x_hat = np.fft.fftn(xg, s=self.kernel.shape, axes=range(xg.ndim))
+        y = np.fft.ifftn(self._kernel_hat * x_hat)
+        return y[tuple(slice(0, n) for n in self.shape)].ravel()
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, gathered from the kernel (node order as `points()`)."""
+        nodes = np.indices(self.shape).reshape(len(self.shape), -1)
+        idx = np.zeros((nodes.shape[1],) * 2, dtype=np.intp)
+        for axis, m in zip(nodes, self.kernel.shape):
+            idx *= m
+            idx += np.subtract.outer(axis, axis) % m
+        return self.kernel.ravel()[idx]
+
+
+def volume_green_operator(pot: VolumePotential, k: float) -> LatticeOperator:
+    """The cell-integrated Green's operator of the grid, applied by FFT.
+
+    Offset m carries h^d G(h|m|); offset 0 carries the analytic integral of G
+    over the equal-measure disk (2D) or ball (3D), which regularizes the
+    singular self-interaction.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
-    g = _volume_green(pot, k, _grid_distances(pot))
-    np.fill_diagonal(g, _self_cell_green(pot.dim, k, pot.h))
-    return g
+    kernel = _volume_green(pot, k, _lattice_offsets(pot))
+    kernel[(0,) * pot.dim] = _self_cell_green(pot.dim, k, pot.h)
+    return LatticeOperator(kernel)
+
+
+def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
+    """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
+
+    Gathered from the offset kernel of `volume_green_operator`; the diagonal
+    carries the self-cell integral. Only the dense (LU) solve needs it.
+    """
+    return volume_green_operator(pot, k).toarray()
 
 
 def lippmann_schwinger(
-    pot: VolumePotential, u0: IncidentField, k: float, mode: str = "auto"
+    pot: VolumePotential,
+    u0: IncidentField,
+    k: float,
+    mode: str = "auto",
+    info: Optional[dict] = None,
 ) -> np.ndarray:
     """Total field on the potential grid: u = u0 - integral of G Xi u.
 
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
-    Green matrix. mode: 'dense' (LU), 'fixed-point' (Neumann iteration), or
-    'auto' (fixed-point when the iteration is safely contractive, dense
-    otherwise). A diverging fixed-point run logs its contraction estimate
-    and falls back to the dense solve.
+    Green operator. mode: 'dense' (LU), 'fixed-point' (Neumann iteration
+    with G applied by FFT), or 'auto' (fixed-point when the iteration is
+    safely contractive, dense otherwise). A diverging fixed-point run logs
+    its contraction estimate and falls back to the dense solve.
+
+    If `info` is given it receives the solve path ('fixed-point', 'dense' or
+    'fixed-point→dense'), the number of fixed-point iterations, and the
+    contraction estimate ||G diag(Xi)||_1.
     """
     if mode not in ("auto", "dense", "fixed-point"):
         raise DomainError(f"unknown solve mode {mode!r}")
     if u0.dim != pot.dim:
         raise DomainError("incident field dimension does not match the grid")
-    g = grid_green_matrix(pot, k)
+    gop = volume_green_operator(pot, k)
     xi = pot.flat()
-    pts = pot.points()
-    b = u0.values(pts)
-    m = g * xi[None, :]
+    b = u0.values(pot.points())
 
-    contraction = float(np.linalg.norm(m, 1))
+    # ||G diag(Xi)||_1 = max_j |Xi_j| sum_i |G_ij|; the column sums of the
+    # symmetric |G| are its product with ones
+    col_abs = (LatticeOperator(np.abs(gop.kernel)) @ np.ones(pot.n_cells)).real
+    contraction = float(np.max(np.abs(xi) * col_abs))
     use_fixed = mode == "fixed-point" or (mode == "auto" and contraction < 0.5)
+    path, iterations = "dense", 0
     if use_fixed:
+        path = "fixed-point→dense"  # unless the iteration converges
         u = b.copy()
         prev = np.inf
-        ok = False
-        for _ in range(200):
-            u_next = b - m @ u
+        for iterations in range(1, 201):
+            u_next = b - gop @ (xi * u)
             delta = float(np.linalg.norm(u_next - u))
             u = u_next
             if delta <= 1e-12 * float(np.linalg.norm(b)):
-                ok = True
+                path = "fixed-point"
                 break
             if delta > prev * 1.02:
                 logger.info(
@@ -542,16 +602,19 @@ def lippmann_schwinger(
                 )
                 break
             prev = delta
-        if ok:
-            return u.reshape(pot.values.shape)
-        if mode == "fixed-point":
+        if path != "fixed-point" and mode == "fixed-point":
             logger.info(
                 "fixed-point did not converge (contraction estimate %.3f); "
                 "falling back to dense solve",
                 contraction,
             )
-    a = np.eye(pot.n_cells, dtype=complex) + m
-    u = _solve_dense(a, b)
+    if info is not None:
+        info.update(path=path, iterations=iterations, contraction=contraction)
+    if path != "fixed-point":
+        a = grid_green_matrix(pot, k)
+        a *= xi[None, :]
+        a.flat[:: pot.n_cells + 1] += 1.0  # I + G diag(Xi), formed in place
+        u = _solve_dense(a, b)
     return u.reshape(pot.values.shape)
 
 

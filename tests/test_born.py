@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from waveortho import born as brn
+from waveortho import cli
 from waveortho import method as mth
 from waveortho import oracles as orc
 from waveortho.errors import DomainError, UnsupportedRegionError
@@ -37,6 +39,38 @@ def test_beta_weight_properties(setup):
     assert np.min(brn.beta_weight(weak, K)) > 1.0 - 1e-10
     with pytest.raises(DomainError):
         brn.beta_weight(pot, -1.0)
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.06), (3, 0.12)])
+def test_beta_weight_matches_dense_row_sums(dim, h):
+    pot = orc.gaussian_potential(2.0, 0.3, 0.6, h, dim=dim)
+    pts = pot.points()
+    r = orc._grid_distances(pot, pts)
+    np.fill_diagonal(r, 1.0)
+    if dim == 2:
+        g2 = np.abs(0.25j * sp.hankel1(0, K * r)) ** 2 * pot.h**2
+    else:
+        g2 = 1.0 / (4.0 * np.pi * r) ** 2 * pot.h**3
+    np.fill_diagonal(g2, brn._self_cell_green_sq(dim, K, pot.h))
+    ref = 1.0 / (1.0 + g2 @ np.abs(pot.flat()) ** 2)
+    assert np.max(np.abs(brn.beta_weight(pot, K) - ref)) <= 1e-13 * np.max(1.0 - ref)
+
+
+@pytest.mark.parametrize("overrides, most", [({}, 0), ({"amplitude": "4", "h": "0.045"}, 1)])
+def test_born_run_builds_dense_green_only_for_lu(overrides, most, monkeypatch):
+    calls = []
+    original = orc.grid_green_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orc, "grid_green_matrix", counted)
+    monkeypatch.setattr(brn, "grid_green_matrix", counted)
+    rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
+    assert rep.passed
+    assert len(calls) <= most
+    assert rep.metrics["ls_path"] == ("dense" if most else "fixed-point")
 
 
 def test_first_with_unit_weight_is_plain_born(setup):

@@ -182,6 +182,13 @@ def test_main_exit_codes(tmp_path):
         (["born", "--h", "0"], "h must be positive"),
         (["sphere", "--lambda", "-1"], "lam must be >= 0"),
         (["kernel-profile", "--anchor", "999999"], "anchor index 999999"),
+        (["sphere", "--angles", "0"], "angles must be >= 2"),
+        (["sphere", "--angles", "1"], "angles must be >= 2"),
+        (["strip", "--angles", "0", "--with_bem", "false"], "angles must be >= 2"),
+        (["spheroid", "--angles", "0"], "angles must be >= 2"),
+        (["born", "--h", "2"], "h = 2.0 and half_extent = 0.9 leave 1 grid node(s)"),
+        (["born", "--half_extent", "0.05"], "2 grid node(s) per axis"),
+        (["born", "--ring_points", "0"], "ring_points must be >= 1"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):

@@ -249,6 +249,47 @@ def test_grid_green_matrix_entries():
     assert abs(g[0, 0]) < 10.0 * pot.h**2
 
 
+def _dense_green(pot, k):
+    """Grid Green matrix summed entry by entry from the node distances."""
+    pts = pot.points()
+    r = orc._grid_distances(pot, pts)
+    np.fill_diagonal(r, 1.0)
+    g = orc._volume_green(pot, k, r)
+    np.fill_diagonal(g, orc._self_cell_green(pot.dim, k, pot.h))
+    return g
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (8, 8), (7, 10), (5, 6, 7)])
+def test_volume_green_operator_matches_dense_products(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    vals = np.zeros(shape, dtype=complex)
+    inner = tuple(slice(1, -1) for _ in shape)
+    vals[inner] = rng.normal(size=vals[inner].shape)
+    pot = orc.VolumePotential(origin=-0.1 * np.ones(len(shape)), h=0.11, values=vals)
+    k = 1.7
+    dense = _dense_green(pot, k)
+    op = orc.volume_green_operator(pot, k)
+    x = rng.normal(size=pot.n_cells) + 1j * rng.normal(size=pot.n_cells)
+    y = dense @ x
+    assert np.linalg.norm(op @ x - y) <= 1e-13 * np.linalg.norm(y)
+    g = orc.grid_green_matrix(pot, k)
+    assert np.max(np.abs(g - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_lippmann_schwinger_reports_path():
+    k = 1.5
+    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
+    for amp, mode, path in ((0.05, "auto", "fixed-point"), (0.05, "dense", "dense"),
+                            (80.0, "fixed-point", "fixed-point→dense")):
+        pot = orc.gaussian_potential(amp, 0.3, 0.9, 0.09, dim=2)
+        info = {}
+        orc.lippmann_schwinger(pot, u0, k, mode=mode, info=info)
+        assert info["path"] == path
+        assert (info["iterations"] > 0) == path.startswith("fixed-point")
+        m1 = np.linalg.norm(_dense_green(pot, k) * pot.flat()[None, :], 1)
+        assert info["contraction"] == pytest.approx(m1, rel=1e-12)
+
+
 def test_lippmann_schwinger_zero_potential():
     vals = np.zeros((9, 9), dtype=complex)
     pot = orc.VolumePotential(origin=np.array([-0.4, -0.4]), h=0.1, values=vals)
