@@ -12,7 +12,6 @@ when every check the scenario declares passes its configured threshold.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import sys
@@ -27,6 +26,7 @@ from . import born as brn
 from . import geometry as geo
 from . import method as mth
 from . import oracles as orc
+from . import specfun
 from .errors import SingularSystemError, UsageError
 
 # ---------------------------------------------------------------------------
@@ -501,10 +501,19 @@ def _sphere_modes(
 ) -> Tuple[mth.SphericalModeBasis, geo.Surface]:
     """Spherical-mode basis on the unit sphere, with the automatic sizes.
 
-    The highest mode order defaults to ceil(ka) + 8 and the quadrature
-    resolution to that order plus 8, at least 32.
+    The highest mode order n defaults to ceil(ka) + 8. A scenario that checks
+    its far field against `far_tol` raises n until the partial-wave tail
+    estimate 3 ka j_n(ka)^2 is at most far_tol. The quadrature resolution
+    defaults to n + 8, at least 32.
     """
-    n_order = int(cfg["basis_size"]) or (math.ceil(ka) + 8)
+    tol = float(cfg.get("far_tol", math.inf))
+    if not tol > 0:
+        raise UsageError("far_tol must be positive")
+    n_order = int(cfg["basis_size"])
+    if not n_order:
+        n_order = math.ceil(ka) + 8
+        while 3.0 * ka * specfun.sph_bessel_j(n_order, ka)[0] ** 2 > tol:
+            n_order += 1
     res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
     basis = mth.SphericalModeBasis(max_order=n_order, k=ka)
     return basis, geo.make_surface(geo.Sphere(1.0), res)
@@ -894,19 +903,16 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     )
 
     # comparative errors against the volume-equation oracle
-    records: List[logging.LogRecord] = []
-    handler = logging.Handler()
-    handler.emit = records.append  # type: ignore[assignment]
-    orc.logger.addHandler(handler)
     ls_info: Dict[str, object] = {}
-    try:
-        u_grid = orc.lippmann_schwinger(pot, u0, k, mode=str(cfg["ls_mode"]), info=ls_info)
-    finally:
-        orc.logger.removeHandler(handler)
-    for rec in records:
-        report.warnings.append(rec.getMessage())
+    u_grid = orc.lippmann_schwinger(pot, u0, k, mode=str(cfg["ls_mode"]), info=ls_info)
     for key in ("path", "iterations", "contraction"):
         report.metrics[f"ls_{key}"] = ls_info[key]
+    if ls_info["path"] == "fixed-point→dense":
+        report.warnings.append(
+            f"Lippmann-Schwinger fixed-point iteration stopped after "
+            f"{ls_info['iterations']} iterations without converging (contraction "
+            f"estimate {ls_info['contraction']:.3f}); fell back to the dense solve"
+        )
     ref = orc.scattered_field_at(pot, u_grid, u0, k, pts)
     for order in ("first", "second-standard", "second-modified"):
         err = _relative_l2(res[order].field, ref)

@@ -15,20 +15,17 @@ Four oracle families, none of which share numerics with the method module:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import circulant, get_lapack_funcs, lu_factor, lu_solve
 
 from . import specfun
 from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
-
-logger = logging.getLogger("waveortho.oracles")
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -201,40 +198,36 @@ def bem_strip_contour(width: float, k: float, n_nodes: int) -> Surface:
     )
 
 
-def _fft_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of periodic samples on the uniform 2 pi grid."""
-    n = values.shape[0]
+def _fft_derivative(values: np.ndarray, order: int = 1, axis: int = 0) -> np.ndarray:
+    """Spectral derivative along `axis` of periodic samples on the uniform 2 pi grid."""
+    n = values.shape[axis]
     m = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
-        m = m.copy()
         m[n // 2] = 0.0  # drop the unmatched Nyquist mode
-    fac = (1j * m) ** order
-    return np.real(np.fft.ifft(fac * np.fft.fft(values)))
+    shape = [1] * values.ndim
+    shape[axis] = n
+    spec = np.fft.fft(values, axis=axis)
+    spec *= ((1j * m) ** order).reshape(shape)
+    out = np.fft.ifft(spec, axis=axis)
+    return out if np.iscomplexobj(values) else out.real
 
 
-def _kress_log_weights(n_nodes: int) -> np.ndarray:
-    """Quadrature weights R[i, j] for the ln(4 sin^2((t - tau)/2)) factor.
+def _log_split_weights(n_nodes: int) -> np.ndarray:
+    """Weights R[i, j] - (2 pi / n) ln(4 sin^2((t_i - t_j)/2)) of the product rule.
 
-    The weights depend only on (i - j) mod n, so the matrix is assembled
-    from its first row (circulant structure).
+    R are Kress's quadrature weights for the ln(4 sin^2) factor; the second
+    term removes that factor from the trapezoidal rule applied to the whole
+    kernel. The diagonal, where the logarithm is not taken, holds R[i, i].
+    Both depend only on (i - j) mod n, so the matrix is gathered from its
+    first column (circulant structure).
     """
     n = n_nodes // 2
     dt = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     m = np.arange(1, n)
-    row = -(2.0 * np.pi / n) * (np.cos(np.outer(dt, m)) @ (1.0 / m))
-    row -= (np.pi / n**2) * np.cos(n * dt)
-    idx = (np.arange(n_nodes)[:, None] - np.arange(n_nodes)[None, :]) % n_nodes
-    return row[idx]
-
-
-def _spectral_diff_matrix(n_nodes: int) -> np.ndarray:
-    """Differentiation matrix for periodic samples on the uniform 2 pi grid."""
-    i = np.arange(n_nodes)
-    diff = i[:, None] - i[None, :]
-    d = np.zeros((n_nodes, n_nodes))
-    off = diff != 0
-    d[off] = 0.5 * (-1.0) ** diff[off] / np.tan(np.pi * diff[off] / n_nodes)
-    return d
+    col = -(2.0 * np.pi / n) * (np.cos(np.outer(dt, m)) @ (1.0 / m))
+    col -= (np.pi / n**2) * np.cos(n * dt)
+    col[1:] -= (2.0 * np.pi / n_nodes) * np.log(4.0 * np.sin(0.5 * dt[1:]) ** 2)
+    return circulant(col)
 
 
 class _CurveData:
@@ -248,72 +241,38 @@ class _CurveData:
             raise DomainError("curve node count must be even")
         self.n = n
         self.x = s.positions
-        self.dx = np.column_stack(
-            (_fft_derivative(s.positions[:, 0]), _fft_derivative(s.positions[:, 1]))
-        )
-        self.ddx = np.column_stack(
-            (_fft_derivative(s.positions[:, 0], 2), _fft_derivative(s.positions[:, 1], 2))
-        )
-        self.speed = np.linalg.norm(self.dx, axis=1)
+        dx = _fft_derivative(s.positions)
+        self.speed = np.linalg.norm(dx, axis=1)
         if np.min(self.speed) <= 0:
             raise DomainError("degenerate curve parametrization")
-        self.normals = np.column_stack((self.dx[:, 1], -self.dx[:, 0])) / self.speed[:, None]
+        self.normals = np.column_stack((dx[:, 1], -dx[:, 0])) / self.speed[:, None]
         # orientation check: normals must agree with the stored outward ones
         if np.mean(np.sum(self.normals * s.normals, axis=1)) < 0:
             self.normals = -self.normals
-        d = self.x[:, None, :] - self.x[None, :, :]
-        self.r = np.linalg.norm(d, axis=2)
-        np.fill_diagonal(self.r, 1.0)  # placeholder, diagonals handled analytically
-        self.dvec = d
-        t = 2.0 * np.pi * np.arange(n) / n
-        st = np.sin(0.5 * (t[:, None] - t[None, :]))
-        self.log4sin2 = np.log(4.0 * st**2 + np.eye(n))  # diagonal -> 0, unused
-        self.kress = _kress_log_weights(n)
         self.trap = 2.0 * np.pi / n
-        self.curv_dot = np.sum(self.ddx * self.normals, axis=1)  # x'' . n
+        self.curv_dot = np.sum(_fft_derivative(s.positions, 2) * self.normals, axis=1)  # x'' . n
 
 
-def _op_single(c: _CurveData, k: float, weight: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nystrom matrix of the single-layer operator (values -> values).
+def _nystrom(
+    c: _CurveData, weights: np.ndarray, jn: np.ndarray, yn: np.ndarray,
+    kernel: np.ndarray, diag: np.ndarray, scale: complex,
+) -> np.ndarray:
+    """`scale` times the Nystrom matrix of (i/4) H_n(k r) kernel(x_i, x_j), H_n = J_n + i Y_n.
 
-    weight multiplies the kernel entrywise; Maue's identity uses n(x) . n(y).
+    Kress's product rule splits off -(1/4 pi) J_n kernel, which multiplies
+    ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by the trapezoidal
+    rule; with `weights` from `_log_split_weights` an entry is
+    -(kernel / 4 pi) (J_n (weights - i pi trap) + pi trap Y_n). The diagonal
+    is `diag`.
     """
-    kr = k * c.r
-    m1 = -(1.0 / (4.0 * np.pi)) * sp.j0(kr)
-    full = 0.25j * sp.hankel1(0, kr)
-    if weight is not None:
-        m1 *= weight
-        full *= weight
-    m1 *= c.speed[None, :]
-    full *= c.speed[None, :]
-    np.fill_diagonal(m1, -c.speed / (4.0 * np.pi))
-    m2 = full - m1 * c.log4sin2
-    diag = (
-        0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(0.5 * k * c.speed) / (2.0 * np.pi)
-    ) * c.speed
-    np.fill_diagonal(m2, diag)
-    return c.kress * m1 + c.trap * m2
-
-
-def _op_double(c: _CurveData, k: float, adjoint: bool) -> np.ndarray:
-    """Nystrom matrix of K (double layer) or K' (its normal-derivative adjoint)."""
-    kr = k * c.r
-    if adjoint:
-        dot = np.sum(c.dvec * c.normals[:, None, :], axis=2)  # (x_i - x_j) . n(x_i)
-        sgn = -1.0
-    else:
-        dot = np.sum(c.dvec * c.normals[None, :, :], axis=2)  # (x_i - x_j) . n(x_j)
-        sgn = 1.0
-    geom = dot / c.r * c.speed[None, :]
-    m1 = sgn * (-(k / (4.0 * np.pi))) * sp.j1(kr) * geom
-    full = sgn * (0.25j * k) * sp.hankel1(1, kr) * geom
-    np.fill_diagonal(m1, 0.0)
-    np.fill_diagonal(full, 0.0)
-    m2 = full - m1 * c.log4sin2
-    # both K and K' share the curvature diagonal (x'' . n) / (4 pi |x'|)
-    diag = c.curv_dot / (4.0 * np.pi * c.speed)
-    np.fill_diagonal(m2, diag)
-    return c.kress * m1 + c.trap * m2
+    a = np.empty(jn.shape, dtype=complex)
+    np.multiply(jn, weights, out=a.real)
+    a.real += (np.pi * c.trap) * yn
+    np.multiply(jn, -np.pi * c.trap, out=a.imag)
+    a *= kernel
+    a *= -scale / (4.0 * np.pi)
+    np.fill_diagonal(a, scale * diag)
+    return a
 
 
 def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -329,6 +288,56 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             "change the node count or frequency away from the resonance"
         )
     return lu_solve((lu, piv), rhs)
+
+
+def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
+    """I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard), T by Maue's identity.
+
+    J_0, Y_0 and then J_1, Y_1 of k|x_i - x_j| are evaluated once each and
+    shared by every operator of that order. T = d/ds S d/ds + k^2 S_nn, where
+    S_nn weights the kernel by n(x_i) . n(x_j) and d/ds = (1/|x'|) d/dt is
+    applied by FFT along each axis.
+    """
+    hard = bc is BoundaryCondition.HARD
+    weights = _log_split_weights(c.n)
+    kr = np.hypot(*(np.subtract.outer(xd, xd) for xd in c.x.T))
+    np.fill_diagonal(kr, 1.0)  # placeholder, diagonals are handled analytically
+    kr *= k
+    # single layer: kernel |x'_j|; the diagonal takes the limits of both parts
+    s_diag = c.speed * (
+        -weights[0, 0] / (4.0 * np.pi)
+        + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
+    )
+    j, y = sp.j0(kr), sp.y0(kr)
+    a = _nystrom(c, weights, j, y, c.speed, s_diag, 1.0 if hard else -1j * k)
+    if hard:
+        ds_s = _fft_derivative(a, axis=0)  # D S
+        del a
+        ds_s /= c.speed[:, None]
+        ds_s /= c.speed[None, :]
+        nn = c.normals @ c.normals.T
+        nn *= c.speed
+        a = _nystrom(c, weights, j, y, nn, s_diag, k**2)
+        del nn
+        a -= _fft_derivative(ds_s, axis=1)  # (.) D = -(D (.)^T)^T
+        del ds_s
+    del j, y
+    # double layer, kernel k (x_i - x_j) . n / r |x'_j| with n = n(x_j) for K
+    # and -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|)
+    xn = np.sum(c.x * c.normals, axis=1)
+    if hard:  # (x_j - x_i) . n(x_i)
+        dot = c.normals @ c.x.T
+        dot -= xn[:, None]
+    else:  # (x_i - x_j) . n(x_j)
+        dot = c.x @ c.normals.T
+        dot -= xn
+    dot *= k * k * c.speed
+    dot /= kr
+    j, y = sp.j1(kr), sp.y1(kr)
+    k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
+    a += _nystrom(c, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
+    a.flat[:: c.n + 1] += 0.5j * k if hard else 0.5
+    return a
 
 
 def bem_dense_solve(
@@ -353,19 +362,11 @@ def bem_dense_solve(
     if u0.dim != 2:
         raise DomainError("boundary-element oracle is 2D")
     c = _CurveData(s)
-    eta = k
-    smat = _op_single(c, k)
     if bc is BoundaryCondition.SOFT:
-        kmat = _op_double(c, k, adjoint=False)
-        a = 0.5 * np.eye(c.n) + kmat - 1j * eta * smat
         rhs = -u0.values(c.x)
     else:
-        kpmat = _op_double(c, k, adjoint=True)
-        ds = np.diag(1.0 / c.speed) @ _spectral_diff_matrix(c.n)
-        tmat = ds @ smat @ ds + k**2 * _op_single(c, k, c.normals @ c.normals.T)
-        a = tmat - 1j * eta * (kpmat - 0.5 * np.eye(c.n))
         rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
-    psi = _solve_dense(a, rhs)
+    psi = _solve_dense(_bem_matrix(c, bc, k), rhs)
 
     if far_angles is None:
         far_angles = np.linspace(-np.pi, np.pi, 721)
@@ -375,7 +376,7 @@ def bem_dense_solve(
     ds_w = c.speed * c.trap
     obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
     pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    amp = pref * ((obliq - 1j * eta) * phase) @ (psi * ds_w)
+    amp = pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
     return psi, FarFieldPattern(angles=far_angles, amplitude=amp)
 
 
@@ -562,8 +563,8 @@ def lippmann_schwinger(
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
     Green operator. mode: 'dense' (LU), 'fixed-point' (Neumann iteration
     with G applied by FFT), or 'auto' (fixed-point when the iteration is
-    safely contractive, dense otherwise). A diverging fixed-point run logs
-    its contraction estimate and falls back to the dense solve.
+    safely contractive, dense otherwise). A fixed-point run that diverges or
+    does not converge in 200 iterations falls back to the dense solve.
 
     If `info` is given it receives the solve path ('fixed-point', 'dense' or
     'fixed-point→dense'), the number of fixed-point iterations, and the
@@ -595,19 +596,8 @@ def lippmann_schwinger(
                 path = "fixed-point"
                 break
             if delta > prev * 1.02:
-                logger.info(
-                    "fixed-point iteration diverging (contraction estimate %.3f); "
-                    "falling back to dense solve",
-                    contraction,
-                )
-                break
+                break  # diverging
             prev = delta
-        if path != "fixed-point" and mode == "fixed-point":
-            logger.info(
-                "fixed-point did not converge (contraction estimate %.3f); "
-                "falling back to dense solve",
-                contraction,
-            )
     if info is not None:
         info.update(path=path, iterations=iterations, contraction=contraction)
     if path != "fixed-point":

@@ -266,6 +266,13 @@ def test_sphere_quadrature_follows_explicit_basis_size():
     assert rep.metrics["far_rel_l2_vs_mie"] <= 1e-8
 
 
+@pytest.mark.parametrize("ka", ["9", "12", "20"])
+def test_sphere_basis_size_follows_partial_wave_tail(ka):
+    rep = cli.run_scenario("sphere", cli.build_config("sphere", overrides={"ka": ka, "bc": "hard"}))
+    check = {c.name: c for c in rep.checks}["far_field_matches_mie"]
+    assert check.passed, check.detail
+
+
 def test_sphere_solver_selects_written_spectrum(tmp_path):
     def run(solver):
         out = str(tmp_path / f"{solver.replace(':', '-')}.csv")
@@ -299,3 +306,14 @@ def test_strip_incidence_domain():
     cfg = cli.build_config("strip", overrides={"incidence": "1.6", "with_bem": "false"})
     with pytest.raises(UsageError):
         cli.run_scenario("strip", cfg)
+
+
+def test_born_reports_lippmann_schwinger_fallback_as_warning():
+    cfg = cli.build_config("born", overrides={"amplitude": "80", "ls_mode": "fixed-point"})
+    rep = cli.run_scenario("born", cfg)
+    assert rep.metrics["ls_path"] == "fixed-point→dense"
+    assert rep.warnings == [
+        f"Lippmann-Schwinger fixed-point iteration stopped after "
+        f"{rep.metrics['ls_iterations']} iterations without converging (contraction "
+        f"estimate {rep.metrics['ls_contraction']:.3f}); fell back to the dense solve"
+    ]
