@@ -132,11 +132,9 @@ def _emit_columns(path: str, fmt: str, columns: Dict[str, np.ndarray]) -> None:
         for i in range(arrays[0].shape[0] if arrays else 0):
             rows.append(",".join(_sig(a[i]) for a in arrays))
         _atomic_write(path, "\n".join(rows) + "\n")
-    elif fmt == "json":
+    else:  # json, the only other format build_config accepts
         payload = {n: [float(x) for x in a] for n, a in zip(names, arrays)}
         _atomic_write(path, json.dumps(payload, indent=1) + "\n")
-    else:
-        raise UsageError(f"unknown output format {fmt!r}; expected csv or json")
 
 
 def emit_pattern(path: str, fmt: str, pattern: mth.FarFieldPattern) -> None:
@@ -223,7 +221,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "ring_radius": 0.0,
         "ring_points": 16,
         "alt_second_reading": False,
-        "ls_mode": "auto",
         "first_tol": 1e-12,
     },
     "kernel-profile": {
@@ -329,6 +326,8 @@ def build_config(
     for key, (least, reason) in _INT_MINIMA.items():
         if key in cfg and cfg[key] < least:
             raise UsageError(f"{key} must be >= {least}: {reason}")
+    if cfg["format"] not in ("csv", "json"):
+        raise UsageError(f"unknown output format {cfg['format']!r}; expected csv or json")
     if "solver" in cfg:
         _parse_solver(str(cfg["solver"]))
     return cfg
@@ -698,7 +697,9 @@ def _run_strip_pipeline(
         nb += nb % 2
         try:
             contour = orc.bem_strip_contour(d, k, nb)
-            _, ff = orc.bem_dense_solve(contour, bc_solve, k, u0, far_angles=th_grid)
+            bem_info: Dict[str, float] = {}
+            _, ff = orc.bem_dense_solve(contour, bc_solve, k, u0, far_angles=th_grid,
+                                        info=bem_info)
             upper = np.abs(th_grid) < 0.5 * np.pi - 1e-9
             th_up = th_grid[upper]
             a_m = np.abs(pattern_amp[upper])
@@ -706,6 +707,7 @@ def _run_strip_pipeline(
             rel = math.sqrt(max(0.0, 1.0 - _normalized_corr(a_m, a_b) ** 2))
             report.metrics["bem_pattern_rel_l2"] = rel
             report.metrics["bem_nodes_used"] = nb
+            report.metrics["bem_rcond"] = bem_info["rcond"]
             tol = int(cfg["null_step_tol"])
             for side, tag in ((1, "pos"), (-1, "neg")):
                 im = _first_null_index(a_m, th_up, side)
@@ -904,15 +906,9 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
 
     # comparative errors against the volume-equation oracle
     ls_info: Dict[str, object] = {}
-    u_grid = orc.lippmann_schwinger(pot, u0, k, mode=str(cfg["ls_mode"]), info=ls_info)
-    for key in ("path", "iterations", "contraction"):
-        report.metrics[f"ls_{key}"] = ls_info[key]
-    if ls_info["path"] == "fixed-point→dense":
-        report.warnings.append(
-            f"Lippmann-Schwinger fixed-point iteration stopped after "
-            f"{ls_info['iterations']} iterations without converging (contraction "
-            f"estimate {ls_info['contraction']:.3f}); fell back to the dense solve"
-        )
+    u_grid = orc.lippmann_schwinger(pot, u0, k, info=ls_info)
+    for key, value in ls_info.items():
+        report.metrics[f"ls_{key}"] = value
     ref = orc.scattered_field_at(pot, u_grid, u0, k, pts)
     for order in ("first", "second-standard", "second-modified"):
         err = _relative_l2(res[order].field, ref)
@@ -1049,6 +1045,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # every package error derives from ValueError, and all of them here
         # come from the scenario's configuration
         print(f"usage error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"usage error: not enough memory for this configuration: {e}", file=sys.stderr)
         return 2
     print(report.render())
     return 0 if report.passed else 1

@@ -275,8 +275,8 @@ def _nystrom(
     return a
 
 
-def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with an explicit conditioning guard."""
+def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
+    """LU solve with an explicit conditioning guard; returns x and the 1-norm rcond."""
     lu, piv = lu_factor(a)
     gecon = get_lapack_funcs("gecon", (a,))
     anorm = np.linalg.norm(a, 1)
@@ -287,7 +287,7 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"boundary-element system is near-singular (condition number ~ {cond:.3e}); "
             "change the node count or frequency away from the resonance"
         )
-    return lu_solve((lu, piv), rhs)
+    return lu_solve((lu, piv), rhs), float(rcond)
 
 
 def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
@@ -346,6 +346,7 @@ def bem_dense_solve(
     k: float,
     u0: IncidentField,
     far_angles: Optional[np.ndarray] = None,
+    info: Optional[dict] = None,
 ) -> Tuple[np.ndarray, FarFieldPattern]:
     """Dense Nystrom solve of exterior scattering by a smooth closed 2D curve.
 
@@ -356,6 +357,8 @@ def bem_dense_solve(
     hypersingular T evaluated through Maue's identity. Both are uniquely
     solvable at all real k. Returns the layer density psi at the nodes and
     the far field on `far_angles` (default: 721 angles spanning [-pi, pi]).
+    If `info` is given it receives the LAPACK estimate `rcond` of the
+    system's reciprocal 1-norm condition number.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
@@ -366,7 +369,9 @@ def bem_dense_solve(
         rhs = -u0.values(c.x)
     else:
         rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
-    psi = _solve_dense(_bem_matrix(c, bc, k), rhs)
+    psi, rcond = _solve_dense(_bem_matrix(c, bc, k), rhs)
+    if info is not None:
+        info["rcond"] = rcond
 
     if far_angles is None:
         far_angles = np.linspace(-np.pi, np.pi, 721)
@@ -546,7 +551,8 @@ def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
 
     Gathered from the offset kernel of `volume_green_operator`; the diagonal
-    carries the self-cell integral. Only the dense (LU) solve needs it.
+    carries the self-cell integral. No solve uses it: it is the dense
+    reference against which the FFT operator and the volume solve are checked.
     """
     return volume_green_operator(pot, k).toarray()
 
@@ -555,56 +561,41 @@ def lippmann_schwinger(
     pot: VolumePotential,
     u0: IncidentField,
     k: float,
-    mode: str = "auto",
     info: Optional[dict] = None,
 ) -> np.ndarray:
     """Total field on the potential grid: u = u0 - integral of G Xi u.
 
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
-    Green operator. mode: 'dense' (LU), 'fixed-point' (Neumann iteration
-    with G applied by FFT), or 'auto' (fixed-point when the iteration is
-    safely contractive, dense otherwise). A fixed-point run that diverges or
-    does not converge in 200 iterations falls back to the dense solve.
+    Green operator and solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986) with G applied by FFT: one cycle of at most 200 Krylov
+    steps, stopped at a relative residual of 1e-12. The true residual is
+    recomputed once; a solve that leaves it above 1e-12 raises
+    SingularSystemError.
 
-    If `info` is given it receives the solve path ('fixed-point', 'dense' or
-    'fixed-point→dense'), the number of fixed-point iterations, and the
-    contraction estimate ||G diag(Xi)||_1.
+    If `info` is given it receives the GMRES `iterations` and that relative
+    `residual`.
     """
-    if mode not in ("auto", "dense", "fixed-point"):
-        raise DomainError(f"unknown solve mode {mode!r}")
+    # scipy.sparse adds ~3 MB to every process that imports it; only this solve needs it
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     if u0.dim != pot.dim:
         raise DomainError("incident field dimension does not match the grid")
     gop = volume_green_operator(pot, k)
     xi = pot.flat()
     b = u0.values(pot.points())
-
-    # ||G diag(Xi)||_1 = max_j |Xi_j| sum_i |G_ij|; the column sums of the
-    # symmetric |G| are its product with ones
-    col_abs = (LatticeOperator(np.abs(gop.kernel)) @ np.ones(pot.n_cells)).real
-    contraction = float(np.max(np.abs(xi) * col_abs))
-    use_fixed = mode == "fixed-point" or (mode == "auto" and contraction < 0.5)
-    path, iterations = "dense", 0
-    if use_fixed:
-        path = "fixed-point→dense"  # unless the iteration converges
-        u = b.copy()
-        prev = np.inf
-        for iterations in range(1, 201):
-            u_next = b - gop @ (xi * u)
-            delta = float(np.linalg.norm(u_next - u))
-            u = u_next
-            if delta <= 1e-12 * float(np.linalg.norm(b)):
-                path = "fixed-point"
-                break
-            if delta > prev * 1.02:
-                break  # diverging
-            prev = delta
+    n = pot.n_cells
+    a = LinearOperator((n, n), matvec=lambda x: x + gop @ (xi * x), dtype=complex)
+    steps = []
+    u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=min(n, 200), maxiter=1,
+                 callback=steps.append, callback_type="pr_norm")
+    residual = float(np.linalg.norm(b - a @ u) / np.linalg.norm(b))
     if info is not None:
-        info.update(path=path, iterations=iterations, contraction=contraction)
-    if path != "fixed-point":
-        a = grid_green_matrix(pot, k)
-        a *= xi[None, :]
-        a.flat[:: pot.n_cells + 1] += 1.0  # I + G diag(Xi), formed in place
-        u = _solve_dense(a, b)
+        info.update(iterations=len(steps), residual=residual)
+    if not residual <= 1e-12:
+        raise SingularSystemError(
+            f"Lippmann-Schwinger GMRES left a relative residual of {residual:.3e} "
+            f"after {len(steps)} iterations (needs <= 1e-12)"
+        )
     return u.reshape(pot.values.shape)
 
 

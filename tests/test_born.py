@@ -56,8 +56,8 @@ def test_beta_weight_matches_dense_row_sums(dim, h):
     assert np.max(np.abs(brn.beta_weight(pot, K) - ref)) <= 1e-13 * np.max(1.0 - ref)
 
 
-@pytest.mark.parametrize("overrides, most", [({}, 0), ({"amplitude": "4", "h": "0.045"}, 1)])
-def test_born_run_builds_dense_green_only_for_lu(overrides, most, monkeypatch):
+@pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
+def test_born_run_builds_no_dense_green(overrides, monkeypatch):
     calls = []
     original = orc.grid_green_matrix
 
@@ -69,8 +69,8 @@ def test_born_run_builds_dense_green_only_for_lu(overrides, most, monkeypatch):
     monkeypatch.setattr(brn, "grid_green_matrix", counted)
     rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
     assert rep.passed
-    assert len(calls) <= most
-    assert rep.metrics["ls_path"] == ("dense" if most else "fixed-point")
+    assert len(calls) == 0
+    assert rep.metrics["ls_residual"] <= 1e-12
 
 
 def test_first_with_unit_weight_is_plain_born(setup):

@@ -189,6 +189,10 @@ def test_main_exit_codes(tmp_path):
         (["born", "--h", "2"], "h = 2.0 and half_extent = 0.9 leave 1 grid node(s)"),
         (["born", "--half_extent", "0.05"], "2 grid node(s) per axis"),
         (["born", "--ring_points", "0"], "ring_points must be >= 1"),
+        (["born", "--ls_mode", "auto"], "unknown config key 'ls_mode'"),
+        (["born", "--format", "bogus"], "unknown output format 'bogus'"),
+        (["riemann-decay", "--format", "bogus"], "unknown output format 'bogus'"),
+        (["strip", "--format", "bogus", "--out", "x.csv"], "unknown output format 'bogus'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -196,6 +200,18 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert reason in err
+
+
+def test_out_of_memory_exits_2_with_reason(monkeypatch, capsys):
+    def exhausted(cfg, report):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "sphere", exhausted)
+    assert cli.main(["sphere", "--quad_resolution", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "usage error: not enough memory for this configuration: Unable to allocate 74.5 GiB\n"
+    )
 
 
 def test_main_prints_report(capsys):
@@ -308,12 +324,15 @@ def test_strip_incidence_domain():
         cli.run_scenario("strip", cfg)
 
 
-def test_born_reports_lippmann_schwinger_fallback_as_warning():
-    cfg = cli.build_config("born", overrides={"amplitude": "80", "ls_mode": "fixed-point"})
-    rep = cli.run_scenario("born", cfg)
-    assert rep.metrics["ls_path"] == "fixed-point→dense"
-    assert rep.warnings == [
-        f"Lippmann-Schwinger fixed-point iteration stopped after "
-        f"{rep.metrics['ls_iterations']} iterations without converging (contraction "
-        f"estimate {rep.metrics['ls_contraction']:.3f}); fell back to the dense solve"
-    ]
+def test_born_strong_disturbance_passes_without_warning():
+    rep = cli.run_scenario("born", cli.build_config("born", overrides={"amplitude": "80"}))
+    assert rep.passed
+    assert rep.warnings == []
+    assert rep.metrics["ls_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("overrides", [{"bc": "hard"}, {"bc": "soft", "incidence_deg": "10"}])
+def test_strip_reports_bem_rcond(overrides):
+    cfg = cli.build_config("strip", overrides={"kd": repr(4 * math.pi), **overrides})
+    rep = cli.run_scenario("strip", cfg)
+    assert 0.0 < rep.metrics["bem_rcond"] < 1.0

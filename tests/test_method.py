@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveortho import geometry as geo
 from waveortho import method as mth
@@ -133,6 +135,44 @@ def test_refine_first_step_is_diagonal(strip_system):
     assert np.allclose(p1.v, mth.solve_diagonal(sys).v, rtol=1e-15, atol=0.0)
     with pytest.raises(DomainError):
         mth.refine_power(sys, 0)
+
+
+@st.composite
+def small_systems(draw):
+    """A plane-wave basis of 1-12 random directions on a strip, or 1-12 point
+    sources inside a sphere, with its Gram system and a projected incident wave."""
+    bc = draw(st.sampled_from(list(mth.BoundaryCondition)))
+    k = draw(st.floats(0.5, 12.0))
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        s = geo.make_surface(geo.Strip(width=draw(st.floats(0.5, 3.0))), draw(st.integers(8, 64)))
+        th = np.array(draw(st.lists(st.floats(-1.3, 1.3), min_size=size, max_size=size)))
+        basis = mth.PlaneWaveBasis(directions=np.column_stack([np.sin(th), np.cos(th)]), k=k)
+        alpha = draw(st.floats(-1.3, 1.3))
+        direction = np.array([np.sin(alpha), -np.cos(alpha)])
+    else:
+        s = geo.make_surface(geo.Sphere(radius=1.0), draw(st.integers(8, 24)))
+        coords = st.floats(-0.35, 0.35)
+        locs = np.array(draw(st.lists(st.tuples(coords, coords, coords),
+                                      min_size=size, max_size=size)))
+        basis = mth.PointSourceBasis(locations=locs, k=k)
+        direction = np.array([0.0, 0.0, -1.0])
+    u0 = mth.IncidentField(direction=direction, k=k)
+    traces = mth.eval_basis_trace(basis, bc, s)
+    return mth.assemble_gram(traces, s).with_incident(mth.project_incident(traces, s, u0, bc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys=small_systems())
+def test_gram_is_exactly_hermitian_with_positive_diagonal(sys):
+    assert np.array_equal(sys.g, sys.g.conj().T)
+    assert np.all(np.diag(sys.g).real > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys=small_systems())
+def test_refine_first_step_equals_diagonal_bitwise(sys):
+    assert np.array_equal(mth.refine_iterate(sys, 1)[0].v, mth.solve_diagonal(sys).v)
 
 
 def test_refine_converges_to_galerkin(strip_system):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from waveortho import geometry as geo
 from waveortho import method as mth
 from waveortho import oracles as orc
-from waveortho.errors import DomainError, UnsupportedRegionError
+from waveortho.errors import DomainError, SingularSystemError, UnsupportedRegionError
 
 SOFT = mth.BoundaryCondition.SOFT
 HARD = mth.BoundaryCondition.HARD
@@ -317,22 +319,19 @@ def test_volume_green_operator_matches_dense_products(shape):
 def test_lippmann_schwinger_reports_path():
     k = 1.5
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    for amp, mode, path in ((0.05, "auto", "fixed-point"), (0.05, "dense", "dense"),
-                            (80.0, "fixed-point", "fixed-point→dense")):
+    for amp in (0.05, 80.0):
         pot = orc.gaussian_potential(amp, 0.3, 0.9, 0.09, dim=2)
         info = {}
-        orc.lippmann_schwinger(pot, u0, k, mode=mode, info=info)
-        assert info["path"] == path
-        assert (info["iterations"] > 0) == path.startswith("fixed-point")
-        m1 = np.linalg.norm(_dense_green(pot, k) * pot.flat()[None, :], 1)
-        assert info["contraction"] == pytest.approx(m1, rel=1e-12)
+        orc.lippmann_schwinger(pot, u0, k, info=info)
+        assert info["iterations"] > 0
+        assert info["residual"] <= 1e-12
 
 
 def test_lippmann_schwinger_zero_potential():
     vals = np.zeros((9, 9), dtype=complex)
     pot = orc.VolumePotential(origin=np.array([-0.4, -0.4]), h=0.1, values=vals)
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=2.0)
-    u = orc.lippmann_schwinger(pot, u0, 2.0, mode="dense")
+    u = orc.lippmann_schwinger(pot, u0, 2.0)
     assert u.shape == pot.values.shape
     assert np.allclose(u.ravel(), u0.values(pot.points()), rtol=1e-14)
 
@@ -341,38 +340,68 @@ def test_lippmann_schwinger_dense_residual():
     pot = orc.gaussian_potential(0.8, 0.3, 0.9, 0.09, dim=2)
     k = 1.5
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    uf = orc.lippmann_schwinger(pot, u0, k, mode="dense").ravel()
+    uf = orc.lippmann_schwinger(pot, u0, k).ravel()
     g = orc.grid_green_matrix(pot, k)
     resid = np.linalg.norm(uf + g @ (pot.flat() * uf) - u0.values(pot.points()))
     assert resid < 1e-12 * np.linalg.norm(u0.values(pot.points()))
 
 
-def test_lippmann_schwinger_fixed_point_matches_dense():
-    pot = orc.gaussian_potential(0.05, 0.3, 0.9, 0.09, dim=2)
+def _assert_matches_dense_solve(amp):
     k = 1.5
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    u_fp = orc.lippmann_schwinger(pot, u0, k, mode="fixed-point")
-    u_dn = orc.lippmann_schwinger(pot, u0, k, mode="dense")
-    assert np.allclose(u_fp, u_dn, rtol=1e-9)
+    pot = orc.gaussian_potential(amp, 0.3, 0.9, 0.09, dim=2)
+    u = orc.lippmann_schwinger(pot, u0, k)
+    a = orc.grid_green_matrix(pot, k) * pot.flat()[None, :]
+    a[np.diag_indices_from(a)] += 1.0
+    u_dense = np.linalg.solve(a, u0.values(pot.points()))
+    assert np.allclose(u.ravel(), u_dense, rtol=1e-10)
+
+
+def test_lippmann_schwinger_fixed_point_matches_dense():
+    # weak disturbance: the fixed point u = u0 - G·diag(Xi)·u, solved densely in the test
+    _assert_matches_dense_solve(0.05)
 
 
 def test_lippmann_schwinger_divergence_falls_back():
-    # strong disturbance: the Neumann iteration cannot contract
-    pot = orc.gaussian_potential(80.0, 0.3, 0.9, 0.09, dim=2)
-    k = 1.5
-    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    info = {}
-    u = orc.lippmann_schwinger(pot, u0, k, mode="fixed-point", info=info)
-    assert info["path"] == "fixed-point→dense"
-    u_dn = orc.lippmann_schwinger(pot, u0, k, mode="dense")
-    assert np.allclose(u, u_dn, rtol=1e-10)
+    # strong disturbance where the Neumann series diverges: GMRES needs no fallback
+    # and must still match the dense solve
+    _assert_matches_dense_solve(80.0)
 
 
-def test_lippmann_schwinger_mode_validation():
-    pot = orc.gaussian_potential(0.1, 0.3, 0.6, 0.15, dim=2)
+def test_lippmann_schwinger_rejects_unconverged_solve(monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(a, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", stalled)
+    pot = orc.gaussian_potential(0.5, 0.3, 0.6, 0.15, dim=2)
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=1.0)
-    with pytest.raises(DomainError):
-        orc.lippmann_schwinger(pot, u0, 1.0, mode="cheap")
+    with pytest.raises(SingularSystemError, match="relative residual of 1.000e[+]00 after 0"):
+        orc.lippmann_schwinger(pot, u0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(5, 15),
+    ny=st.integers(5, 15),
+    modulus=st.floats(0.0, 100.0),
+    phase=st.floats(-np.pi, np.pi),
+    k=st.floats(0.5, 5.0),
+)
+def test_lippmann_schwinger_residual_against_dense_matrix(nx, ny, modulus, phase, k):
+    h = 0.09
+    axes = [h * (np.arange(n) - 0.5 * (n - 1)) for n in (nx, ny)]
+    x, y = np.meshgrid(*axes, indexing="ij")
+    vals = modulus * np.exp(1j * phase) * np.exp(-(x**2 + y**2) / 0.3**2)
+    vals[[0, -1], :] = 0.0
+    vals[:, [0, -1]] = 0.0
+    pot = orc.VolumePotential(origin=np.array([axes[0][0], axes[1][0]]), h=h, values=vals)
+    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
+    u = orc.lippmann_schwinger(pot, u0, k).ravel()
+    b = u0.values(pot.points())
+    resid = np.linalg.norm(u + orc.grid_green_matrix(pot, k) @ (pot.flat() * u) - b)
+    assert resid <= 1e-12 * np.linalg.norm(b)
 
 
 def test_scattered_field_scaling_is_linear_for_weak_potential():
@@ -402,7 +431,7 @@ def test_lippmann_schwinger_3d_smoke():
     pot = orc.gaussian_potential(0.2, 0.25, 0.6, 0.12, dim=3)
     k = 1.2
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=k)
-    uf = orc.lippmann_schwinger(pot, u0, k, mode="dense").ravel()
+    uf = orc.lippmann_schwinger(pot, u0, k).ravel()
     g = orc.grid_green_matrix(pot, k)
     rhs = u0.values(pot.points())
     resid = np.linalg.norm(uf + g @ (pot.flat() * uf) - rhs) / np.linalg.norm(rhs)
