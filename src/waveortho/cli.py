@@ -27,7 +27,7 @@ from . import geometry as geo
 from . import method as mth
 from . import oracles as orc
 from . import specfun
-from .errors import SingularSystemError, UsageError
+from .errors import SingularSystemError, UnsupportedOrderError, UsageError
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -501,8 +501,9 @@ def _sphere_modes(
     """Spherical-mode basis on the unit sphere, with the automatic sizes.
 
     The highest mode order n defaults to ceil(ka) + 8. A scenario that checks
-    its far field against `far_tol` raises n until the partial-wave tail
-    estimate 3 ka j_n(ka)^2 is at most far_tol. The quadrature resolution
+    its far field against `far_tol` takes the first n from there whose
+    partial-wave tail estimate 3 ka j_n(ka)^2 is at most far_tol, with j_n(ka)
+    for every candidate order from one call. The quadrature resolution
     defaults to n + 8, at least 32.
     """
     tol = float(cfg.get("far_tol", math.inf))
@@ -510,12 +511,30 @@ def _sphere_modes(
         raise UsageError("far_tol must be positive")
     n_order = int(cfg["basis_size"])
     if not n_order:
-        n_order = math.ceil(ka) + 8
-        while 3.0 * ka * specfun.sph_bessel_j(n_order, ka)[0] ** 2 > tol:
-            n_order += 1
+        cap = specfun.MAX_ORDER
+        orders = np.arange(min(math.ceil(ka) + 8, cap + 1), cap + 1)
+        met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
+        if not met.any():
+            raise UnsupportedOrderError(
+                f"no mode order up to the supported cap {cap} "
+                f"meets far_tol {tol:.1e} at ka = {ka}"
+            )
+        n_order = int(orders[np.argmax(met)])
     res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
     basis = mth.SphericalModeBasis(max_order=n_order, k=ka)
     return basis, geo.make_surface(geo.Sphere(1.0), res)
+
+
+# Below this max|Im v|/max|v| the quadrature error of the plane-wave
+# diagnostic is lost in rounding, so two such ratios cannot be ordered.
+IM_RATIO_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def _im_ratios_decrease(ratios: Sequence[float]) -> bool:
+    """Each refinement lowers the ratio, or both ratios sit at the floor."""
+    return all(
+        b < a or max(a, b) <= IM_RATIO_FLOOR for a, b in zip(ratios, ratios[1:])
+    )
 
 
 def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
@@ -571,12 +590,13 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             report.metrics[f"im_ratio_npolar_{npol}"] = ratio
         # refinement diagnostics on the finest grid
         _solve_all(s, traces, u0, sys, float(cfg["lambda"]), report, refine=False)
-        decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
         report.checks.append(
             Check(
                 "im_ratio_decreases_under_refinement",
-                decreasing,
-                "ratios " + ", ".join(f"{r:.3e}" for r in ratios),
+                _im_ratios_decrease(ratios),
+                "ratios " + ", ".join(f"{r:.3e}" for r in ratios)
+                + f"; a step with both ratios <= 100 eps = {IM_RATIO_FLOOR:.1e} "
+                "is at rounding level and passes",
             )
         )
         if cfg["out"] or cfg["history_out"]:

@@ -212,12 +212,23 @@ class SphericalModeBasis:
         mu = np.clip(points[:, 2] / r, -1.0, 1.0)
         return points, r, mu
 
+    def _radial(self, r: np.ndarray):
+        """h_n(kr) and h_n'(kr) for every order, on the distinct values of kr.
+
+        On a sphere kr takes a handful of values across all nodes, so the
+        Hankel functions are evaluated there once, all orders in one call;
+        row n gathered with the returned index gives order n at every point.
+        """
+        x, where = np.unique(self.k * r, return_inverse=True)
+        h, hp = specfun.sph_hankel1(np.arange(self.size)[:, None], x)
+        return h, hp, where
+
     def values(self, points: np.ndarray) -> np.ndarray:
         points, r, mu = self._polar(points)
+        h, _, where = self._radial(r)
         out = np.empty((points.shape[0], self.size), dtype=complex)
         for n in range(self.size):
-            h, _ = specfun.sph_hankel1(n, self.k * r)
-            out[:, n] = h * specfun.legendre_p(n, mu)
+            out[:, n] = h[n, where] * specfun.legendre_p(n, mu)
         return out
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
@@ -227,9 +238,10 @@ class SphericalModeBasis:
         zhat[:, 2] = 1.0
         # grad D = k h' P rhat + h P'(mu) (zhat - mu rhat) / r
         tangent = (zhat - mu[:, None] * rhat) / r[:, None]
+        h_all, hp_all, where = self._radial(r)
         out = np.empty((points.shape[0], self.size, points.shape[1]), dtype=complex)
         for n in range(self.size):
-            h, hp = specfun.sph_hankel1(n, self.k * r)
+            h, hp = h_all[n, where], hp_all[n, where]
             p = specfun.legendre_p(n, mu)
             pp = specfun.legendre_p_deriv(n, mu)
             out[:, n, :] = (

@@ -67,9 +67,11 @@ def mie_series(
     amp = np.zeros_like(angles, dtype=complex)
     trace = np.zeros_like(angles, dtype=complex)
     k = ka  # a = 1
+    orders = np.arange(n_max + 1)
+    j_all, jp_all = specfun.sph_bessel_j(orders, ka)
+    h_all, hp_all = specfun.sph_hankel1(orders, ka)
     for n in range(n_max + 1):
-        j, jp = specfun.sph_bessel_j(n, ka)
-        h, hp = specfun.sph_hankel1(n, ka)
+        j, jp, h, hp = j_all[n], jp_all[n], h_all[n], hp_all[n]
         a_n[n] = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
         pn = specfun.legendre_p(n, mu)
         amp += (2 * n + 1) * a_n[n] * pn
@@ -79,7 +81,7 @@ def mie_series(
         else:
             trace += (2 * n + 1) * (1j**n) * k * (jp + a_n[n] * hp) * pn
     amp /= 1j * k
-    sigma = float(4.0 * np.pi / k**2 * np.sum((2 * np.arange(n_max + 1) + 1) * np.abs(a_n) ** 2))
+    sigma = float(4.0 * np.pi / k**2 * np.sum((2 * orders + 1) * np.abs(a_n) ** 2))
     coeffs = MieCoefficients(bc=bc, ka=ka, a_n=a_n, sigma_total=sigma)
     return coeffs, FarFieldPattern(angles=angles, amplitude=amp), trace
 

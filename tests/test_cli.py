@@ -3,8 +3,10 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waveortho import cli
+from waveortho import cli, specfun
 from waveortho.errors import SingularSystemError, UsageError
 
 
@@ -62,6 +64,35 @@ def test_deg_suffix_converts_to_radians():
     # dashed spelling on the command line maps to the same key
     cfg2 = cli.build_config("strip", overrides={"incidence-deg": "30"})
     assert cfg2["incidence"] == cfg["incidence"]
+
+
+_ALL_KEYS = sorted({k for d in cli.DEFAULTS.values() for k in d})
+_KEYS = st.one_of(
+    st.sampled_from(_ALL_KEYS),
+    st.sampled_from(_ALL_KEYS).map(lambda k: k + "_deg"),
+    st.text(max_size=12),
+)
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["iterate:", "iterate:0", "iterate:-3", "true", "json", "1,2,x"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(cli.DEFAULTS)),
+    file_entries=st.dictionaries(_KEYS, _VALUES, max_size=3),
+    overrides=st.dictionaries(_KEYS, _VALUES, max_size=3),
+)
+def test_build_config_rejects_any_input_with_usage_error_only(
+    scenario, file_entries, overrides
+):
+    try:
+        cli.build_config(scenario, file_entries, overrides)
+    except UsageError:
+        pass
 
 
 def test_argv_parsing():
@@ -287,6 +318,55 @@ def test_sphere_basis_size_follows_partial_wave_tail(ka):
     rep = cli.run_scenario("sphere", cli.build_config("sphere", overrides={"ka": ka, "bc": "hard"}))
     check = {c.name: c for c in rep.checks}["far_field_matches_mie"]
     assert check.passed, check.detail
+
+
+def test_sphere_basis_sizing_matches_order_by_order_search():
+    cfg = cli.build_config("sphere")
+    for ka in [*range(1, 21), 2.5, 9.75]:
+        n = math.ceil(ka) + 8
+        while 3.0 * ka * specfun.sph_bessel_j(n, float(ka))[0] ** 2 > cfg["far_tol"]:
+            n += 1
+        basis, _ = cli._sphere_modes(cfg, float(ka))
+        assert basis.max_order == n, ka
+
+
+def test_sphere_basis_sizing_beyond_order_cap_is_usage_error(capsys):
+    assert cli.main(["sphere", "--ka", "200"]) == 2
+    assert "supported cap 200" in capsys.readouterr().err
+
+
+def test_plane_wave_ratios_at_rounding_level_pass(capsys):
+    assert cli.main(["sphere", "--basis", "plane-waves", "--ka", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "check im_ratio_decreases_under_refinement: PASS" in out
+    assert "100 eps = 2.2e-14" in out
+
+
+@pytest.mark.parametrize(
+    "ratios,ok",
+    [
+        ([9e-9, 9e-13, 2e-16], True),
+        ([7e-13, 1.3e-16, 1.4e-16], True),  # rise within the rounding floor
+        ([7e-13, 1e-15, 3e-14], False),  # rise to above the floor
+        ([1e-9, 1e-12, 5e-12], False),
+        ([1e-9, 1e-9], False),
+    ],
+)
+def test_im_ratio_rule_passes_only_rises_below_the_floor(ratios, ok):
+    assert cli._im_ratios_decrease(ratios) is ok
+
+
+def test_criterion_7_run_keeps_its_ratios():
+    rep = cli.run_scenario(
+        "sphere",
+        cli.build_config("sphere", overrides={"basis": "plane-waves", "bc": "hard"}),
+    )
+    ratios = [rep.metrics[f"im_ratio_npolar_{n}"] for n in (4, 6, 8)]
+    assert ratios[0] == pytest.approx(7.2874e-9, rel=1e-4)
+    assert ratios[1] == pytest.approx(1.5994e-12, rel=1e-3)
+    assert ratios[2] < cli.IM_RATIO_FLOOR
+    assert ratios[2] < ratios[1] < ratios[0]
+    assert {c.name: c for c in rep.checks}["im_ratio_decreases_under_refinement"].passed
 
 
 def test_sphere_solver_selects_written_spectrum(tmp_path):

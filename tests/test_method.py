@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from waveortho import geometry as geo
 from waveortho import method as mth
+from waveortho import specfun
 from waveortho.errors import (
     DegenerateBasisError,
     DomainError,
@@ -310,6 +312,62 @@ def test_far_field_spherical_modes_matches_large_radius():
     direct = mth.eval_scattered(basis, v, None, pts)
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
+
+
+def _spherical_modes_per_order(basis, points):
+    """Values and gradients of the modes with one Hankel call per order."""
+    r = np.linalg.norm(points, axis=1)
+    mu = np.clip(points[:, 2] / r, -1.0, 1.0)
+    rhat = points / r[:, None]
+    zhat = np.zeros_like(points)
+    zhat[:, 2] = 1.0
+    tangent = (zhat - mu[:, None] * rhat) / r[:, None]
+    vals = np.empty((points.shape[0], basis.size), dtype=complex)
+    grads = np.empty((points.shape[0], basis.size, 3), dtype=complex)
+    for n in range(basis.size):
+        h, hp = specfun.sph_hankel1(n, basis.k * r)
+        p = specfun.legendre_p(n, mu)
+        pp = specfun.legendre_p_deriv(n, mu)
+        vals[:, n] = h * p
+        grads[:, n, :] = (basis.k * hp * p)[:, None] * rhat + (h * pp)[:, None] * tangent
+    return vals, grads
+
+
+def _scattered_points(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None] * rng.uniform(0.5, 3.0, size=(n, 1))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [geo.make_surface(geo.Sphere(1.0), 32).positions, _scattered_points(300, 5)],
+    ids=["unit-sphere-grid", "many-radii"],
+)
+def test_spherical_modes_equal_per_order_evaluation(points):
+    basis = mth.SphericalModeBasis(max_order=14, k=7.5)
+    vals, grads = _spherical_modes_per_order(basis, points)
+    assert np.array_equal(basis.values(points), vals)
+    assert np.array_equal(basis.gradients(points), grads)
+
+
+@pytest.mark.parametrize("bc", [mth.BoundaryCondition.SOFT, mth.BoundaryCondition.HARD])
+def test_spherical_mode_trace_bessel_calls_do_not_grow_with_order(bc, monkeypatch):
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(special, name)
+            return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+
+    monkeypatch.setattr(specfun, "_sp", Counting())
+    s = geo.make_surface(geo.Sphere(1.0), 32)
+    counts = []
+    for max_order in (2, 25):
+        calls.clear()
+        mth.eval_basis_trace(mth.SphericalModeBasis(max_order=max_order, k=6.0), bc, s)
+        counts.append(sum(c in ("spherical_jn", "spherical_yn") for c in calls))
+    assert counts == [4, 4]
 
 
 def test_far_field_rejects_plane_waves(strip_system):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveortho import specfun
 from waveortho.errors import DomainError, UnsupportedOrderError
@@ -117,3 +119,57 @@ def test_order_cap():
     # the cap itself still works
     j, _ = specfun.sph_bessel_j(specfun.MAX_ORDER, 50.0)
     assert np.isfinite(j)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders=st.lists(st.integers(0, specfun.MAX_ORDER), min_size=1, max_size=6),
+    xs=st.lists(st.floats(1e-3, 500.0), min_size=1, max_size=5),
+)
+def test_order_arrays_match_per_order_calls_bitwise(orders, xs):
+    orders = [0] + orders
+    x = np.array(xs)
+    cases = [
+        (specfun.sph_bessel_j, np.concatenate([[0.0], x])),
+        (specfun.sph_bessel_y, x),
+        (specfun.sph_hankel1, x),
+        (specfun.legendre_p, np.concatenate([[-1.0, 1.0], np.cos(x)])),
+        (specfun.legendre_p_deriv, np.concatenate([[-1.0, 1.0], np.cos(x)])),
+    ]
+    # y_n overflows to -inf for n >> x, and 1j * -inf has a NaN real part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn, arg in cases:
+            got = fn(np.array(orders)[:, None], arg)
+            for row, n in enumerate(orders):
+                ref = fn(n, arg)
+                if isinstance(ref, tuple):
+                    for g, r in zip(got, ref):
+                        assert np.array_equal(_bits(g[row]), _bits(r)), (fn, n)
+                else:
+                    assert np.array_equal(_bits(got[row]), _bits(ref)), (fn, n)
+
+
+def test_legendre_deriv_order_zero_is_positive_zero():
+    mu = np.array([-1.0, -0.5, 0.0, 0.3, 1.0])
+    rows = specfun.legendre_p_deriv(np.arange(3)[:, None], mu)
+    for dp in (specfun.legendre_p_deriv(0, mu), rows[0]):
+        assert np.array_equal(_bits(dp), _bits(np.zeros_like(mu)))
+
+
+@pytest.mark.parametrize(
+    "orders,error",
+    [
+        (np.array([0, 3, -1]), DomainError),
+        (np.array([[2], [specfun.MAX_ORDER + 1]]), UnsupportedOrderError),
+        (np.array([0.0, 1.0]), DomainError),
+        (np.array([True, False]), DomainError),
+    ],
+)
+def test_order_arrays_are_validated_whole(orders, error):
+    for fn in (specfun.sph_bessel_j, specfun.sph_hankel1, specfun.legendre_p_deriv):
+        with pytest.raises(error):
+            fn(orders, 0.5)
