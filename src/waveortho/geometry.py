@@ -11,6 +11,7 @@ cosine map, matching how field gradients concentrate near screen edges.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -115,7 +116,18 @@ class Surface:
 
 
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    numpy solves an n x n companion matrix; a degree whose 8 n^2 bytes exceed
+    physical memory raises MemoryError before numpy allocates anything.
+    """
+    need = 8 * int(n) ** 2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(
+            f"Gauss-Legendre degree {n} needs a {need}-byte companion matrix, "
+            f"more than the {have} bytes of physical memory"
+        )
     return np.polynomial.legendre.leggauss(n)
 
 

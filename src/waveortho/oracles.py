@@ -132,13 +132,6 @@ def kirchhoff_pattern(kd: float, incidence_angle: float, angles: np.ndarray) -> 
     return FarFieldPattern(angles=angles, amplitude=amp)
 
 
-def kirchhoff_first_null(kd: float) -> float:
-    """First null angle of the normal-incidence pattern: sin theta = 2 pi / kd."""
-    if kd <= 2.0 * np.pi:
-        raise DomainError("strip narrower than a wavelength has no sinc null")
-    return float(np.arcsin(2.0 * np.pi / kd))
-
-
 # ---------------------------------------------------------------------------
 # Dense Nystrom boundary elements on smooth closed curves (2D)
 #

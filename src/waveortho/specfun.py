@@ -1,7 +1,7 @@
 """Special functions shared by every solver module.
 
 Spherical Bessel/Hankel functions with derivatives, Legendre polynomials,
-and order-zero cylindrical Bessel functions, evaluated by scipy.special with
+and the order-zero cylindrical Hankel function, evaluated by scipy.special with
 the domain checks and analytic origin limits the rest of the package relies
 on, behind a stable local interface.
 
@@ -102,18 +102,6 @@ def legendre_p_deriv(n: Order, x: ArrayLike) -> np.ndarray:
         body = n * (pnm1 - safe * pn) / (1.0 - safe * safe)
     pole_val = np.sign(x) ** (n + 1) * n * (n + 1) / 2.0
     return np.where(n == 0, 0.0, np.where(near_pole, pole_val, body))
-
-
-def cyl_bessel_j0y0(x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Order-zero cylindrical Bessel pair (J_0(x), Y_0(x)).
-
-    Y_0 has a logarithmic singularity at the origin, so x must be strictly
-    positive here.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise DomainError("cyl_bessel_j0y0 requires finite x > 0 (Y_0 diverges at 0)")
-    return _sp.j0(x), _sp.y0(x)
 
 
 def cyl_hankel1_0(x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:

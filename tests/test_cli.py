@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,17 @@ def test_main_exit_codes(tmp_path):
         (["born", "--format", "bogus"], "unknown output format 'bogus'"),
         (["riemann-decay", "--format", "bogus"], "unknown output format 'bogus'"),
         (["strip", "--format", "bogus", "--out", "x.csv"], "unknown output format 'bogus'"),
+        # a BEM node count below 8, given or automatic, is bad input, not a failed check
+        (["strip", "--bem_nodes", "3"], "n_nodes must be an even integer >= 8"),
+        (["strip", "--kd", "0.05"], "n_nodes must be an even integer >= 8"),
+        # check bounds are constants, not keys
+        (["strip", "--kirchhoff_corr_min", "0"], "unknown config key 'kirchhoff_corr_min'"),
+        (["slit", "--null_step_tol", "100"], "unknown config key 'null_step_tol'"),
+        (["strip", "--basis", "plane-waves"], "unknown config key 'basis'"),
+        (["spheroid", "--residual_max", "1"], "unknown config key 'residual_max'"),
+        (["spheroid", "--ratio_max", "100"], "unknown config key 'ratio_max'"),
+        (["born", "--first_tol", "1"], "unknown config key 'first_tol'"),
+        (["riemann-decay", "--decay_ratio_min", "0"], "unknown config key 'decay_ratio_min'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -245,12 +258,43 @@ def test_out_of_memory_exits_2_with_reason(monkeypatch, capsys):
     )
 
 
+def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, capsys):
+    real = np.polynomial.legendre.leggauss
+
+    def sentinel(n):
+        if n > 10_000:
+            pytest.fail(f"leggauss asked for degree {n}")
+        return real(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", sentinel)
+    assert cli.main(["riemann-decay", "--ka_list", "10,1e9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: not enough memory for this configuration: ")
+    assert f"degree 1000000024 needs a {8 * (10**9 + 24) ** 2}-byte companion matrix" in err
+
+
 def test_main_prints_report(capsys):
     code = cli.main(["sphere", "--ka", "2.0", "--angles", "11"])
     out = capsys.readouterr().out
     assert code == 0
     assert "scenario: sphere" in out
     assert "check far_field_matches_mie: PASS" in out
+
+
+def test_readme_keys_match_defaults():
+    """Each scenario's Keys paragraph names exactly its non-common config keys."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("### Keys", 1)[1].split("\n### ", 1)[0]
+    documented = {}
+    for para in section.split("\n\n"):
+        head = re.match(r"((?:`[\w-]+`(?: / )?)+):", para)
+        if head:
+            keys = set(re.findall(r"`(\w+)`", para[head.end():]))
+            for name in re.findall(r"`([\w-]+)`", head.group(1)):
+                documented[name] = keys
+    assert set(documented) == set(cli.DEFAULTS)
+    for name, defaults in cli.DEFAULTS.items():
+        assert documented[name] == set(defaults) - set(cli._COMMON_DEFAULTS), name
 
 
 def test_console_script_registered():
