@@ -2,8 +2,7 @@
 
 The package has three layers:
 
-* ``specfun`` and ``geometry``: special functions, quadrature surfaces, and
-  free-space Green's functions.
+* ``specfun`` and ``geometry``: special functions and quadrature surfaces.
 * ``method``: the solver itself (basis traces, Gram system, diagonal and
   Galerkin solves, iterative refinement, far fields, diagnostics).
 * ``oracles`` and ``born``: independent reference solutions (separation of
@@ -11,7 +10,7 @@ The package has three layers:
   and Born-type expansions used to validate the method.
 """
 
-from .born import BornOrder, BornResult, beta_weight, born_approximation
+from .born import BornResult, beta_weight, born_approximation
 from .errors import (
     DegenerateBasisError,
     DomainError,
@@ -36,12 +35,10 @@ from .method import (
     PlaneWaveBasis,
     PointSourceBasis,
     SphericalModeBasis,
-    angular_spectrum,
     assemble_gram,
     boundary_residual,
     epsilon_diagnostic,
     eval_basis_trace,
-    eval_scattered,
     far_field,
     iteration_contraction_margin,
     iteration_spectral_radius,
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisTraces",
-    "BornOrder",
     "BornResult",
     "BoundaryCondition",
     "DegenerateBasisError",
@@ -83,14 +79,12 @@ __all__ = [
     "UnsupportedOrderError",
     "UnsupportedRegionError",
     "UsageError",
-    "angular_spectrum",
     "assemble_gram",
     "beta_weight",
     "born_approximation",
     "boundary_residual",
     "epsilon_diagnostic",
     "eval_basis_trace",
-    "eval_scattered",
     "far_field",
     "iteration_contraction_margin",
     "iteration_spectral_radius",

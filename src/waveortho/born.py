@@ -1,6 +1,6 @@
 """First- and second-order weak-scattering approximations on volume grids.
 
-Three variants are provided: the weighted first order, the conventional
+One call returns three variants: the weighted first order, the conventional
 second order (iterated kernel), and a modified second order whose double
 integral depends on the disturbance only through |Xi|^2 and enters with an
 overall minus sign. All of them evaluate at points outside the potential
@@ -10,8 +10,7 @@ support; the matched reference solution lives in the oracles module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Union
+from typing import Dict
 
 import numpy as np
 import scipy.special as sp
@@ -32,37 +31,25 @@ from .oracles import (  # noqa: F401
 )
 
 
-class BornOrder(Enum):
-    FIRST = "first"
-    SECOND_STANDARD = "second-standard"
-    SECOND_MODIFIED = "second-modified"
-
-    @classmethod
-    def from_string(cls, name: str) -> "BornOrder":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(o.value for o in cls)
-            raise DomainError(f"unknown order {name!r}; expected one of: {valid}") from None
-
-
 @dataclass(frozen=True)
 class BornResult:
-    """Approximate total field at the evaluation points.
+    """Approximate total fields of every order at the evaluation points.
 
-    first_term and second_term hold the individual scattering integrals
-    (second_term is None for FIRST) so callers can inspect their phases and
-    signs separately; field = u0 + first_term (+ second_term).
+    fields maps "first", "second-standard" and "second-modified" to their
+    total fields. The scattering integrals are kept so callers can inspect
+    their phases and signs: plain_term is the unit-weight first integral
+    -G Xi u0, first_term the beta-weighted one, and second_terms maps the two
+    second orders to their double integrals.
     """
 
-    field: np.ndarray
-    order: BornOrder
-    beta_used: np.ndarray
+    fields: Dict[str, np.ndarray]
+    beta: np.ndarray
+    plain_term: np.ndarray
     first_term: np.ndarray
-    second_term: Optional[np.ndarray]
+    second_terms: Dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.field)):
+        if not all(np.all(np.isfinite(f)) for f in self.fields.values()):
             raise DomainError("non-finite values in approximation result")
 
 
@@ -130,26 +117,22 @@ def born_approximation(
     pot: VolumePotential,
     u0: IncidentField,
     k: float,
-    order: Union[BornOrder, str],
     points: np.ndarray,
-    beta_override: Optional[Union[float, np.ndarray]] = None,
     alt_second_reading: bool = False,
 ) -> BornResult:
-    """Weak-scattering field of the given order at exterior points.
+    """Weak-scattering fields of all three orders at exterior points.
 
-    FIRST:            u0 - sum_j beta_j G(p, r_j) Xi_j u0_j
-    SECOND_STANDARD:  iterated-kernel second order with beta = 1,
+    first:            u0 - sum_j beta_j G(p, r_j) Xi_j u0_j
+    second-standard:  iterated-kernel second order with beta = 1,
                       u0 - G Xi u0 + G Xi G Xi u0
-    SECOND_MODIFIED:  u0 - sum_j beta_j G(p, r_j) Xi_j u0_j
+    second-modified:  u0 - sum_j beta_j G(p, r_j) Xi_j u0_j
                           - sum_j beta_j G(p, r_j) u0_j sum_m G(r_m, r_j) |Xi_m|^2
     where the inner |Xi|^2 sum weighs u0 at r_j; alt_second_reading instead
     pairs u0 with |Xi|^2 at r_m (a sensitivity study, off by default).
 
-    beta_override replaces the computed weight (scalar or per-node array);
-    FIRST with beta_override=1.0 is bit-identical to the plain first-order
-    term because it runs through the same summation.
+    The exterior Green rows, beta and the grid Green operator are evaluated
+    once and shared by all orders.
     """
-    order = BornOrder.from_string(order) if isinstance(order, str) else order
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     if u0.dim != pot.dim:
@@ -159,35 +142,30 @@ def born_approximation(
     xi = pot.flat()
     u0g = u0.values(pot.points())
     gout = _exterior_green(pot, k, points)
+    beta = beta_weight(pot, k)
+    gop = volume_green_operator(pot, k)
 
-    if order is BornOrder.SECOND_STANDARD:
-        beta = np.ones(pot.n_cells)
-    elif beta_override is not None:
-        beta = np.broadcast_to(np.asarray(beta_override, dtype=float), (pot.n_cells,)).copy()
-        if np.any(beta <= 0) or np.any(beta > 1):
-            raise DomainError("beta weights must lie in (0, 1]")
-    else:
-        beta = beta_weight(pot, k)
-
+    plain_term = -gout @ (xi * u0g)
     first_term = -gout @ (beta * xi * u0g)
-    second_term = None
-    if order is BornOrder.SECOND_STANDARD:
-        gop = volume_green_operator(pot, k)
-        second_term = gout @ (xi * (gop @ (xi * u0g)))
-    elif order is BornOrder.SECOND_MODIFIED:
-        gop = volume_green_operator(pot, k)
-        if alt_second_reading:
-            second_term = -gout @ (beta * (gop @ (np.abs(xi) ** 2 * u0g)))
-        else:
-            second_term = -gout @ (beta * u0g * (gop @ (np.abs(xi) ** 2)))
+    if alt_second_reading:
+        modified = -gout @ (beta * (gop @ (np.abs(xi) ** 2 * u0g)))
+    else:
+        modified = -gout @ (beta * u0g * (gop @ (np.abs(xi) ** 2)))
+    second_terms = {
+        "second-standard": gout @ (xi * (gop @ (xi * u0g))),
+        "second-modified": modified,
+    }
 
-    field = u0.values(points) + first_term
-    if second_term is not None:
-        field = field + second_term
+    incident = u0.values(points)
+    fields = {
+        "first": incident + first_term,
+        "second-standard": (incident + plain_term) + second_terms["second-standard"],
+        "second-modified": (incident + first_term) + second_terms["second-modified"],
+    }
     return BornResult(
-        field=field,
-        order=order,
-        beta_used=beta,
+        fields=fields,
+        beta=beta,
+        plain_term=plain_term,
         first_term=first_term,
-        second_term=second_term,
+        second_terms=second_terms,
     )

@@ -18,7 +18,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,6 +355,24 @@ def _parse_solver(text: str) -> Tuple[str, int]:
     raise UsageError(f"unknown solver {text!r}; expected diagonal, galerkin, or iterate:N")
 
 
+def _list_values(
+    cfg: Dict[str, object], key: str, convert: Callable[[str], float], rule: str, noun: str
+) -> list:
+    """At least two comma-separated entries of cfg[key], each finite and positive."""
+    values = []
+    for text in filter(str.strip, str(cfg[key]).split(",")):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"bad entry {text.strip()!r} in config key '{key}': {rule}")
+        values.append(value)
+    if len(values) < 2:
+        raise UsageError(f"{key} needs at least two {noun}")
+    return values
+
+
 def _build_system(
     basis: mth.BasisFamily,
     bc: mth.BoundaryCondition,
@@ -568,9 +586,8 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             report.warnings.append(
                 "imaginary-part diagnostic is reported for the hard condition"
             )
-        polar_counts = [int(x) for x in str(cfg["pw_polar_list"]).split(",") if x.strip()]
-        if len(polar_counts) < 2:
-            raise UsageError("pw_polar_list needs at least two grid sizes")
+        polar_counts = _list_values(cfg, "pw_polar_list", int,
+                                    "polar counts are integers >= 1", "grid sizes")
         ratios = []
         for npol in polar_counts:
             basis = mth.PlaneWaveBasis(directions=geo.gauss_midpoint_directions(npol), k=k)
@@ -869,21 +886,14 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     pts = np.column_stack([r_ring * np.sin(ring_th), r_ring * np.cos(ring_th)])
     alt = bool(cfg["alt_second_reading"])
 
-    res = {
-        order: brn.born_approximation(
-            pot, u0, k, order, pts, alt_second_reading=alt
-        )
-        for order in ("first", "second-standard", "second-modified")
-    }
-    report.metrics["beta_min"] = float(res["first"].beta_used.min())
-    report.metrics["beta_max"] = float(res["first"].beta_used.max())
+    res = brn.born_approximation(pot, u0, k, pts, alt_second_reading=alt)
+    report.metrics["beta_min"] = float(res.beta.min())
+    report.metrics["beta_max"] = float(res.beta.max())
 
-    # plain first order, with the weight overridden to one, against the
-    # directly summed first scattering integral
-    plain = brn.born_approximation(pot, u0, k, "first", pts, beta_override=1.0)
-    gout = brn._exterior_green(pot, k, pts)
-    direct = u0.values(pts) - gout @ (pot.flat() * u0.values(pot.points()))
-    dev = float(np.max(np.abs(plain.field - direct)))
+    # plain first order (unit weight) against the oracle's exterior sum
+    # with the grid field set to the incident field
+    direct = orc.scattered_field_at(pot, u0.values(pot.points()), u0, k, pts)
+    dev = float(np.max(np.abs(u0.values(pts) + res.plain_term - direct)))
     report.metrics["first_unit_beta_dev"] = dev
     report.checks.append(
         Check("first_equals_plain_born", dev <= FIRST_TOL,
@@ -895,13 +905,11 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     pot_rot = orc.VolumePotential(
         origin=pot.origin, h=pot.h, values=np.exp(1j * phi) * pot.values
     )
-    mod_rot = brn.born_approximation(pot_rot, u0, k, "second-modified", pts,
-                                     alt_second_reading=alt)
-    std_rot = brn.born_approximation(pot_rot, u0, k, "second-standard", pts,
-                                     alt_second_reading=alt)
-    scale = float(np.max(np.abs(res["second-modified"].second_term)))
-    inv_dev = float(np.max(np.abs(mod_rot.second_term - res["second-modified"].second_term)))
-    std_dev = float(np.max(np.abs(std_rot.second_term - res["second-standard"].second_term)))
+    rot = brn.born_approximation(pot_rot, u0, k, pts, alt_second_reading=alt)
+    std, mod = res.second_terms["second-standard"], res.second_terms["second-modified"]
+    scale = float(np.max(np.abs(mod)))
+    inv_dev = float(np.max(np.abs(rot.second_terms["second-modified"] - mod)))
+    std_dev = float(np.max(np.abs(rot.second_terms["second-standard"] - std)))
     report.metrics["modified_phase_invariance_dev"] = inv_dev
     report.metrics["standard_phase_change"] = std_dev
     report.checks.append(
@@ -915,10 +923,8 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
               f"changed by {std_dev:.2e} under the same rotation")
     )
 
-    ip = float(np.vdot(res["second-standard"].second_term,
-                       res["second-modified"].second_term).real)
-    nrm = float(np.linalg.norm(res["second-standard"].second_term)
-                * np.linalg.norm(res["second-modified"].second_term))
+    ip = float(np.vdot(std, mod).real)
+    nrm = float(np.linalg.norm(std) * np.linalg.norm(mod))
     report.metrics["second_terms_cosine"] = ip / nrm if nrm > 0 else 0.0
     report.checks.append(
         Check("second_terms_opposite_sign", ip < 0.0,
@@ -931,11 +937,10 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     for key, value in ls_info.items():
         report.metrics[f"ls_{key}"] = value
     ref = orc.scattered_field_at(pot, u_grid, u0, k, pts)
-    for order in ("first", "second-standard", "second-modified"):
-        err = _relative_l2(res[order].field, ref)
-        report.metrics[f"err_vs_oracle_{order}"] = err
+    for order, field in res.fields.items():
+        report.metrics[f"err_vs_oracle_{order}"] = _relative_l2(field, ref)
 
-    pattern = mth.FarFieldPattern(angles=ring_th, amplitude=res["second-modified"].field)
+    pattern = mth.FarFieldPattern(angles=ring_th, amplitude=res.fields["second-modified"])
     _write_table(cfg, report, "out", emit_pattern, pattern)
 
 
@@ -975,9 +980,8 @@ def run_riemann_decay(cfg: Dict[str, object], report: RunReport) -> None:
     sep = float(cfg["separation"])
     if not 0.0 < sep < 2.0:
         raise UsageError("separation must lie in (0, 2)")
-    ka_values = [float(x) for x in str(cfg["ka_list"]).split(",") if x.strip()]
-    if len(ka_values) < 2:
-        raise UsageError("ka_list needs at least two values")
+    ka_values = _list_values(cfg, "ka_list", float, "ka must be finite and positive",
+                             "values")
     sh = 0.5 * sep
     ch = math.sqrt(1.0 - sh * sh)
     dirs = np.array([[sh, 0.0, ch], [-sh, 0.0, ch]])

@@ -1,4 +1,4 @@
-"""Quadrature surfaces, free-space Green's functions, and surface inner products.
+"""Quadrature surfaces for the scatterers.
 
 A Surface is a plain container of quadrature nodes: positions, unit outward
 normals, and positive weights that sum to the surface measure. Axisymmetric
@@ -20,15 +20,10 @@ import numpy as np
 from .errors import (
     DomainError,
     NotProlateError,
-    SingularityError,
     TooCoarseError,
 )
 
 MIN_RESOLUTION = 4
-
-# Relative node separation below which two points are treated as coincident
-# when evaluating Green's functions.
-COINCIDENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,59 +231,3 @@ def _strip_surface(width: float, resolution: int) -> Surface:
         dim=2,
         char_size=width,
     )
-
-
-@dataclass(frozen=True)
-class GreensEval:
-    """Value and target-gradient of a free-space Green's function."""
-
-    value: complex
-    gradient: np.ndarray
-
-
-def greens_function(dim: int, k: float, source: np.ndarray, target: np.ndarray) -> GreensEval:
-    """Outgoing free-space Helmholtz Green's function.
-
-    3D: exp(ikR) / (4 pi R); 2D: (i/4) H_0^(1)(kR). The gradient is taken
-    with respect to the target point. Coincident source and target raise
-    SingularityError.
-    """
-    if k <= 0:
-        raise DomainError("wavenumber k must be positive")
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if source.shape != (dim,) or target.shape != (dim,):
-        raise ValueError(f"source and target must be {dim}-vectors")
-    d = target - source
-    r = float(np.linalg.norm(d))
-    scale = max(np.linalg.norm(source), np.linalg.norm(target), 1.0)
-    if r <= COINCIDENCE_TOL * scale:
-        raise SingularityError("greens_function evaluated at coincident points")
-    rhat = d / r
-    if dim == 3:
-        val = np.exp(1j * k * r) / (4.0 * np.pi * r)
-        grad = (1j * k - 1.0 / r) * val * rhat
-    elif dim == 2:
-        from .specfun import cyl_hankel1_0
-
-        h0, dh0 = cyl_hankel1_0(k * r)
-        val = 0.25j * complex(h0)
-        grad = 0.25j * k * complex(dh0) * rhat
-    else:
-        raise ValueError("dim must be 2 or 3")
-    return GreensEval(value=complex(val), gradient=grad)
-
-
-def surface_inner_product(s: Surface, f: np.ndarray, g: np.ndarray) -> complex:
-    """Weighted L2 inner product <f, g> = sum_j w_j conj(f_j) g_j.
-
-    Summation runs in ascending node order so repeated runs are bit-identical.
-    """
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (s.n_nodes,) or g.shape != (s.n_nodes,):
-        raise ValueError(
-            f"inner product operands must have shape ({s.n_nodes},); "
-            f"got {f.shape} and {g.shape}"
-        )
-    return complex(np.sum(s.weights * np.conj(f) * g))

@@ -494,24 +494,6 @@ def iteration_spectral_radius(sys: GramSystem) -> float:
 # Field reconstruction and diagnostics
 
 
-def eval_scattered(
-    basis: BasisFamily,
-    v: DensitySpectrum,
-    u0: Optional[IncidentField],
-    points: np.ndarray,
-) -> np.ndarray:
-    """Total field u0 + sum_i v_i D_i at the given points (scattered only if u0 is None)."""
-    if v.size != basis.size:
-        raise ValueError("coefficient length does not match basis size")
-    points = np.asarray(points, dtype=float)
-    field = basis.values(points) @ v.v
-    if u0 is not None:
-        if u0.dim != basis.dim:
-            raise DomainError("incident field dimension does not match basis")
-        field = u0.values(points) + field
-    return field
-
-
 @dataclass(frozen=True, eq=False)
 class FarFieldPattern:
     """Complex far-field amplitude sampled on a strictly increasing angle grid."""
@@ -537,11 +519,11 @@ def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> Far
 
     3D sources and spherical modes use u ~ f(theta) exp(ikr)/r; 2D point
     sources use u ~ f(theta) exp(ikr)/sqrt(r). Plane-wave bases do not
-    radiate from a bounded region; use angular_spectrum for them.
+    radiate from a bounded region, so they are rejected.
     """
     if isinstance(basis, PlaneWaveBasis):
         raise InvalidBasisError(
-            "plane-wave bases report their coefficient spectrum; use angular_spectrum"
+            "plane-wave bases do not radiate from a bounded region; they have no far field"
         )
     if v.size != basis.size:
         raise ValueError("coefficient length does not match basis size")
@@ -567,21 +549,6 @@ def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> Far
             phases @ v.v
         )
     return FarFieldPattern(angles=angles, amplitude=amp)
-
-
-def angular_spectrum(basis: PlaneWaveBasis, v: DensitySpectrum) -> FarFieldPattern:
-    """Reflection-coefficient spectrum of a 2D plane-wave solution.
-
-    The coefficients themselves are the angular response; no radiating
-    transform is applied. Angles are the direction angles measured from the
-    +y axis, which must be strictly increasing over the basis.
-    """
-    if not isinstance(basis, PlaneWaveBasis) or basis.dim != 2:
-        raise InvalidBasisError("angular_spectrum requires a 2-D plane-wave basis")
-    if v.size != basis.size:
-        raise ValueError("coefficient length does not match basis size")
-    angles = np.arctan2(basis.directions[:, 0], basis.directions[:, 1])
-    return FarFieldPattern(angles=angles, amplitude=v.v.copy())
 
 
 def boundary_residual(

@@ -22,6 +22,11 @@ import numpy as np
 from scipy import special as sp
 from scipy.linalg import circulant, get_lapack_funcs, lu_factor, lu_solve
 
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from . import specfun
 from .errors import DomainError, SingularSystemError
 from .geometry import Surface
@@ -581,8 +586,15 @@ def lippmann_schwinger(
     n = pot.n_cells
     a = LinearOperator((n, n), matvec=lambda x: x + gop @ (xi * x), dtype=complex)
     steps = []
-    u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=min(n, 200), maxiter=1,
-                 callback=steps.append, callback_type="pr_norm")
+    # the Krylov basis, 5.4 MB on a 41 x 41 grid, would get numpy's huge-page
+    # advice (arrays of 4 MiB or more); reused from the malloc heap, its pages
+    # let khugepaged raise the resident size in 2 MB steps on its own schedule
+    advice = _set_madvise_hugepage(False)
+    try:
+        u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=min(n, 200), maxiter=1,
+                     callback=steps.append, callback_type="pr_norm")
+    finally:
+        _set_madvise_hugepage(advice)
     residual = float(np.linalg.norm(b - a @ u) / np.linalg.norm(b))
     if info is not None:
         info.update(iterations=len(steps), residual=residual)

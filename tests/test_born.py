@@ -21,14 +21,6 @@ def setup():
     return pot, u0, pts
 
 
-def test_order_parsing():
-    assert brn.BornOrder.from_string("first") is brn.BornOrder.FIRST
-    assert brn.BornOrder.from_string("second-standard") is brn.BornOrder.SECOND_STANDARD
-    assert brn.BornOrder.from_string("second-modified") is brn.BornOrder.SECOND_MODIFIED
-    with pytest.raises(DomainError):
-        brn.BornOrder.from_string("third")
-
-
 def test_beta_weight_properties(setup):
     pot, u0, pts = setup
     beta = brn.beta_weight(pot, K)
@@ -58,80 +50,103 @@ def test_beta_weight_matches_dense_row_sums(dim, h):
 
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
 def test_born_run_builds_no_dense_green(overrides, monkeypatch):
+    """No dense grid-Green matrix, and one library call per potential (plain
+    and phase-rotated), each evaluating the exterior Green rows once for all
+    three orders."""
     calls = []
+    counts = {"_exterior_green": 0, "born_approximation": 0}
     original = orc.grid_green_matrix
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
+    def counting(name):
+        fn = getattr(brn, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(orc, "grid_green_matrix", counted)
     monkeypatch.setattr(brn, "grid_green_matrix", counted)
+    for name in list(counts):
+        monkeypatch.setattr(brn, name, counting(name))
     rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
     assert rep.passed
     assert len(calls) == 0
+    assert counts == {"_exterior_green": 2, "born_approximation": 2}
     assert rep.metrics["ls_residual"] <= 1e-12
 
 
 def test_first_with_unit_weight_is_plain_born(setup):
-    """Overriding the weight to one must reproduce the textbook first-order
-    sum bit for bit, since both run through the same expression."""
+    """The unit-weight first integral is the textbook first-order sum bit
+    for bit, and the second-standard field builds on it."""
     pot, u0, pts = setup
-    r = brn.born_approximation(pot, u0, K, "first", pts, beta_override=1.0)
+    r = brn.born_approximation(pot, u0, K, pts)
     gout = brn._exterior_green(pot, K, pts)
     plain = u0.values(pts) - gout @ (pot.flat() * u0.values(pot.points()))
-    assert np.max(np.abs(r.field - plain)) == 0.0
-    assert r.second_term is None
-    assert np.all(r.beta_used == 1.0)
+    assert np.max(np.abs(u0.values(pts) + r.plain_term - plain)) == 0.0
+    assert set(r.second_terms) == {"second-standard", "second-modified"}
+    standard = (u0.values(pts) + r.plain_term) + r.second_terms["second-standard"]
+    assert np.array_equal(r.fields["second-standard"], standard)
 
 
 def test_weighted_first_differs_but_slightly(setup):
     pot, u0, pts = setup
-    r_w = brn.born_approximation(pot, u0, K, "first", pts)
-    r_1 = brn.born_approximation(pot, u0, K, "first", pts, beta_override=1.0)
-    dev = np.max(np.abs(r_w.field - r_1.field))
-    assert 0.0 < dev < 1e-2 * np.max(np.abs(r_1.field - u0.values(pts)))
+    r = brn.born_approximation(pot, u0, K, pts)
+    plain = u0.values(pts) + r.plain_term
+    assert np.array_equal(r.fields["first"], u0.values(pts) + r.first_term)
+    assert np.array_equal(r.beta, brn.beta_weight(pot, K))
+    dev = np.max(np.abs(r.fields["first"] - plain))
+    assert 0.0 < dev < 1e-2 * np.max(np.abs(plain - u0.values(pts)))
 
 
 def test_modified_second_term_phase_invariant(setup):
     pot, u0, pts = setup
-    r0 = brn.born_approximation(pot, u0, K, "second-modified", pts)
+    r0 = brn.born_approximation(pot, u0, K, pts).second_terms["second-modified"]
     rot = orc.VolumePotential(
         origin=pot.origin, h=pot.h, values=np.exp(1.3j) * pot.values
     )
-    r1 = brn.born_approximation(rot, u0, K, "second-modified", pts)
-    scale = np.max(np.abs(r0.second_term))
-    assert np.max(np.abs(r1.second_term - r0.second_term)) < 1e-13 * scale
+    r1 = brn.born_approximation(rot, u0, K, pts).second_terms["second-modified"]
+    scale = np.max(np.abs(r0))
+    assert np.max(np.abs(r1 - r0)) < 1e-13 * scale
 
 
 def test_standard_second_term_rotates_with_global_phase(setup):
     # quadratic in Xi: a global phase e^{i phi} multiplies the term by e^{2i phi}
     pot, u0, pts = setup
     phi = 0.9
-    r0 = brn.born_approximation(pot, u0, K, "second-standard", pts)
+    r0 = brn.born_approximation(pot, u0, K, pts).second_terms["second-standard"]
     rot = orc.VolumePotential(
         origin=pot.origin, h=pot.h, values=np.exp(1j * phi) * pot.values
     )
-    r1 = brn.born_approximation(rot, u0, K, "second-standard", pts)
-    assert np.allclose(r1.second_term, np.exp(2j * phi) * r0.second_term, rtol=1e-12)
+    r1 = brn.born_approximation(rot, u0, K, pts).second_terms["second-standard"]
+    assert np.allclose(r1, np.exp(2j * phi) * r0, rtol=1e-12)
 
 
 def test_second_terms_have_opposite_sign(setup):
     pot, u0, pts = setup
-    r_std = brn.born_approximation(pot, u0, K, "second-standard", pts)
-    r_mod = brn.born_approximation(pot, u0, K, "second-modified", pts)
-    ip = np.vdot(r_std.second_term, r_mod.second_term).real
+    terms = brn.born_approximation(pot, u0, K, pts).second_terms
+    std, mod = terms["second-standard"], terms["second-modified"]
+    ip = np.vdot(std, mod).real
     assert ip < 0.0
     # pointwise the real parts disagree in sign at every ring point here
-    sgn = np.sign((np.conj(r_std.second_term) * r_mod.second_term).real)
+    sgn = np.sign((np.conj(std) * mod).real)
     assert np.all(sgn < 0)
 
 
 def test_alt_reading_is_different(setup):
     pot, u0, pts = setup
-    a = brn.born_approximation(pot, u0, K, "second-modified", pts)
-    b = brn.born_approximation(pot, u0, K, "second-modified", pts, alt_second_reading=True)
-    assert np.max(np.abs(a.second_term - b.second_term)) > 0
+    a = brn.born_approximation(pot, u0, K, pts)
+    b = brn.born_approximation(pot, u0, K, pts, alt_second_reading=True)
+    mod_a, mod_b = a.second_terms["second-modified"], b.second_terms["second-modified"]
+    assert np.max(np.abs(mod_a - mod_b)) > 0
+    # the reading changes only the modified double integral
+    assert np.array_equal(a.fields["first"], b.fields["first"])
+    assert np.array_equal(a.fields["second-standard"], b.fields["second-standard"])
 
 
 def test_errors_against_volume_equation(setup):
@@ -140,10 +155,10 @@ def test_errors_against_volume_equation(setup):
     pot, u0, pts = setup
     u = orc.lippmann_schwinger(pot, u0, K)
     ref = orc.scattered_field_at(pot, u, u0, K, pts)
+    fields = brn.born_approximation(pot, u0, K, pts).fields
 
     def rel(order):
-        f = brn.born_approximation(pot, u0, K, order, pts).field
-        return np.linalg.norm(f - ref) / np.linalg.norm(ref)
+        return np.linalg.norm(fields[order] - ref) / np.linalg.norm(ref)
 
     e1, e2s, e2m = rel("first"), rel("second-standard"), rel("second-modified")
     assert e2s < e1 < 0.01
@@ -160,7 +175,8 @@ def test_second_order_error_scales_as_alpha_squared():
         pot = orc.gaussian_potential(amp, 0.3, 0.9, 0.09, dim=2)
         u = orc.lippmann_schwinger(pot, u0, K)
         ref = orc.scattered_field_at(pot, u, u0, K, pts) - u0.values(pts)
-        f = brn.born_approximation(pot, u0, K, "second-standard", pts).field - u0.values(pts)
+        res = brn.born_approximation(pot, u0, K, pts)
+        f = res.fields["second-standard"] - u0.values(pts)
         errs.append(np.linalg.norm(f - ref) / np.linalg.norm(ref))
     assert errs[0] / errs[1] > 50.0  # two orders for a 10x weaker potential
 
@@ -168,32 +184,24 @@ def test_second_order_error_scales_as_alpha_squared():
 def test_points_inside_support_rejected(setup):
     pot, u0, pts = setup
     with pytest.raises(UnsupportedRegionError):
-        brn.born_approximation(pot, u0, K, "first", np.array([[0.0, 0.0]]))
+        brn.born_approximation(pot, u0, K, np.array([[0.0, 0.0]]))
     with pytest.raises(UnsupportedRegionError):
-        brn.born_approximation(pot, u0, K, "first", np.array([[0.89, 0.89]]))
-
-
-def test_bad_beta_override(setup):
-    pot, u0, pts = setup
-    with pytest.raises(DomainError):
-        brn.born_approximation(pot, u0, K, "first", pts, beta_override=0.0)
-    with pytest.raises(DomainError):
-        brn.born_approximation(pot, u0, K, "first", pts, beta_override=1.5)
+        brn.born_approximation(pot, u0, K, np.array([[0.89, 0.89]]))
 
 
 def test_dimension_mismatch(setup):
     pot, _, pts = setup
     u0_3d = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=K)
     with pytest.raises(DomainError):
-        brn.born_approximation(pot, u0_3d, K, "first", pts)
+        brn.born_approximation(pot, u0_3d, K, pts)
 
 
 def test_born_3d_first_order():
     pot = orc.gaussian_potential(0.05, 0.25, 0.6, 0.12, dim=3)
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=1.2)
     pts = np.array([[0.0, 0.0, 4.0], [3.0, 0.0, 0.0]])
-    r = brn.born_approximation(pot, u0, 1.2, "first", pts)
+    r = brn.born_approximation(pot, u0, 1.2, pts)
     u = orc.lippmann_schwinger(pot, u0, 1.2)
     ref = orc.scattered_field_at(pot, u, u0, 1.2, pts)
-    err = np.linalg.norm(r.field - ref) / np.linalg.norm(ref - u0.values(pts))
+    err = np.linalg.norm(r.fields["first"] - ref) / np.linalg.norm(ref - u0.values(pts))
     assert err < 0.02

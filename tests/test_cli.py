@@ -237,6 +237,17 @@ def test_main_exit_codes(tmp_path):
         (["spheroid", "--ratio_max", "100"], "unknown config key 'ratio_max'"),
         (["born", "--first_tol", "1"], "unknown config key 'first_tol'"),
         (["riemann-decay", "--decay_ratio_min", "0"], "unknown config key 'decay_ratio_min'"),
+        # list keys name themselves and their rule
+        (["riemann-decay", "--ka_list", "10,inf"], "'inf' in config key 'ka_list'"),
+        (["riemann-decay", "--ka_list", "10,1e400"], "'1e400' in config key 'ka_list'"),
+        (["riemann-decay", "--ka_list", "10,abc"], "'abc' in config key 'ka_list'"),
+        (["riemann-decay", "--ka_list", "10,-5"], "ka must be finite and positive"),
+        (["sphere", "--basis", "plane-waves", "--pw_polar_list", "4,x"],
+         "'x' in config key 'pw_polar_list': polar counts are integers >= 1"),
+        (["sphere", "--basis", "plane-waves", "--pw_polar_list", "0,4"],
+         "'0' in config key 'pw_polar_list'"),
+        (["sphere", "--basis", "plane-waves", "--pw_polar_list", "-2,4"],
+         "'-2' in config key 'pw_polar_list'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):

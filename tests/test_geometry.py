@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from waveortho import geometry as geo
 from waveortho.errors import (
     DomainError,
+    InvalidBasisError,
     NotProlateError,
     SingularityError,
     TooCoarseError,
 )
+from waveortho.method import PointSourceBasis
 
 
 def test_gauss_legendre_exactness():
@@ -95,63 +98,49 @@ def test_shape_validation():
         geo.make_surface(geo.Sphere(radius=1.0), 2)
 
 
+def _green_and_gradient(k, src, tgt):
+    """Free-space Green's function of a point source at src, and its
+    gradient, evaluated at tgt."""
+    basis = PointSourceBasis(locations=np.array([src]), k=k)
+    return basis.values(tgt[None, :])[0, 0], basis.gradients(tgt[None, :])[0, 0]
+
+
+def _check_gradient_by_central_differences(k, src, tgt, grad):
+    eps = 1e-7
+    for axis in range(tgt.size):
+        step = np.zeros(tgt.size)
+        step[axis] = eps
+        gp = _green_and_gradient(k, src, tgt + step)[0]
+        gm = _green_and_gradient(k, src, tgt - step)[0]
+        assert grad[axis] == pytest.approx((gp - gm) / (2 * eps), rel=1e-6)
+
+
 def test_greens_function_3d_value_and_gradient():
     k = 2.3
     src = np.array([0.0, 0.0, 0.0])
     tgt = np.array([0.4, -0.2, 0.9])
     r = np.linalg.norm(tgt - src)
-    g = geo.greens_function(3, k, src, tgt)
-    assert g.value == pytest.approx(np.exp(1j * k * r) / (4 * np.pi * r), rel=1e-13)
-    eps = 1e-7
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = eps
-        gp = geo.greens_function(3, k, src, tgt + step).value
-        gm = geo.greens_function(3, k, src, tgt - step).value
-        assert g.gradient[axis] == pytest.approx((gp - gm) / (2 * eps), rel=1e-6)
+    value, grad = _green_and_gradient(k, src, tgt)
+    assert value == pytest.approx(np.exp(1j * k * r) / (4 * np.pi * r), rel=1e-13)
+    _check_gradient_by_central_differences(k, src, tgt, grad)
 
 
 def test_greens_function_2d_value_and_gradient():
-    from scipy.special import hankel1
-
     k = 1.7
     src = np.array([0.1, 0.2])
     tgt = np.array([-0.8, 0.5])
     r = np.linalg.norm(tgt - src)
-    g = geo.greens_function(2, k, src, tgt)
-    assert g.value == pytest.approx(0.25j * hankel1(0, k * r), rel=1e-13)
-    eps = 1e-7
-    for axis in range(2):
-        step = np.zeros(2)
-        step[axis] = eps
-        gp = geo.greens_function(2, k, src, tgt + step).value
-        gm = geo.greens_function(2, k, src, tgt - step).value
-        assert g.gradient[axis] == pytest.approx((gp - gm) / (2 * eps), rel=1e-6)
+    value, grad = _green_and_gradient(k, src, tgt)
+    assert value == pytest.approx(0.25j * hankel1(0, k * r), rel=1e-13)
+    _check_gradient_by_central_differences(k, src, tgt, grad)
 
 
 def test_greens_function_singularity():
     p = np.array([0.3, 0.3, 0.3])
     with pytest.raises(SingularityError):
-        geo.greens_function(3, 1.0, p, p)
-    with pytest.raises(DomainError):
-        geo.greens_function(3, -1.0, p, p + 1.0)
-
-
-def test_surface_inner_product_conjugates_first_argument():
-    s = geo.make_surface(geo.Strip(width=1.0), 16)
-    f = np.exp(1j * s.positions[:, 0])
-    g = np.exp(2j * s.positions[:, 0])
-    ip = geo.surface_inner_product(s, f, g)
-    manual = np.sum(s.weights * np.conj(f) * g)
-    assert ip == pytest.approx(manual, rel=1e-15)
-    # <f, g> = conj(<g, f>)
-    assert ip == pytest.approx(np.conj(geo.surface_inner_product(s, g, f)), rel=1e-15)
-
-
-def test_surface_inner_product_shape_check():
-    s = geo.make_surface(geo.Strip(width=1.0), 16)
-    with pytest.raises(ValueError):
-        geo.surface_inner_product(s, np.ones(5), np.ones(16))
+        _green_and_gradient(1.0, p, p)
+    with pytest.raises(InvalidBasisError):
+        _green_and_gradient(-1.0, p, p + 1.0)
 
 
 def test_surface_immutable():

@@ -56,7 +56,7 @@ def test_plane_wave_traces(strip_system):
 def test_gram_conjugates_first_argument(strip_system):
     s, basis, bc, u0, traces, sys = strip_system
     i, j = 1, 3
-    manual = geo.surface_inner_product(s, traces.boundary[:, i], traces.boundary[:, j])
+    manual = np.sum(s.weights * np.conj(traces.boundary[:, i]) * traces.boundary[:, j])
     assert sys.g[i, j] == pytest.approx(manual, rel=1e-12)
     # Hermitian by construction, diagonal real positive
     assert np.allclose(sys.g, sys.g.conj().T)
@@ -68,10 +68,7 @@ def test_project_incident_manual(strip_system):
     s, basis, bc, u0, traces, sys = strip_system
     au0 = np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
     manual = np.array(
-        [
-            geo.surface_inner_product(s, traces.boundary[:, i], au0)
-            for i in range(basis.size)
-        ]
+        [np.sum(s.weights * np.conj(traces.boundary[:, i]) * au0) for i in range(basis.size)]
     )
     assert np.allclose(sys.b, manual, rtol=1e-13)
 
@@ -285,7 +282,7 @@ def test_far_field_point_sources_matches_large_radius():
     th = np.linspace(0.0, np.pi, 7)
     ff = mth.far_field(basis, v, th)
     pts = r_eval * np.column_stack([np.sin(th), np.zeros_like(th), np.cos(th)])
-    direct = mth.eval_scattered(basis, v, None, pts)
+    direct = basis.values(pts) @ v.v
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
     # 2D
@@ -294,7 +291,7 @@ def test_far_field_point_sources_matches_large_radius():
     v2 = mth.DensitySpectrum(v=np.array([1.0, 0.3 + 0.2j]), solver="x")
     ff2 = mth.far_field(basis2, v2, th)
     pts2 = r_eval * np.column_stack([np.sin(th), np.cos(th)])
-    direct2 = mth.eval_scattered(basis2, v2, None, pts2)
+    direct2 = basis2.values(pts2) @ v2.v
     ref2 = direct2 * np.sqrt(r_eval) * np.exp(-1j * k * r_eval)
     assert np.allclose(ff2.amplitude, ref2, rtol=2e-3)
 
@@ -309,7 +306,7 @@ def test_far_field_spherical_modes_matches_large_radius():
     r_eval = 5.0e3
     ff = mth.far_field(basis, v, th)
     pts = r_eval * np.column_stack([np.sin(th), np.zeros_like(th), np.cos(th)])
-    direct = mth.eval_scattered(basis, v, None, pts)
+    direct = basis.values(pts) @ v.v
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
 
@@ -375,9 +372,6 @@ def test_far_field_rejects_plane_waves(strip_system):
     v = mth.solve_diagonal(sys)
     with pytest.raises(InvalidBasisError):
         mth.far_field(basis, v, np.linspace(-1.0, 1.0, 5))
-    spec = mth.angular_spectrum(basis, v)
-    assert spec.angles.shape == spec.amplitude.shape
-    assert np.all(np.diff(spec.angles) > 0)
 
 
 def test_far_field_pattern_validation():
