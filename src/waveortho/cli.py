@@ -557,6 +557,9 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     # propagation along +z so the polar angle of the pattern is measured
     # from the forward direction, matching the series oracle
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, 1.0]), k=k)
+    # parsed whatever the basis, so that a bad value is refused either way
+    polar_counts = _list_values(cfg, "pw_polar_list", int,
+                                "polar counts are integers >= 1", "grid sizes")
 
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
@@ -586,8 +589,6 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             report.warnings.append(
                 "imaginary-part diagnostic is reported for the hard condition"
             )
-        polar_counts = _list_values(cfg, "pw_polar_list", int,
-                                    "polar counts are integers >= 1", "grid sizes")
         ratios = []
         for npol in polar_counts:
             basis = mth.PlaneWaveBasis(directions=geo.gauss_midpoint_directions(npol), k=k)

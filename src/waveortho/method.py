@@ -82,7 +82,7 @@ class IncidentField:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return self.amplitude * np.exp(1j * self.k * points @ self.direction)
+        return self.amplitude * np.exp(1j * (self.k * points @ self.direction))
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         vals = self.values(points)
@@ -121,7 +121,7 @@ class PlaneWaveBasis:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return np.exp(1j * self.k * points @ self.directions.T)
+        return np.exp(1j * (self.k * points @ self.directions.T))
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         vals = self.values(points)
@@ -540,11 +540,11 @@ def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> Far
         rhat = np.column_stack(
             (np.sin(angles), np.zeros_like(angles), np.cos(angles))
         )
-        phases = np.exp(-1j * basis.k * rhat @ basis.locations.T)
+        phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
         amp = phases @ v.v / (4.0 * np.pi)
     else:
         rhat = np.column_stack((np.sin(angles), np.cos(angles)))
-        phases = np.exp(-1j * basis.k * rhat @ basis.locations.T)
+        phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
         amp = 0.25j * np.sqrt(2.0 / (np.pi * basis.k)) * np.exp(-0.25j * np.pi) * (
             phases @ v.v
         )

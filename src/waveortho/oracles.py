@@ -6,9 +6,9 @@ Four oracle families, none of which share numerics with the method module:
   with closed-form coefficients.
 * Kirchhoff aperture patterns for a flat strip.
 * A dense spectral Nystrom boundary-element solver for smooth closed 2D
-  curves (combined-field integral equations of Brakhage-Werner and
-  Burton-Miller type, with the hypersingular operator handled through
-  Maue's identity).
+  curves symmetric about both axes (combined-field integral equations of
+  Brakhage-Werner and Burton-Miller type, with the hypersingular operator
+  handled through Maue's identity), solved in the symmetry blocks.
 * A Lippmann-Schwinger volume-integral solver for scattering by a compact
   inhomogeneity on a uniform grid.
 """
@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import circulant, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 try:
     from numpy._core.multiarray import _set_madvise_hugepage
@@ -212,26 +212,42 @@ def _fft_derivative(values: np.ndarray, order: int = 1, axis: int = 0) -> np.nda
     return out if np.iscomplexobj(values) else out.real
 
 
-def _log_split_weights(n_nodes: int) -> np.ndarray:
-    """Weights R[i, j] - (2 pi / n) ln(4 sin^2((t_i - t_j)/2)) of the product rule.
+def _log_split_column(n_nodes: int) -> np.ndarray:
+    """Column c of the product-rule weights: W[i, j] = c[(i - j) mod n].
 
-    R are Kress's quadrature weights for the ln(4 sin^2) factor; the second
-    term removes that factor from the trapezoidal rule applied to the whole
-    kernel. The diagonal, where the logarithm is not taken, holds R[i, i].
-    Both depend only on (i - j) mod n, so the matrix is gathered from its
-    first column (circulant structure).
+    W[i, j] = R[i, j] - (2 pi / n) ln(4 sin^2((t_i - t_j)/2)): R are Kress's
+    quadrature weights for the ln(4 sin^2) factor, and the second term removes
+    that factor from the trapezoidal rule applied to the whole kernel. The
+    diagonal, where the logarithm is not taken, holds R[i, i] = c[0]. Both
+    depend only on (i - j) mod n (circulant structure). R's cosine sum
+    sum_m cos(m dt) / m is the real part of an FFT.
     """
     n = n_nodes // 2
     dt = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    m = np.arange(1, n)
-    col = -(2.0 * np.pi / n) * (np.cos(np.outer(dt, m)) @ (1.0 / m))
+    inv_m = np.zeros(n_nodes)
+    inv_m[1:n] = 1.0 / np.arange(1, n)
+    col = -(2.0 * np.pi / n) * np.fft.fft(inv_m).real
     col -= (np.pi / n**2) * np.cos(n * dt)
     col[1:] -= (2.0 * np.pi / n_nodes) * np.log(4.0 * np.sin(0.5 * dt[1:]) ** 2)
-    return circulant(col)
+    return col
+
+
+# The Z2 x Z2 group of the two axis reflections, in the order identity,
+# t -> -t, t -> pi - t, t -> t + pi: the signs they give to (x, y), the sign
+# of dt'/dt, and the four characters (one row each, chi(g) by column).
+_COORD_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+_DT_SIGNS = np.array([1, -1, -1, 1])
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 
 
 class _CurveData:
-    """Geometry derived from an ordered, uniformly parametrized closed Surface."""
+    """Geometry derived from an ordered, uniformly parametrized closed Surface.
+
+    The node set must map onto itself under both reflections about the
+    curve's axes, t -> -t (node j to -j mod n) and t -> pi - t (node j to
+    n/2 - j mod n), as every `bem_ellipse` does. `perms[g]` maps node j to
+    g . j; `reps` holds one node per orbit, the quarter arc t in [0, pi/2].
+    """
 
     def __init__(self, s: Surface):
         if s.dim != 2 or not s.closed:
@@ -241,6 +257,17 @@ class _CurveData:
             raise DomainError("curve node count must be even")
         self.n = n
         self.x = s.positions
+        j = np.arange(n)
+        self.perms = np.stack((j, -j % n, (n // 2 - j) % n, (j + n // 2) % n))
+        self.reps = np.arange(n // 4 + 1)
+        centred = self.x - np.mean(self.x, axis=0)
+        if np.max(np.abs(centred[self.perms] - centred * _COORD_SIGNS[:, None, :])) > (
+            1e-12 * np.max(np.abs(centred))
+        ):
+            raise DomainError(
+                "boundary-element oracle requires a curve whose nodes map onto nodes "
+                "under both axis reflections (t -> -t and t -> pi - t), as bem_ellipse's do"
+            )
         dx = _fft_derivative(s.positions)
         self.speed = np.linalg.norm(dx, axis=1)
         if np.min(self.speed) <= 0:
@@ -254,14 +281,14 @@ class _CurveData:
 
 
 def _nystrom(
-    c: _CurveData, weights: np.ndarray, jn: np.ndarray, yn: np.ndarray,
+    c: _CurveData, rows: np.ndarray, weights: np.ndarray, jn: np.ndarray, yn: np.ndarray,
     kernel: np.ndarray, diag: np.ndarray, scale: complex,
 ) -> np.ndarray:
-    """`scale` times the Nystrom matrix of (i/4) H_n(k r) kernel(x_i, x_j), H_n = J_n + i Y_n.
+    """Rows `rows` of `scale` times the Nystrom matrix of (i/4) H_n(k r) kernel(x_i, x_j).
 
-    Kress's product rule splits off -(1/4 pi) J_n kernel, which multiplies
-    ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by the trapezoidal
-    rule; with `weights` from `_log_split_weights` an entry is
+    H_n = J_n + i Y_n. Kress's product rule splits off -(1/4 pi) J_n kernel,
+    which multiplies ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by
+    the trapezoidal rule; with `weights` from `_log_split_column` an entry is
     -(kernel / 4 pi) (J_n (weights - i pi trap) + pi trap Y_n). The diagonal
     is `diag`.
     """
@@ -271,7 +298,7 @@ def _nystrom(
     np.multiply(jn, -np.pi * c.trap, out=a.imag)
     a *= kernel
     a *= -scale / (4.0 * np.pi)
-    np.fill_diagonal(a, scale * diag)
+    a[np.arange(len(rows)), rows] = scale * diag[rows]
     return a
 
 
@@ -290,34 +317,59 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
     return lu_solve((lu, piv), rhs), float(rcond)
 
 
-def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
-    """I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard), T by Maue's identity.
+def _left_derivative(c: _CurveData, rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of D_t A, for A that commutes with the reflections, from A[rows].
 
-    J_0, Y_0 and then J_1, Y_1 of k|x_i - x_j| are evaluated once each and
-    shared by every operator of that order. T = d/ds S d/ds + k^2 S_nn, where
-    S_nn weights the kernel by n(x_i) . n(x_j) and d/ds = (1/|x'|) d/dt is
-    applied by FFT along each axis.
+    `rows` must meet every orbit. A's columns at `rows` are gathered through
+    A[g i, j] = A[i, g j] (with a node of `rows` taken as itself),
+    differentiated by FFT, and spread to every column through
+    (D_t A)[i, g j] = (dt'/dt)(g) (D_t A)[g i, j]. That takes |rows|
+    transforms of length n, where differentiating all of A takes n.
+    """
+    g_of = np.empty(c.n, dtype=np.intp)  # node j = g_of[j] . rows[p_of[j]]
+    p_of = np.empty(c.n, dtype=np.intp)
+    for g in (3, 2, 1, 0):
+        g_of[c.perms[g, rows]] = g
+        p_of[c.perms[g, rows]] = np.arange(len(rows))
+    cols = a_rows[p_of[:, None], c.perms[g_of[:, None], rows]]  # A[:, rows]
+    d_cols = _fft_derivative(cols, axis=0)
+    del cols
+    out = d_cols[c.perms[g_of, rows[:, None]], p_of]
+    out *= _DT_SIGNS[g_of]
+    return out
+
+
+def _bem_rows(c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
+
+    T is taken by Maue's identity. J_0, Y_0 and then J_1, Y_1 of
+    k|x_i - x_j| are evaluated once each, on these rows only, and shared by
+    every operator of that order. T = d/ds S d/ds + k^2 S_nn, where S_nn
+    weights the kernel by n(x_i) . n(x_j) and d/ds = (1/|x'|) d/dt is applied
+    by FFT: along the columns by `_left_derivative`, which needs `rows` to
+    meet every orbit of the reflections, and along the rows directly.
     """
     hard = bc is BoundaryCondition.HARD
-    weights = _log_split_weights(c.n)
-    kr = np.hypot(*(np.subtract.outer(xd, xd) for xd in c.x.T))
-    np.fill_diagonal(kr, 1.0)  # placeholder, diagonals are handled analytically
+    col = _log_split_column(c.n)
+    weights = col[(rows[:, None] - np.arange(c.n)) % c.n]
+    kr = np.hypot(*(np.subtract.outer(xd[rows], xd) for xd in c.x.T))
+    kr[np.arange(len(rows)), rows] = 1.0  # placeholder, diagonals are handled analytically
     kr *= k
     # single layer: kernel |x'_j|; the diagonal takes the limits of both parts
     s_diag = c.speed * (
-        -weights[0, 0] / (4.0 * np.pi)
+        -col[0] / (4.0 * np.pi)
         + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
     )
     j, y = sp.j0(kr), sp.y0(kr)
-    a = _nystrom(c, weights, j, y, c.speed, s_diag, 1.0 if hard else -1j * k)
+    a = _nystrom(c, rows, weights, j, y, c.speed, s_diag, 1.0 if hard else -1j * k)
     if hard:
-        ds_s = _fft_derivative(a, axis=0)  # D S
+        ds_s = _left_derivative(c, rows, a)  # D S
         del a
-        ds_s /= c.speed[:, None]
+        ds_s /= c.speed[rows, None]
         ds_s /= c.speed[None, :]
-        nn = c.normals @ c.normals.T
+        nn = c.normals[rows] @ c.normals.T
         nn *= c.speed
-        a = _nystrom(c, weights, j, y, nn, s_diag, k**2)
+        a = _nystrom(c, rows, weights, j, y, nn, s_diag, k**2)
         del nn
         a -= _fft_derivative(ds_s, axis=1)  # (.) D = -(D (.)^T)^T
         del ds_s
@@ -326,18 +378,54 @@ def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
     # and -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|)
     xn = np.sum(c.x * c.normals, axis=1)
     if hard:  # (x_j - x_i) . n(x_i)
-        dot = c.normals @ c.x.T
-        dot -= xn[:, None]
+        dot = c.normals[rows] @ c.x.T
+        dot -= xn[rows, None]
     else:  # (x_i - x_j) . n(x_j)
-        dot = c.x @ c.normals.T
+        dot = c.x[rows] @ c.normals.T
         dot -= xn
     dot *= k * k * c.speed
     dot /= kr
     j, y = sp.j1(kr), sp.y1(kr)
     k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
-    a += _nystrom(c, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
-    a.flat[:: c.n + 1] += 0.5j * k if hard else 0.5
+    a += _nystrom(c, rows, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
+    a[np.arange(len(rows)), rows] += 0.5j * k if hard else 0.5
     return a
+
+
+def _solve_blocks(c: _CurveData, a_reps: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Solve A psi = rhs from the rows of A at `c.reps`, one LU per character block.
+
+    A commutes with the reflections, so it maps each character chi's
+    subspace {v : v[g j] = chi(g) v[j]} into itself. On the representatives
+    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|, over
+    the orbits whose stabilizer chi is trivial on; rhs is projected as
+    (1/4) sum_g chi(g) rhs[g q], and psi[g q] = sum_chi chi(g) psi_chi[q].
+    Returns psi and the least 1-norm rcond of the four blocks.
+    """
+    orbit = c.perms[:, c.reps]  # (4, r): g . q
+    fixed = orbit == c.reps  # g in Stab(q)
+    folded = np.einsum("cg,pgq->cpq", _CHARACTERS, a_reps[:, orbit])
+    folded /= np.sum(fixed, axis=0)
+    rhs_chi = _CHARACTERS @ rhs[orbit] / 4.0
+    psi_chi = np.zeros(rhs_chi.shape, dtype=complex)
+    rcond = np.inf
+    for block, b, x, chi in zip(folded, rhs_chi, psi_chi, _CHARACTERS):
+        keep = np.all(~fixed | (chi[:, None] == 1), axis=0)
+        x[keep], block_rcond = _solve_dense(block[np.ix_(keep, keep)], b[keep])
+        rcond = min(rcond, block_rcond)
+    psi = np.empty(c.n, dtype=complex)
+    psi[orbit] = _CHARACTERS.T @ psi_chi
+    return psi, rcond
+
+
+def _bem_far_field(c: _CurveData, k: float, psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Far-field amplitude of the combined layer (D - i k S) psi at `angles`."""
+    rhat = np.column_stack((np.sin(angles), np.cos(angles)))
+    phase = np.exp(1j * ((-k * rhat) @ c.x.T))  # (n_angles, n_nodes), from a real product
+    ds_w = c.speed * c.trap
+    obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
+    pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
+    return pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
 
 
 def bem_dense_solve(
@@ -357,8 +445,13 @@ def bem_dense_solve(
     hypersingular T evaluated through Maue's identity. Both are uniquely
     solvable at all real k. Returns the layer density psi at the nodes and
     the far field on `far_angles` (default: 721 angles spanning [-pi, pi]).
-    If `info` is given it receives the LAPACK estimate `rcond` of the
-    system's reciprocal 1-norm condition number.
+
+    The curve's nodes must map onto nodes under both axis reflections
+    (Allgower, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the matrix
+    commutes with them, so only the rows of one node per orbit are assembled
+    (about n/4 + 1), and the system is solved in its four Z2 x Z2 character
+    blocks. If `info` is given it receives `rcond`, the least of the blocks'
+    LAPACK estimates of the reciprocal 1-norm condition number.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
@@ -369,20 +462,14 @@ def bem_dense_solve(
         rhs = -u0.values(c.x)
     else:
         rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
-    psi, rcond = _solve_dense(_bem_matrix(c, bc, k), rhs)
+    psi, rcond = _solve_blocks(c, _bem_rows(c, bc, k, c.reps), rhs)
     if info is not None:
         info["rcond"] = rcond
 
     if far_angles is None:
         far_angles = np.linspace(-np.pi, np.pi, 721)
     far_angles = np.asarray(far_angles, dtype=float)
-    rhat = np.column_stack((np.sin(far_angles), np.cos(far_angles)))
-    phase = np.exp(-1j * k * rhat @ c.x.T)  # (n_angles, n_nodes)
-    ds_w = c.speed * c.trap
-    obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
-    pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    amp = pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
-    return psi, FarFieldPattern(angles=far_angles, amplitude=amp)
+    return psi, FarFieldPattern(angles=far_angles, amplitude=_bem_far_field(c, k, psi, far_angles))
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,14 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     assert reason in err
 
 
+def test_sphere_refuses_bad_pw_polar_list_at_default_basis(capsys):
+    # the key is parsed whatever the basis, so a bad value is never accepted silently
+    assert cli.main(["sphere", "--ka", "2", "--angles", "11", "--pw_polar_list", "x,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "'x' in config key 'pw_polar_list'" in err
+
+
 def test_out_of_memory_exits_2_with_reason(monkeypatch, capsys):
     def exhausted(cfg, report):
         raise MemoryError("Unable to allocate 74.5 GiB")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from waveortho import method as mth
+from waveortho.geometry import Surface
 from waveortho import oracles as orc
 from waveortho.errors import DomainError, SingularSystemError, UnsupportedRegionError
 
@@ -194,17 +195,99 @@ def test_fft_derivative_along_either_axis_matches_cot_matrix(n, dtype):
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_bem_evaluates_each_bessel_order_once(bc, monkeypatch):
     calls = []
+    sizes = []
 
     class Counting:
         def __getattr__(self, name):
             fn = getattr(special, name)
-            return lambda *args: calls.append(name) or fn(*args)
+
+            def counted(*args):
+                calls.append(name)
+                out = fn(*args)
+                sizes.append(np.size(out))
+                return out
+
+            return counted
 
     monkeypatch.setattr(orc, "sp", Counting())
     k = 4.0
+    n = 32
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, 32), bc, k, u0)
+    orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, n), bc, k, u0)
     assert sorted(calls) == ["j0", "j1", "y0", "y1"]
+    # only the rows of one node per orbit of the two reflections
+    assert max(sizes) <= (n // 4 + 1) * n
+
+
+def _bem_case(bc, n):
+    """A thin strip contour, its curve data, an oblique incident wave and the BEM right side."""
+    k = 2.0 * np.pi
+    s = orc.bem_strip_contour(1.0, k, n)
+    c = orc._CurveData(s)
+    u0 = mth.IncidentField(direction=np.array([np.sin(0.4), -np.cos(0.4)]), k=k)
+    if bc is SOFT:
+        rhs = -u0.values(c.x)
+    else:
+        rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
+    return k, s, c, u0, rhs
+
+
+@pytest.mark.parametrize("n", [64, 66])
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_rows_commute_with_both_reflections(bc, n):
+    k, _, c, _, _ = _bem_case(bc, n)
+    a = orc._bem_rows(c, bc, k, np.arange(n))
+    j = np.arange(n)
+    for perm in (-j % n, (n // 2 - j) % n):  # t -> -t and t -> pi - t
+        assert np.linalg.norm(a[np.ix_(perm, perm)] - a) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", [64, 66])  # 4 | n, and n/2 odd (no node on t = pi/2)
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_block_solve_matches_full_matrix_solve(bc, n):
+    k, s, c, u0, rhs = _bem_case(bc, n)
+    psi_ref = np.linalg.solve(orc._bem_rows(c, bc, k, np.arange(n)), rhs)
+    angles = np.linspace(-np.pi, np.pi, 91)
+    info = {}
+    psi, ff = orc.bem_dense_solve(s, bc, k, u0, far_angles=angles, info=info)
+    ff_ref = orc._bem_far_field(c, k, psi_ref, angles)
+    assert np.linalg.norm(psi - psi_ref) <= 1e-12 * np.linalg.norm(psi_ref)
+    assert np.linalg.norm(ff.amplitude - ff_ref) <= 1e-12 * np.linalg.norm(ff_ref)
+    assert 0.0 < info["rcond"] < 1.0
+
+
+def _closed_curve(t, pos, dx):
+    speed = np.linalg.norm(dx, axis=1)
+    return Surface(
+        positions=pos,
+        normals=np.column_stack((dx[:, 1], -dx[:, 0])) / speed[:, None],
+        weights=speed * (2.0 * np.pi / len(t)),
+        closed=True,
+        dim=2,
+        char_size=2.0,
+    )
+
+
+def test_bem_refuses_curve_without_node_symmetry():
+    n = 32
+    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=3.0)
+    t = 2.0 * np.pi * np.arange(n) / n
+    # an egg: symmetric under t -> -t only
+    egg = _closed_curve(
+        t,
+        np.column_stack((np.cos(t) + 0.2 * np.cos(2 * t), np.sin(t))),
+        np.column_stack((-np.sin(t) - 0.4 * np.sin(2 * t), np.cos(t))),
+    )
+    # an ellipse sampled half a step off its axes: no node maps onto a node
+    th = t + np.pi / n
+    shifted = _closed_curve(
+        th,
+        np.column_stack((np.cos(th), 0.6 * np.sin(th))),
+        np.column_stack((-np.sin(th), 0.6 * np.cos(th))),
+    )
+    for curve in (egg, shifted):
+        with pytest.raises(DomainError, match="under both axis reflections"):
+            orc.bem_dense_solve(curve, SOFT, 3.0, u0)
 
 
 # ---------------------------------------------------------------------------
