@@ -26,9 +26,7 @@ from .errors import (
 )
 from .geometry import Sphere, Spheroid, Strip, Surface, make_surface
 from .method import (
-    BasisTraces,
     BoundaryCondition,
-    DensitySpectrum,
     FarFieldPattern,
     GramSystem,
     IncidentField,
@@ -44,7 +42,6 @@ from .method import (
     iteration_spectral_radius,
     kernel_profile,
     kernel_values,
-    project_incident,
     refine_iterate,
     refine_power,
     solve_diagonal,
@@ -54,11 +51,9 @@ from .method import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisTraces",
     "BornResult",
     "BoundaryCondition",
     "DegenerateBasisError",
-    "DensitySpectrum",
     "DomainError",
     "FarFieldPattern",
     "GramSystem",
@@ -91,7 +86,6 @@ __all__ = [
     "kernel_profile",
     "kernel_values",
     "make_surface",
-    "project_incident",
     "refine_iterate",
     "refine_power",
     "solve_diagonal",

@@ -373,24 +373,7 @@ def _list_values(
     return values
 
 
-def _build_system(
-    basis: mth.BasisFamily,
-    bc: mth.BoundaryCondition,
-    s: geo.Surface,
-    u0: Optional[mth.IncidentField] = None,
-) -> Tuple[mth.BasisTraces, mth.GramSystem]:
-    """Basis traces on s and their Gram system, projected onto u0 when given."""
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s)
-    if u0 is not None:
-        sys = sys.with_incident(mth.project_incident(traces, s, u0, bc))
-    return traces, sys
-
-
 def _solve_all(
-    s: geo.Surface,
-    traces: mth.BasisTraces,
-    u0: mth.IncidentField,
     sys: mth.GramSystem,
     lam: float,
     report: RunReport,
@@ -410,15 +393,15 @@ def _solve_all(
     """
     name, steps = _parse_solver(solver or "diagonal")
     iterate_steps = steps or 50
-    spectra: Dict[str, Optional[mth.DensitySpectrum]] = {}
+    spectra: Dict[str, Optional[np.ndarray]] = {}
     v_diag = mth.solve_diagonal(sys)
     spectra["diagonal"] = v_diag
     report.epsilon = mth.epsilon_diagnostic(sys, v_diag)
-    report.residuals["diagonal"] = mth.boundary_residual(s, traces, u0, v_diag)
+    report.residuals["diagonal"] = mth.boundary_residual(sys, v_diag)
     try:
         v_gal = mth.solve_galerkin(sys, lam=lam)
         spectra["galerkin"] = v_gal
-        report.residuals["galerkin"] = mth.boundary_residual(s, traces, u0, v_gal)
+        report.residuals["galerkin"] = mth.boundary_residual(sys, v_gal)
     except SingularSystemError as e:
         spectra["galerkin"] = None
         report.residuals["galerkin"] = None
@@ -448,12 +431,12 @@ def _solve_all(
 
     v_it, history = mth.refine_iterate(sys, iterate_steps)
     spectra["iterate"] = v_it
-    report.residuals["iterate"] = mth.boundary_residual(s, traces, u0, v_it)
+    report.residuals["iterate"] = mth.boundary_residual(sys, v_it)
     step1 = mth.refine_iterate(sys, 1)[0]
     report.checks.append(
         Check(
             "iterate_step1_equals_diagonal",
-            bool(np.array_equal(step1.v, v_diag.v)),
+            bool(np.array_equal(step1, v_diag)),
             "first refinement step must reproduce the diagonal solve bitwise",
         )
     )
@@ -474,8 +457,8 @@ def _solve_all(
         n_limit = max(iterate_steps, min(2_000_000, n_need))
         v_lim = mth.refine_power(sys, n_limit)
         gap = float(
-            np.linalg.norm(v_lim.v - spectra["galerkin"].v)
-            / max(np.linalg.norm(spectra["galerkin"].v), 1e-300)
+            np.linalg.norm(v_lim - spectra["galerkin"])
+            / max(np.linalg.norm(spectra["galerkin"]), 1e-300)
         )
         detail = (
             f"relative gap {gap:.3e} after {n_limit} steps "
@@ -564,10 +547,8 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
         basis, s = _sphere_modes(cfg, ka)
-        traces, sys = _build_system(basis, bc, s, u0)
-        v, history = _solve_all(
-            s, traces, u0, sys, float(cfg["lambda"]), report, str(cfg["solver"])
-        )
+        sys = mth.assemble_gram(basis, bc, s, u0)
+        v, history = _solve_all(sys, float(cfg["lambda"]), report, str(cfg["solver"]))
         angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         pattern = mth.far_field(basis, v, angles)
         _, mie_ff, _ = orc.mie_series(bc, ka, angles)
@@ -594,13 +575,13 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             basis = mth.PlaneWaveBasis(directions=geo.gauss_midpoint_directions(npol), k=k)
             res = int(cfg["quad_resolution"]) or (npol + 4)
             s = geo.odd_azimuth_sphere_surface(1.0, res)
-            traces, sys = _build_system(basis, bc, s, u0)
+            sys = mth.assemble_gram(basis, bc, s, u0)
             v = mth.solve_diagonal(sys)
-            ratio = float(np.max(np.abs(v.v.imag)) / np.max(np.abs(v.v)))
+            ratio = float(np.max(np.abs(v.imag)) / np.max(np.abs(v)))
             ratios.append(ratio)
             report.metrics[f"im_ratio_npolar_{npol}"] = ratio
         # refinement diagnostics on the finest grid
-        _solve_all(s, traces, u0, sys, float(cfg["lambda"]), report, refine=False)
+        _solve_all(sys, float(cfg["lambda"]), report, refine=False)
         report.checks.append(
             Check(
                 "im_ratio_decreases_under_refinement",
@@ -692,22 +673,26 @@ def _run_strip_pipeline(
     alpha = float(cfg["incidence"])
     if not abs(alpha) < 0.5 * math.pi:
         raise UsageError("incidence angle must lie strictly inside (-pi/2, pi/2)")
+    n_angles = int(cfg["angles"])
+    if bool(cfg["with_bem"]) and n_angles < 3:
+        raise UsageError(
+            "angles must be >= 3 when with_bem is on: the BEM comparison needs a "
+            "pattern direction with |theta| < pi/2, and 2 angles give only -pi and pi"
+        )
     th_d = _strip_direction_angles(kd, int(cfg["basis_size"]))
     dirs = np.column_stack([np.sin(th_d), np.cos(th_d)])
     basis = mth.PlaneWaveBasis(directions=dirs, k=k)
     res = int(cfg["quad_resolution"]) or max(32, int(np.ceil(8.0 * kd / (2.0 * np.pi))))
     s = geo.make_surface(geo.Strip(width=d), res)
     u0 = mth.IncidentField(direction=np.array([math.sin(alpha), -math.cos(alpha)]), k=k)
-    traces, sys = _build_system(basis, bc_solve, s, u0)
-    v, history = _solve_all(
-        s, traces, u0, sys, float(cfg["lambda"]), report, str(cfg["solver"])
-    )
+    sys = mth.assemble_gram(basis, bc_solve, s, u0)
+    v, history = _solve_all(sys, float(cfg["lambda"]), report, str(cfg["solver"]))
 
     # Aperture density against the geometric-optics field: correlate the
     # normal-trace spectrum samples with the Kirchhoff sinc of the aperture,
     # copied to unit stride (BLAS sums a strided .real view in another order).
     sinc_ref = orc.kirchhoff_pattern(kd, alpha, th_d).amplitude.real.copy()
-    density = np.cos(th_d) * v.v if bc_solve is mth.BoundaryCondition.HARD else -v.v
+    density = np.cos(th_d) * v if bc_solve is mth.BoundaryCondition.HARD else -v
     corr = _normalized_corr(density, sinc_ref.astype(complex))
     factor = complex(np.vdot(sinc_ref, density) / np.vdot(sinc_ref, sinc_ref))
     report.metrics["kirchhoff_corr"] = corr
@@ -722,9 +707,8 @@ def _run_strip_pipeline(
         )
     )
 
-    n_angles = int(cfg["angles"])
     th_grid = np.linspace(-np.pi, np.pi, n_angles)
-    pattern_amp = _strip_pattern(th_grid, th_d, v.v, kd, bc_solve)
+    pattern_amp = _strip_pattern(th_grid, th_d, v, kd, bc_solve)
     pattern = mth.FarFieldPattern(angles=th_grid, amplitude=pattern_amp)
 
     if bool(cfg["with_bem"]):
@@ -835,8 +819,8 @@ def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
     locs = np.zeros((n_src, 3))
     locs[:, 2] = focal * nodes
     basis = mth.PointSourceBasis(locations=locs, k=k)
-    traces, sys = _build_system(basis, bc, s, u0)
-    v, history = _solve_all(s, traces, u0, sys, float(cfg["lambda"]), report)
+    sys = mth.assemble_gram(basis, bc, s, u0)
+    v, history = _solve_all(sys, float(cfg["lambda"]), report)
 
     r_d = report.residuals["diagonal"]
     r_g = report.residuals["galerkin"]
@@ -870,6 +854,8 @@ FIRST_TOL = 1e-12
 
 def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     k = float(cfg["k"])
+    if float(cfg["ring_radius"]) < 0:
+        raise UsageError("ring_radius must be >= 0 (0 means 6 x half_extent)")
     pot = orc.gaussian_potential(
         float(cfg["amplitude"]), float(cfg["width"]), float(cfg["half_extent"]),
         float(cfg["h"]), dim=2,
@@ -952,8 +938,8 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
 def run_kernel_profile(cfg: Dict[str, object], report: RunReport) -> None:
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     basis, s = _sphere_modes(cfg, float(cfg["ka"]))
-    traces, sys = _build_system(basis, bc, s)
-    dist, absphi = mth.kernel_profile(s, traces, sys.beta, int(cfg["anchor"]))
+    sys = mth.assemble_gram(basis, bc, s)
+    dist, absphi = mth.kernel_profile(sys, int(cfg["anchor"]))
 
     report.metrics["profile_points"] = int(dist.shape[0])
     report.metrics["peak_value"] = float(absphi[0])
@@ -991,7 +977,7 @@ def run_riemann_decay(cfg: Dict[str, object], report: RunReport) -> None:
     for ka in ka_values:
         res = int(cfg["quad_resolution"]) or (math.ceil(ka) + 24)
         s = geo.make_surface(geo.Sphere(1.0), res)
-        g = _build_system(mth.PlaneWaveBasis(directions=dirs, k=ka), bc, s)[1].g
+        g = mth.assemble_gram(mth.PlaneWaveBasis(directions=dirs, k=ka), bc, s).g
         val = float(np.abs(g[0, 1]) / math.sqrt(g[0, 0].real * g[1, 1].real))
         offdiag.append(val)
         report.metrics[f"offdiag_ka_{ka:g}"] = val

@@ -23,7 +23,7 @@ axis (the screen normal) toward +x.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -257,18 +257,6 @@ BasisFamily = Union[PlaneWaveBasis, PointSourceBasis, SphericalModeBasis]
 # Traces and the Gram system
 
 
-@dataclass(frozen=True, eq=False)
-class BasisTraces:
-    """Boundary traces A D_i sampled at surface nodes."""
-
-    boundary: np.ndarray  # (n_nodes, n_basis) complex, A applied
-    bc: BoundaryCondition
-
-    @property
-    def size(self) -> int:
-        return self.boundary.shape[1]
-
-
 def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
     if not s.closed:
         raise InvalidBasisError(
@@ -287,8 +275,8 @@ def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
             raise InvalidBasisError(f"source {m} lies outside the surface")
 
 
-def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> BasisTraces:
-    """Sample A D_i at the surface quadrature nodes."""
+def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> np.ndarray:
+    """A D_i sampled at the surface quadrature nodes, as an (n_nodes, M) array."""
     if basis.dim != s.dim:
         raise InvalidBasisError(
             f"basis dimension {basis.dim} does not match surface dimension {s.dim}"
@@ -296,10 +284,8 @@ def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> B
     if isinstance(basis, PointSourceBasis):
         _check_point_sources_inside(basis, s)
     if bc is BoundaryCondition.SOFT:
-        boundary = basis.values(s.positions)
-    else:
-        boundary = np.einsum("pmd,pd->pm", basis.gradients(s.positions), s.normals)
-    return BasisTraces(boundary=boundary, bc=bc)
+        return basis.values(s.positions)
+    return np.einsum("pmd,pd->pm", basis.gradients(s.positions), s.normals)
 
 
 def incident_trace(u0: IncidentField, bc: BoundaryCondition, s: Surface) -> np.ndarray:
@@ -313,37 +299,41 @@ def incident_trace(u0: IncidentField, bc: BoundaryCondition, s: Surface) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class GramSystem:
-    """Hermitian Gram matrix, its inverse diagonal, and the projected incident data."""
+    """Hermitian Gram matrix, its inverse diagonal, and what it was built from.
+
+    surface and traces (A D_i at the nodes) are set by assemble_gram; au0
+    (A u0 at the nodes) and b (b_i = <A D_i, A u0>) only when it was given
+    an incident field.
+    """
 
     g: np.ndarray  # (M, M) complex Hermitian
     beta: np.ndarray  # (M,) real, 1 / G_ii
-    b: Optional[np.ndarray] = None  # (M,) complex, <A D_i, A u0>
+    surface: Optional[Surface] = None
+    traces: Optional[np.ndarray] = None  # (n_nodes, M) complex
+    au0: Optional[np.ndarray] = None  # (n_nodes,) complex
+    b: Optional[np.ndarray] = None  # (M,) complex
 
     @property
     def size(self) -> int:
         return self.g.shape[0]
 
-    def with_incident(self, b: np.ndarray) -> "GramSystem":
-        b = np.asarray(b, dtype=complex)
-        if b.shape != (self.size,):
-            raise ValueError("projected incident vector has the wrong length")
-        return replace(self, b=b)
 
-    def require_incident(self) -> np.ndarray:
-        if self.b is None:
-            raise ValueError("GramSystem has no incident projection; call with_incident")
-        return self.b
+def _incident_projection(sys: GramSystem) -> np.ndarray:
+    if sys.b is None:
+        raise ValueError("GramSystem has no incident field; pass u0 to assemble_gram")
+    return sys.b
 
 
-def assemble_gram(traces: BasisTraces, s: Surface) -> GramSystem:
-    """Gram matrix G_ij = <A D_i, A D_j> over the surface quadrature.
+def assemble_gram(
+    basis: BasisFamily, bc: BoundaryCondition, s: Surface, u0: Optional[IncidentField] = None
+) -> GramSystem:
+    """Gram system of the basis traces on s, projected onto u0 when given.
 
-    The result is symmetrized to be exactly Hermitian; diagonal entries are
-    real and strictly positive unless the basis is degenerate on this surface.
+    G_ij = <A D_i, A D_j> over the surface quadrature is symmetrized to be
+    exactly Hermitian; diagonal entries are real and strictly positive unless
+    the basis is degenerate on this surface. b_i = <A D_i, A u0>.
     """
-    t = traces.boundary
-    if t.shape[0] != s.n_nodes:
-        raise ValueError("trace matrix does not match surface node count")
+    t = eval_basis_trace(basis, bc, s)
     weighted = s.weights[:, None] * t
     g = t.conj().T @ weighted
     g = 0.5 * (g + g.conj().T)
@@ -353,42 +343,23 @@ def assemble_gram(traces: BasisTraces, s: Surface) -> GramSystem:
         raise DegenerateBasisError(
             "a basis function has (numerically) zero trace norm on this surface"
         )
-    return GramSystem(g=g, beta=1.0 / diag)
-
-
-def project_incident(
-    traces: BasisTraces, s: Surface, u0: IncidentField, bc: BoundaryCondition
-) -> np.ndarray:
-    """Projection b_i = <A D_i, A u0> of the incident trace onto the basis traces."""
-    if bc is not traces.bc:
-        raise DomainError("boundary condition does not match the assembled traces")
-    au0 = incident_trace(u0, bc, s)
-    return traces.boundary.conj().T @ (s.weights * au0)
+    au0 = b = None
+    if u0 is not None:
+        au0 = incident_trace(u0, bc, s)
+        b = t.conj().T @ (s.weights * au0)
+    return GramSystem(g=g, beta=1.0 / diag, surface=s, traces=t, au0=au0, b=b)
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 
 
-@dataclass(frozen=True, eq=False)
-class DensitySpectrum:
-    """Basis coefficients v with a tag recording which solver produced them."""
-
-    v: np.ndarray
-    solver: str
-
-    @property
-    def size(self) -> int:
-        return self.v.shape[0]
-
-
-def solve_diagonal(sys: GramSystem) -> DensitySpectrum:
+def solve_diagonal(sys: GramSystem) -> np.ndarray:
     """Normalized-diagonal solve v_i = -beta_i b_i (the approximate-orthogonality step)."""
-    b = sys.require_incident()
-    return DensitySpectrum(v=sys.beta * (-b), solver="diagonal")
+    return sys.beta * (-_incident_projection(sys))
 
 
-def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> DensitySpectrum:
+def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> np.ndarray:
     """Full Galerkin solve (G + lam I) v = -b.
 
     lam = 0 requires a well-conditioned G; a tiny positive lam regularizes
@@ -397,7 +368,7 @@ def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> DensitySpectrum:
     """
     if lam < 0:
         raise DomainError("regularization parameter lam must be >= 0")
-    b = sys.require_incident()
+    b = _incident_projection(sys)
     a = sys.g + lam * np.eye(sys.size)
     try:
         v = np.linalg.solve(a, -b)
@@ -413,10 +384,10 @@ def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> DensitySpectrum:
                 f"Gram solve is unreliable (relative residual {resid:.3e}); "
                 "retry with lam > 0"
             )
-    return DensitySpectrum(v=v, solver=f"galerkin(lam={lam:.3g})")
+    return v
 
 
-def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[DensitySpectrum, List[float]]:
+def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[np.ndarray, List[float]]:
     """Diagonal-preconditioned Richardson refinement of the Gram system.
 
     Starts from v = 0 and applies v <- v + beta * (-b - G v) for n_steps
@@ -426,16 +397,16 @@ def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[DensitySpectrum, List
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    b = sys.require_incident()
+    b = _incident_projection(sys)
     v = np.zeros(sys.size, dtype=complex)
     history = [float(np.linalg.norm(sys.g @ v + b))]
     for _ in range(n_steps):
         v = v + sys.beta * (-b - sys.g @ v)
         history.append(float(np.linalg.norm(sys.g @ v + b)))
-    return DensitySpectrum(v=v, solver=f"iterated(n={n_steps})"), history
+    return v, history
 
 
-def refine_power(sys: GramSystem, n_steps: int) -> DensitySpectrum:
+def refine_power(sys: GramSystem, n_steps: int) -> np.ndarray:
     """The n_steps-th refinement iterate in closed form, without stepping.
 
     The refinement step is affine, v <- M v + c with M = I - diag(beta) G and
@@ -447,7 +418,7 @@ def refine_power(sys: GramSystem, n_steps: int) -> DensitySpectrum:
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    b = sys.require_incident()
+    b = _incident_projection(sys)
     m = sys.size
     base = np.zeros((m + 1, m + 1), dtype=complex)
     base[:m, :m] = np.eye(m) - sys.beta[:, None] * sys.g
@@ -462,7 +433,7 @@ def refine_power(sys: GramSystem, n_steps: int) -> DensitySpectrum:
         if not n:
             break
         base = base @ base
-    return DensitySpectrum(v=power[:m, m].copy(), solver=f"iterated(n={n_steps})")
+    return power[:m, m].copy()
 
 
 def iteration_contraction_margin(sys: GramSystem) -> float:
@@ -514,7 +485,7 @@ class FarFieldPattern:
             raise ValueError("angles must lie within [-pi, pi]")
 
 
-def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> FarFieldPattern:
+def far_field(basis: BasisFamily, v: np.ndarray, angles: np.ndarray) -> FarFieldPattern:
     """Radiated far-field pattern of sum_i v_i D_i.
 
     3D sources and spherical modes use u ~ f(theta) exp(ikr)/r; 2D point
@@ -532,7 +503,7 @@ def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> Far
         mu = np.cos(angles)
         amp = np.zeros_like(angles, dtype=complex)
         for n in range(basis.size):
-            amp += v.v[n] * (-1j) ** (n + 1) * specfun.legendre_p(n, mu)
+            amp += v[n] * (-1j) ** (n + 1) * specfun.legendre_p(n, mu)
         amp /= basis.k
         return FarFieldPattern(angles=angles, amplitude=amp)
     # Point sources: f from the large-distance phase of each source.
@@ -541,55 +512,53 @@ def far_field(basis: BasisFamily, v: DensitySpectrum, angles: np.ndarray) -> Far
             (np.sin(angles), np.zeros_like(angles), np.cos(angles))
         )
         phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
-        amp = phases @ v.v / (4.0 * np.pi)
+        amp = phases @ v / (4.0 * np.pi)
     else:
         rhat = np.column_stack((np.sin(angles), np.cos(angles)))
         phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
         amp = 0.25j * np.sqrt(2.0 / (np.pi * basis.k)) * np.exp(-0.25j * np.pi) * (
-            phases @ v.v
+            phases @ v
         )
     return FarFieldPattern(angles=angles, amplitude=amp)
 
 
-def boundary_residual(
-    s: Surface, traces: BasisTraces, u0: IncidentField, v: DensitySpectrum
-) -> float:
+def boundary_residual(sys: GramSystem, v: np.ndarray) -> float:
     """Normalized boundary defect ||A u0 + sum_i v_i A D_i|| / ||A u0||."""
-    if v.size != traces.size:
+    _incident_projection(sys)
+    if v.size != sys.size:
         raise ValueError("coefficient length does not match trace matrix")
-    au0 = incident_trace(u0, traces.bc, s)
+    s, au0 = sys.surface, sys.au0
     denom = np.sum(s.weights * np.abs(au0) ** 2)
     if denom <= 0.0:
         raise UndefinedNormalizationError(
             "incident trace vanishes on the surface; residual is undefined"
         )
-    r = au0 + traces.boundary @ v.v
+    r = au0 + sys.traces @ v
     num = np.sum(s.weights * np.abs(r) ** 2)
     return float(np.sqrt(num / denom))
 
 
-def kernel_values(traces: BasisTraces, beta: np.ndarray, anchor: int) -> np.ndarray:
+def kernel_values(sys: GramSystem, anchor: int) -> np.ndarray:
     """Kernel column Phi(r_j, r_anchor) = sum_i beta_i conj(A D_i(anchor)) A D_i(r_j)."""
-    t = traces.boundary
+    t = sys.traces
     if not 0 <= anchor < t.shape[0]:
         raise ValueError(f"anchor index {anchor} out of range")
-    return t @ (beta * np.conj(t[anchor, :]))
+    return t @ (sys.beta * np.conj(t[anchor, :]))
 
 
-def kernel_profile(
-    s: Surface, traces: BasisTraces, beta: np.ndarray, anchor: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def kernel_profile(sys: GramSystem, anchor: int) -> Tuple[np.ndarray, np.ndarray]:
     """|Phi(r_j, r_anchor)| against chord distance |r_j - r_anchor|, sorted.
 
     Ties in distance keep node order (stable sort) so output is deterministic.
     """
-    phi = kernel_values(traces, beta, anchor)
-    d = np.linalg.norm(s.positions - s.positions[anchor][None, :], axis=1)
+    phi = kernel_values(sys, anchor)
+    p = sys.surface.positions
+    d = np.linalg.norm(p - p[anchor][None, :], axis=1)
     order = np.argsort(d, kind="stable")
     return d[order], np.abs(phi)[order]
 
 
-def epsilon_diagnostic(sys: GramSystem, v: DensitySpectrum) -> float:
+def epsilon_diagnostic(sys: GramSystem, v: np.ndarray) -> float:
     """Off-diagonal coupling measure.
 
     max over pairs chi != xi of (|G_chi,xi| / G_xi,xi) * |v_chi - v_xi|,
@@ -601,12 +570,12 @@ def epsilon_diagnostic(sys: GramSystem, v: DensitySpectrum) -> float:
         raise ValueError("coefficient length does not match Gram size")
     if m < 2:
         return 0.0
-    vmax = float(np.max(np.abs(v.v)))
+    vmax = float(np.max(np.abs(v)))
     if vmax == 0.0:
         return 0.0
     diag = np.real(np.diag(sys.g))
     ratio = np.abs(sys.g) / diag[None, :]  # |G_chi,xi| / G_xi,xi
-    dv = np.abs(v.v[:, None] - v.v[None, :]) / vmax
+    dv = np.abs(v[:, None] - v[None, :]) / vmax
     prod = ratio * dv
     np.fill_diagonal(prod, 0.0)
     return float(np.max(prod))

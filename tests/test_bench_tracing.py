@@ -39,3 +39,23 @@ def test_tracer_installs_counts_and_uninstalls():
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in wrapped] == originals
+
+
+def test_traced_sphere_run_nests_traces_in_gram_assembly():
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install(waveortho)
+    try:
+        first = tracer.begin_pass()
+        report = waveortho.cli.run_scenario("sphere", waveortho.cli.build_config("sphere"))
+        metrics = tracer.pass_metrics(first)
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    spans = tracer.spans[first:]
+    traces = [parent for name, _, _, parent, _ in spans if name == "method.eval_basis_trace"]
+    assert traces
+    assert all(tracer.spans[parent][0] == "method.assemble_gram" for parent in traces)
+    assert metrics["method.assemble_gram.calls"] == len(traces)
+    # the 50-step residual history and the 1-step bitwise check
+    assert metrics["method.refine_iterate.steps"] == 51

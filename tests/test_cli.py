@@ -248,6 +248,12 @@ def test_main_exit_codes(tmp_path):
          "'0' in config key 'pw_polar_list'"),
         (["sphere", "--basis", "plane-waves", "--pw_polar_list", "-2,4"],
          "'-2' in config key 'pw_polar_list'"),
+        (["born", "--ring_radius", "-1"], "ring_radius must be >= 0"),
+        # 2 angles leave no direction with |theta| < pi/2 to compare with the BEM
+        (["strip", "--kd", "12.566370614359172", "--angles", "2"],
+         "angles must be >= 3 when with_bem is on"),
+        (["slit", "--kd", "12.566370614359172", "--angles", "2"],
+         "angles must be >= 3 when with_bem is on"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):

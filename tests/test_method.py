@@ -24,11 +24,8 @@ def strip_system():
     basis = mth.PlaneWaveBasis(directions=np.column_stack([np.sin(th), np.cos(th)]), k=k)
     bc = mth.BoundaryCondition.HARD
     u0 = mth.IncidentField(direction=np.array([0.3, -np.sqrt(1 - 0.09)]), k=k)
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s).with_incident(
-        mth.project_incident(traces, s, u0, bc)
-    )
-    return s, basis, bc, u0, traces, sys
+    sys = mth.assemble_gram(basis, bc, s, u0)
+    return s, basis, bc, u0, sys
 
 
 def test_incident_field_plane_wave():
@@ -45,18 +42,18 @@ def test_incident_field_plane_wave():
 
 
 def test_plane_wave_traces(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
+    s, basis, bc, u0, sys = strip_system
     # hard trace on the strip is n . grad = ik cos(theta) e^(ik x sin theta)
     x = s.positions[:, 0]
     for i, (sx, cy) in enumerate(basis.directions):
         expected = 1j * basis.k * cy * np.exp(1j * basis.k * sx * x)
-        assert np.allclose(traces.boundary[:, i], expected, atol=1e-13)
+        assert np.allclose(sys.traces[:, i], expected, atol=1e-13)
 
 
 def test_gram_conjugates_first_argument(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
+    s, basis, bc, u0, sys = strip_system
     i, j = 1, 3
-    manual = np.sum(s.weights * np.conj(traces.boundary[:, i]) * traces.boundary[:, j])
+    manual = np.sum(s.weights * np.conj(sys.traces[:, i]) * sys.traces[:, j])
     assert sys.g[i, j] == pytest.approx(manual, rel=1e-12)
     # Hermitian by construction, diagonal real positive
     assert np.allclose(sys.g, sys.g.conj().T)
@@ -65,31 +62,35 @@ def test_gram_conjugates_first_argument(strip_system):
 
 
 def test_project_incident_manual(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
+    s, basis, bc, u0, sys = strip_system
     au0 = np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
     manual = np.array(
-        [np.sum(s.weights * np.conj(traces.boundary[:, i]) * au0) for i in range(basis.size)]
+        [np.sum(s.weights * np.conj(sys.traces[:, i]) * au0) for i in range(basis.size)]
     )
     assert np.allclose(sys.b, manual, rtol=1e-13)
-
-
-def test_project_incident_bc_mismatch(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
-    with pytest.raises(DomainError):
-        mth.project_incident(traces, s, u0, mth.BoundaryCondition.SOFT)
 
 
 def test_solve_diagonal_formula(strip_system):
     *_, sys = strip_system
     v = mth.solve_diagonal(sys)
-    assert np.array_equal(v.v, sys.beta * (-sys.b))
-    assert v.solver == "diagonal"
+    assert np.array_equal(v, sys.beta * (-sys.b))
 
 
 def test_solve_requires_incident(strip_system):
-    s, basis, bc, u0, traces, _ = strip_system
-    bare = mth.assemble_gram(traces, s)
+    s, basis, bc, u0, _ = strip_system
+    bare = mth.assemble_gram(basis, bc, s)
     with pytest.raises(ValueError):
+        mth.solve_diagonal(bare)
+
+
+def test_system_without_incident_refuses_residual_and_diagonal_solve(strip_system):
+    s, basis, bc, u0, sys = strip_system
+    bare = mth.assemble_gram(basis, bc, s)
+    assert bare.au0 is None and bare.b is None
+    v = mth.solve_diagonal(sys)
+    with pytest.raises(ValueError, match="no incident field"):
+        mth.boundary_residual(bare, v)
+    with pytest.raises(ValueError, match="no incident field"):
         mth.solve_diagonal(bare)
 
 
@@ -98,7 +99,7 @@ def test_galerkin_matches_dense_solve(strip_system):
     for lam in (0.0, 1e-3):
         v = mth.solve_galerkin(sys, lam=lam)
         ref = np.linalg.solve(sys.g + lam * np.eye(sys.size), -sys.b)
-        assert np.allclose(v.v, ref, rtol=1e-12)
+        assert np.allclose(v, ref, rtol=1e-12)
     with pytest.raises(DomainError):
         mth.solve_galerkin(sys, lam=-1.0)
 
@@ -111,27 +112,24 @@ def test_galerkin_singular_frame():
     basis = mth.PlaneWaveBasis(directions=np.column_stack([np.sin(th), np.cos(th)]), k=k)
     bc = mth.BoundaryCondition.SOFT
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s).with_incident(
-        mth.project_incident(traces, s, u0, bc)
-    )
+    sys = mth.assemble_gram(basis, bc, s, u0)
     with pytest.raises(SingularSystemError):
         mth.solve_galerkin(sys)
     v = mth.solve_galerkin(sys, lam=1e-8)
-    assert np.all(np.isfinite(v.v))
+    assert np.all(np.isfinite(v))
     mth.solve_diagonal(sys)
 
 
 def test_refine_first_step_is_diagonal(strip_system):
     *_, sys = strip_system
     v1, hist = mth.refine_iterate(sys, 1)
-    assert np.array_equal(v1.v, mth.solve_diagonal(sys).v)
+    assert np.array_equal(v1, mth.solve_diagonal(sys))
     assert len(hist) == 2
     assert hist[0] == pytest.approx(float(np.linalg.norm(sys.b)))
     with pytest.raises(DomainError):
         mth.refine_iterate(sys, 0)
     p1 = mth.refine_power(sys, 1)
-    assert np.allclose(p1.v, mth.solve_diagonal(sys).v, rtol=1e-15, atol=0.0)
+    assert np.allclose(p1, mth.solve_diagonal(sys), rtol=1e-15, atol=0.0)
     with pytest.raises(DomainError):
         mth.refine_power(sys, 0)
 
@@ -157,8 +155,7 @@ def small_systems(draw):
         basis = mth.PointSourceBasis(locations=locs, k=k)
         direction = np.array([0.0, 0.0, -1.0])
     u0 = mth.IncidentField(direction=direction, k=k)
-    traces = mth.eval_basis_trace(basis, bc, s)
-    return mth.assemble_gram(traces, s).with_incident(mth.project_incident(traces, s, u0, bc))
+    return mth.assemble_gram(basis, bc, s, u0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +168,7 @@ def test_gram_is_exactly_hermitian_with_positive_diagonal(sys):
 @settings(max_examples=60, deadline=None)
 @given(sys=small_systems())
 def test_refine_first_step_equals_diagonal_bitwise(sys):
-    assert np.array_equal(mth.refine_iterate(sys, 1)[0].v, mth.solve_diagonal(sys).v)
+    assert np.array_equal(mth.refine_iterate(sys, 1)[0], mth.solve_diagonal(sys))
 
 
 def test_refine_converges_to_galerkin(strip_system):
@@ -185,7 +182,7 @@ def test_refine_converges_to_galerkin(strip_system):
     assert rho < 1.0
     v, hist = mth.refine_iterate(sys, 400)
     ref = mth.solve_galerkin(sys)
-    assert np.linalg.norm(v.v - ref.v) <= 1e-8 * np.linalg.norm(ref.v)
+    assert np.linalg.norm(v - ref) <= 1e-8 * np.linalg.norm(ref)
     assert len(hist) == 401
     assert hist[-1] <= 1e-10 * hist[0]
 
@@ -193,8 +190,8 @@ def test_refine_converges_to_galerkin(strip_system):
 @pytest.mark.parametrize("n", [1, 2, 50, 5000])
 def test_refine_power_matches_stepped_iterate(strip_system, n):
     *_, sys = strip_system
-    stepped = mth.refine_iterate(sys, n)[0].v
-    closed = mth.refine_power(sys, n).v
+    stepped = mth.refine_iterate(sys, n)[0]
+    closed = mth.refine_power(sys, n)
     assert np.linalg.norm(closed - stepped) <= 1e-10 * np.linalg.norm(stepped)
 
 
@@ -228,12 +225,12 @@ def test_spectral_radius_diagonal_system():
 def test_epsilon_diagnostic_manual():
     g = np.array([[2.0, 0.4], [0.4, 1.0]], dtype=complex)
     sys = mth.GramSystem(g=g, beta=1.0 / np.diag(g).real)
-    v = mth.DensitySpectrum(v=np.array([1.0, 0.5 + 0.5j]), solver="x")
-    dv = abs(v.v[0] - v.v[1]) / 1.0
+    v = np.array([1.0, 0.5 + 0.5j])
+    dv = abs(v[0] - v[1]) / 1.0
     expected = max(0.4 / 1.0, 0.4 / 2.0) * dv
     assert mth.epsilon_diagnostic(sys, v) == pytest.approx(expected, rel=1e-13)
     # constant coefficients: no coupling penalty
-    vc = mth.DensitySpectrum(v=np.array([1.0 + 0j, 1.0 + 0j]), solver="x")
+    vc = np.array([1.0 + 0j, 1.0 + 0j])
     assert mth.epsilon_diagnostic(sys, vc) == 0.0
 
 
@@ -245,27 +242,23 @@ def test_boundary_residual_exact_representation():
     # incident straight down; its specular reflection travels straight up
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     basis = mth.PlaneWaveBasis(directions=np.array([[0.0, 1.0]]), k=k)
-    bc = mth.BoundaryCondition.SOFT
-    traces = mth.eval_basis_trace(basis, bc, s)
-    sys = mth.assemble_gram(traces, s).with_incident(
-        mth.project_incident(traces, s, u0, bc)
-    )
+    sys = mth.assemble_gram(basis, mth.BoundaryCondition.SOFT, s, u0)
     v = mth.solve_diagonal(sys)
     # on y = 0 both waves have unit trace, so v = -1 cancels exactly
-    assert v.v[0] == pytest.approx(-1.0, abs=1e-12)
-    assert mth.boundary_residual(s, traces, u0, v) < 1e-12
+    assert v[0] == pytest.approx(-1.0, abs=1e-12)
+    assert mth.boundary_residual(sys, v) < 1e-12
 
 
 def test_kernel_values_manual(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
+    s, basis, bc, u0, sys = strip_system
     anchor = 5
-    phi = mth.kernel_values(traces, sys.beta, anchor)
-    t = traces.boundary
+    phi = mth.kernel_values(sys, anchor)
+    t = sys.traces
     manual = np.zeros(s.n_nodes, dtype=complex)
     for i in range(basis.size):
         manual += sys.beta[i] * np.conj(t[anchor, i]) * t[:, i]
     assert np.allclose(phi, manual, rtol=1e-13)
-    d, a = mth.kernel_profile(s, traces, sys.beta, anchor)
+    d, a = mth.kernel_profile(sys, anchor)
     assert d[0] == 0.0
     assert np.all(np.diff(d) >= 0)
     assert a.shape == d.shape
@@ -278,20 +271,20 @@ def test_far_field_point_sources_matches_large_radius():
     # 3D
     locs = np.array([[0.0, 0.0, 0.4], [0.1, 0.0, -0.3]])
     basis = mth.PointSourceBasis(locations=locs, k=k)
-    v = mth.DensitySpectrum(v=np.array([1.0 + 0.5j, -0.7j]), solver="x")
+    v = np.array([1.0 + 0.5j, -0.7j])
     th = np.linspace(0.0, np.pi, 7)
     ff = mth.far_field(basis, v, th)
     pts = r_eval * np.column_stack([np.sin(th), np.zeros_like(th), np.cos(th)])
-    direct = basis.values(pts) @ v.v
+    direct = basis.values(pts) @ v
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
     # 2D
     locs2 = np.array([[0.2, 0.0], [-0.1, 0.3]])
     basis2 = mth.PointSourceBasis(locations=locs2, k=k)
-    v2 = mth.DensitySpectrum(v=np.array([1.0, 0.3 + 0.2j]), solver="x")
+    v2 = np.array([1.0, 0.3 + 0.2j])
     ff2 = mth.far_field(basis2, v2, th)
     pts2 = r_eval * np.column_stack([np.sin(th), np.cos(th)])
-    direct2 = basis2.values(pts2) @ v2.v
+    direct2 = basis2.values(pts2) @ v2
     ref2 = direct2 * np.sqrt(r_eval) * np.exp(-1j * k * r_eval)
     assert np.allclose(ff2.amplitude, ref2, rtol=2e-3)
 
@@ -301,12 +294,12 @@ def test_far_field_spherical_modes_matches_large_radius():
     basis = mth.SphericalModeBasis(max_order=4, k=k)
     assert basis.size == 5
     rng = np.random.default_rng(7)
-    v = mth.DensitySpectrum(v=rng.normal(size=5) + 1j * rng.normal(size=5), solver="x")
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
     th = np.linspace(0.1, np.pi - 0.1, 9)
     r_eval = 5.0e3
     ff = mth.far_field(basis, v, th)
     pts = r_eval * np.column_stack([np.sin(th), np.zeros_like(th), np.cos(th)])
-    direct = basis.values(pts) @ v.v
+    direct = basis.values(pts) @ v
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
 
@@ -368,7 +361,7 @@ def test_spherical_mode_trace_bessel_calls_do_not_grow_with_order(bc, monkeypatc
 
 
 def test_far_field_rejects_plane_waves(strip_system):
-    s, basis, bc, u0, traces, sys = strip_system
+    s, basis, bc, u0, sys = strip_system
     v = mth.solve_diagonal(sys)
     with pytest.raises(InvalidBasisError):
         mth.far_field(basis, v, np.linspace(-1.0, 1.0, 5))
@@ -386,9 +379,8 @@ def test_degenerate_basis_rejected():
     k = 2.0 * np.pi
     s = geo.make_surface(geo.Strip(width=1.0), 32)
     basis = mth.PlaneWaveBasis(directions=np.array([[1.0, 0.0], [0.0, 1.0]]), k=k)
-    traces = mth.eval_basis_trace(basis, mth.BoundaryCondition.HARD, s)
     with pytest.raises(DegenerateBasisError):
-        mth.assemble_gram(traces, s)
+        mth.assemble_gram(basis, mth.BoundaryCondition.HARD, s)
 
 
 def test_point_sources_must_be_inside():
