@@ -5,8 +5,9 @@ Usage: waveortho <scenario> [--key value ...] [--config path]
 Scenarios: sphere, strip, slit, spheroid, born, kernel-profile, riemann-decay.
 Config values come from shipped defaults, then an optional flat key=value
 file, then command-line overrides (which win). Angles are radians in files;
-command-line keys may carry a -deg suffix instead. Exit code is 0 exactly
-when every check the scenario declares passes; check bounds are constants.
+on the command line incidence may be given in degrees as incidence_deg.
+Exit code is 0 exactly when every check the scenario declares passes; check
+bounds are constants.
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ def _jsonable(v):
 # Output files: fixed column names, 17 significant digits, atomic writes
 
 
-def _sig(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -124,44 +121,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_columns(path: str, fmt: str, columns: Dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    if fmt == "csv":
-        rows = [",".join(names)]
-        for i in range(arrays[0].shape[0] if arrays else 0):
-            rows.append(",".join(_sig(a[i]) for a in arrays))
-        _atomic_write(path, "\n".join(rows) + "\n")
-    else:  # json, the only other format build_config accepts
-        payload = {n: [float(x) for x in a] for n, a in zip(names, arrays)}
-        _atomic_write(path, json.dumps(payload, indent=1) + "\n")
+def _write_table(
+    cfg: Dict[str, object],
+    report: RunReport,
+    key: str,
+    columns: Optional[Dict[str, np.ndarray]] = None,
+) -> None:
+    """Write the path under config key `key`, if one is set.
+
+    columns (name -> array) go out as CSV or JSON per the format key; without
+    columns the report itself is written as JSON.
+    """
+    if not cfg.get(key):
+        return
+    if columns is None:
+        text = json.dumps(report.to_dict(), indent=1)
+    else:
+        arrays = {name: np.asarray(a, dtype=float) for name, a in columns.items()}
+        if cfg["format"] == "csv":
+            rows = zip(*arrays.values())
+            text = "\n".join([",".join(arrays)] + [",".join(f"{x:.17g}" for x in r) for r in rows])
+        else:  # json, the only other format build_config accepts
+            text = json.dumps({name: a.tolist() for name, a in arrays.items()}, indent=1)
+    _atomic_write(str(cfg[key]), text + "\n")
+    report.outputs.append(str(cfg[key]))
 
 
-def emit_pattern(path: str, fmt: str, pattern: mth.FarFieldPattern) -> None:
+def _pattern_columns(pattern: mth.FarFieldPattern) -> Dict[str, np.ndarray]:
     amp = pattern.amplitude
-    _emit_columns(
-        path,
-        fmt,
-        {
-            "theta_rad": pattern.angles,
-            "re_amp": amp.real,
-            "im_amp": amp.imag,
-            "abs_amp": np.abs(amp),
-        },
-    )
+    return {"theta_rad": pattern.angles, "re_amp": amp.real, "im_amp": amp.imag,
+            "abs_amp": np.abs(amp)}
 
 
-def emit_profile(path: str, fmt: str, distance: np.ndarray, abs_phi: np.ndarray) -> None:
-    _emit_columns(path, fmt, {"distance": distance, "abs_phi": abs_phi})
-
-
-def emit_history(path: str, fmt: str, residuals: Sequence[float]) -> None:
-    steps = np.arange(len(residuals), dtype=float)
-    _emit_columns(path, fmt, {"step": steps, "residual": np.asarray(residuals, dtype=float)})
-
-
-def emit_report(path: str, report: RunReport) -> None:
-    _atomic_write(path, json.dumps(report.to_dict(), indent=1) + "\n")
+def _history_columns(history: Sequence[float]) -> Dict[str, np.ndarray]:
+    return {"step": np.arange(len(history), dtype=float), "residual": history}
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +229,10 @@ for _d in DEFAULTS.values():
     _d.update(_COMMON_DEFAULTS)
 
 
+# the angle-valued keys: radians, or degrees when spelled <key>_deg on the
+# command line
+ANGLE_KEYS = ("incidence",)
+
 # smallest accepted value of integer keys, with the reason
 _INT_MINIMA: Dict[str, Tuple[int, str]] = {
     "angles": (2, "a far-field table compares at least two directions"),
@@ -294,8 +291,8 @@ def build_config(
 ) -> Dict[str, object]:
     """Merge defaults, config file, and CLI overrides (in that precedence).
 
-    Override keys ending in '_deg' are converted to radians when the base
-    key is a float-valued angle slot; files always carry radians.
+    An override spelled <key>_deg for a key of ANGLE_KEYS is converted
+    from degrees to radians; files always carry radians.
     """
     if scenario not in DEFAULTS:
         raise UsageError(
@@ -309,10 +306,9 @@ def build_config(
         for key, raw in source.items():
             key = key.replace("-", "_")
             value = raw
-            if allow_deg and key.endswith("_deg"):
-                base = key[: -len("_deg")]
-                if base in defaults and isinstance(defaults[base], float):
-                    key, value = base, math.radians(_coerce(scenario, key, raw, 0.0))
+            base = key[: -len("_deg")]
+            if allow_deg and key.endswith("_deg") and base in ANGLE_KEYS and base in defaults:
+                key, value = base, math.radians(_coerce(scenario, key, raw, 0.0))
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
@@ -478,13 +474,6 @@ def _solve_all(
     return spectra[name], history
 
 
-def _write_table(cfg: Dict[str, object], report: RunReport, key: str, emit, *data) -> None:
-    """Write a table to the path under config key `key`, if one is set."""
-    if cfg.get(key):
-        emit(str(cfg[key]), str(cfg["format"]), *data)
-        report.outputs.append(str(cfg[key]))
-
-
 # ---------------------------------------------------------------------------
 # Sphere scenario (series comparison, and the plane-wave Im diagnostic)
 
@@ -563,8 +552,8 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
                 f"relative L2 {rel:.3e} <= {float(cfg['far_tol']):.1e}",
             )
         )
-        _write_table(cfg, report, "out", emit_pattern, pattern)
-        _write_table(cfg, report, "history_out", emit_history, history)
+        _write_table(cfg, report, "out", _pattern_columns(pattern))
+        _write_table(cfg, report, "history_out", _history_columns(history))
     elif basis_kind == "plane-waves":
         if bc is not mth.BoundaryCondition.HARD:
             report.warnings.append(
@@ -674,11 +663,24 @@ def _run_strip_pipeline(
     if not abs(alpha) < 0.5 * math.pi:
         raise UsageError("incidence angle must lie strictly inside (-pi/2, pi/2)")
     n_angles = int(cfg["angles"])
-    if bool(cfg["with_bem"]) and n_angles < 3:
-        raise UsageError(
-            "angles must be >= 3 when with_bem is on: the BEM comparison needs a "
-            "pattern direction with |theta| < pi/2, and 2 angles give only -pi and pi"
-        )
+    if bool(cfg["with_bem"]):
+        if n_angles < 3:
+            raise UsageError(
+                "angles must be >= 3 when with_bem is on: the BEM comparison needs a "
+                "pattern direction with |theta| < pi/2, and 2 angles give only -pi and pi"
+            )
+        # The null and lobe checks see a lobe only when each Kirchhoff first
+        # null sin(theta) = sin(alpha) +- 2 pi / kd in the visible band sits
+        # NULL_STEP_TOL + 1 grid steps or more from alpha.
+        sines = math.sin(alpha) + np.array([-2.0, 2.0]) * math.pi / kd
+        gap = float(np.min(np.abs(np.arcsin(sines[np.abs(sines) < 1.0]) - alpha), initial=np.inf))
+        least = math.ceil((NULL_STEP_TOL + 1) * 2.0 * math.pi / max(gap, 1e-300)) + 1
+        if n_angles < least:
+            raise UsageError(
+                f"angles must be >= {least} at kd = {kd:g} when with_bem is on: a "
+                f"Kirchhoff first null lies {gap:.4f} rad from the incidence direction, "
+                f"and the null and lobe checks need it {NULL_STEP_TOL + 1} grid steps away"
+            )
     th_d = _strip_direction_angles(kd, int(cfg["basis_size"]))
     dirs = np.column_stack([np.sin(th_d), np.cos(th_d)])
     basis = mth.PlaneWaveBasis(directions=dirs, k=k)
@@ -768,8 +770,8 @@ def _run_strip_pipeline(
         except SingularSystemError as e:
             report.checks.append(Check("bem_oracle", False, f"oracle failed: {e}"))
 
-    _write_table(cfg, report, "out", emit_pattern, pattern)
-    _write_table(cfg, report, "history_out", emit_history, history)
+    _write_table(cfg, report, "out", _pattern_columns(pattern))
+    _write_table(cfg, report, "history_out", _history_columns(history))
 
 
 def run_strip(cfg: Dict[str, object], report: RunReport) -> None:
@@ -841,8 +843,8 @@ def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
             )
         )
     angles = np.linspace(-np.pi, np.pi, int(cfg["angles"]))
-    _write_table(cfg, report, "out", emit_pattern, mth.far_field(basis, v, angles))
-    _write_table(cfg, report, "history_out", emit_history, history)
+    _write_table(cfg, report, "out", _pattern_columns(mth.far_field(basis, v, angles)))
+    _write_table(cfg, report, "history_out", _history_columns(history))
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +930,7 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
         report.metrics[f"err_vs_oracle_{order}"] = _relative_l2(field, ref)
 
     pattern = mth.FarFieldPattern(angles=ring_th, amplitude=res.fields["second-modified"])
-    _write_table(cfg, report, "out", emit_pattern, pattern)
+    _write_table(cfg, report, "out", _pattern_columns(pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +954,7 @@ def run_kernel_profile(cfg: Dict[str, object], report: RunReport) -> None:
     report.checks.append(
         Check("gram_hermitian", herm == 0.0, f"max |G - G^H| = {herm:.2e}")
     )
-    _write_table(cfg, report, "out", emit_profile, dist, absphi)
+    _write_table(cfg, report, "out", {"distance": dist, "abs_phi": absphi})
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +997,7 @@ def run_riemann_decay(cfg: Dict[str, object], report: RunReport) -> None:
             )
         )
     # the report itself is the data table; its wall clock is still unset here
-    _write_table(cfg, report, "out", lambda path, _fmt: emit_report(path, report))
+    _write_table(cfg, report, "out")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1024,7 @@ def run_scenario(name: str, cfg: Dict[str, object]) -> RunReport:
     t0 = time.perf_counter()
     _RUNNERS[name](cfg, report)
     report.wall_clock_s = time.perf_counter() - t0
-    _write_table(cfg, report, "report_out", lambda path, _fmt: emit_report(path, report))
+    _write_table(cfg, report, "report_out")
     return report
 
 

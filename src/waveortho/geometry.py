@@ -77,23 +77,22 @@ class Surface:
     normals : (N, dim) float array of unit outward normals per node.
     weights : (N,) positive quadrature weights summing to the surface measure.
     closed : whether the surface encloses a volume.
-    dim : ambient dimension (2 or 3).
     char_size : characteristic size (largest chord) used for scale checks.
+
+    The ambient dimension `dim` (2 or 3) is read off the positions.
     """
 
     positions: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
     closed: bool
-    dim: int
     char_size: float
 
     def __post_init__(self):
         p, n, w = self.positions, self.normals, self.weights
-        if p.ndim != 2 or n.shape != p.shape or w.shape != (p.shape[0],):
-            raise ValueError("surface arrays have inconsistent shapes")
-        if self.dim not in (2, 3) or p.shape[1] != self.dim:
-            raise ValueError("surface dim must be 2 or 3 and match positions")
+        if p.ndim != 2 or p.shape[1] not in (2, 3) or n.shape != p.shape or w.shape != p.shape[:1]:
+            raise ValueError("surface arrays must be (N, dim) positions and normals with "
+                             "dim 2 or 3, and (N,) weights")
         if np.any(w <= 0):
             raise ValueError("quadrature weights must be strictly positive")
         norms = np.linalg.norm(n, axis=1)
@@ -101,6 +100,10 @@ class Surface:
             raise ValueError("normals must be unit vectors")
         if self.char_size <= 0:
             raise ValueError("char_size must be positive")
+
+    @property
+    def dim(self) -> int:
+        return self.positions.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -171,7 +174,6 @@ def _sphere_surface(radius: float, resolution: int, n_phi: int = 0, shift: float
         normals=normals,
         weights=weights,
         closed=True,
-        dim=3,
         char_size=2.0 * radius,
     )
 
@@ -209,7 +211,6 @@ def _spheroid_surface(a: float, c: float, resolution: int) -> Surface:
         normals=normals,
         weights=weights,
         closed=True,
-        dim=3,
         char_size=2.0 * c,
     )
 
@@ -228,6 +229,5 @@ def _strip_surface(width: float, resolution: int) -> Surface:
         normals=normals,
         weights=weights,
         closed=False,
-        dim=2,
         char_size=width,
     )

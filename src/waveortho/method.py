@@ -14,7 +14,7 @@ The same diagonal serves as a preconditioner for an iterative refinement
 that converges to the full Galerkin solution whenever the iteration matrix
 is a contraction.
 
-Conventions: incident plane waves have unit amplitude by default; far fields
+Conventions: incident plane waves have unit amplitude; far fields
 in 3D follow u ~ f(theta) exp(ikr)/r with theta the polar angle from +z, and
 in 2D follow u ~ f(theta) exp(ikr)/sqrt(r) with theta measured from the +y
 axis (the screen normal) toward +x.
@@ -60,11 +60,10 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class IncidentField:
-    """Unit-amplitude-by-default plane wave exp(ik d.r)."""
+    """Unit-amplitude plane wave exp(ik d.r) along the unit vector d."""
 
     direction: np.ndarray
     k: float
-    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -82,7 +81,7 @@ class IncidentField:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return self.amplitude * np.exp(1j * (self.k * points @ self.direction))
+        return np.exp(1j * (self.k * points @ self.direction))
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         vals = self.values(points)
@@ -390,19 +389,23 @@ def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> np.ndarray:
 def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[np.ndarray, List[float]]:
     """Diagonal-preconditioned Richardson refinement of the Gram system.
 
-    Starts from v = 0 and applies v <- v + beta * (-b - G v) for n_steps
-    steps, so a single step reproduces solve_diagonal exactly. Returns the
-    final coefficients and the algebraic residual ||G v + b|| after each
-    step, including the starting residual ||b|| at step 0.
+    Starts from v = 0 and applies v <- v + beta * r with r = -b - G v for
+    n_steps steps, so a single step reproduces solve_diagonal exactly.
+    Returns the final coefficients and the algebraic residual ||r|| =
+    ||G v + b|| after each step, including the starting residual ||b|| at
+    step 0. The r that drives a step is the one recorded after the step
+    before, so each step takes one product with G.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     b = _incident_projection(sys)
     v = np.zeros(sys.size, dtype=complex)
-    history = [float(np.linalg.norm(sys.g @ v + b))]
+    r = -b
+    history = [float(np.linalg.norm(r))]
     for _ in range(n_steps):
-        v = v + sys.beta * (-b - sys.g @ v)
-        history.append(float(np.linalg.norm(sys.g @ v + b)))
+        v = v + sys.beta * r
+        r = -b - sys.g @ v
+        history.append(float(np.linalg.norm(r)))
     return v, history
 
 
@@ -411,29 +414,21 @@ def refine_power(sys: GramSystem, n_steps: int) -> np.ndarray:
 
     The refinement step is affine, v <- M v + c with M = I - diag(beta) G and
     c = -beta b, so from v = 0 the n-th iterate is the last column of the
-    n-th power of the augmented matrix [[M, c], [0, 1]]. The power is formed
-    by repeated squaring: at most 2 log2(n_steps) products of order M + 1
-    (Higham, Functions of Matrices, 2008, section 4). It agrees with
-    refine_iterate to rounding, but only n_steps = 1 is bitwise equal.
+    n-th power of the augmented matrix [[M, c], [0, 1]]. numpy's
+    matrix_power forms it by repeated squaring: at most 2 log2(n_steps)
+    products of order M + 1 (Higham, Functions of Matrices, 2008, section 4).
+    It agrees with refine_iterate to rounding, but only n_steps = 1 is
+    bitwise equal.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     b = _incident_projection(sys)
     m = sys.size
-    base = np.zeros((m + 1, m + 1), dtype=complex)
-    base[:m, :m] = np.eye(m) - sys.beta[:, None] * sys.g
-    base[:m, m] = sys.beta * (-b)
-    base[m, m] = 1.0
-    power = None
-    n = n_steps
-    while True:
-        if n & 1:
-            power = base if power is None else power @ base
-        n >>= 1
-        if not n:
-            break
-        base = base @ base
-    return power[:m, m].copy()
+    aug = np.zeros((m + 1, m + 1), dtype=complex)
+    aug[:m, :m] = np.eye(m) - sys.beta[:, None] * sys.g
+    aug[:m, m] = sys.beta * (-b)
+    aug[m, m] = 1.0
+    return np.linalg.matrix_power(aug, n_steps)[:m, m].copy()
 
 
 def iteration_contraction_margin(sys: GramSystem) -> float:

@@ -41,10 +41,8 @@ EULER_GAMMA = 0.5772156649015328606
 
 @dataclass(frozen=True, eq=False)
 class MieCoefficients:
-    """Partial-wave scattering coefficients a_n for a sphere of size ka."""
+    """Partial-wave scattering coefficients a_n of the sphere mie_series solved."""
 
-    bc: BoundaryCondition
-    ka: float
     a_n: np.ndarray  # complex, n = 0..N
     sigma_total: float  # total scattering cross-section, units of a^2 absorbed via k
 
@@ -87,8 +85,7 @@ def mie_series(
             trace += (2 * n + 1) * (1j**n) * k * (jp + a_n[n] * hp) * pn
     amp /= 1j * k
     sigma = float(4.0 * np.pi / k**2 * np.sum((2 * orders + 1) * np.abs(a_n) ** 2))
-    coeffs = MieCoefficients(bc=bc, ka=ka, a_n=a_n, sigma_total=sigma)
-    return coeffs, FarFieldPattern(angles=angles, amplitude=amp), trace
+    return MieCoefficients(a_n=a_n, sigma_total=sigma), FarFieldPattern(angles=angles, amplitude=amp), trace
 
 
 def cylinder_series(bc: BoundaryCondition, ka: float, angles: np.ndarray) -> FarFieldPattern:
@@ -169,7 +166,6 @@ def bem_ellipse(a_semi: float, b_semi: float, n_nodes: int) -> Surface:
         normals=normals,
         weights=weights,
         closed=True,
-        dim=2,
         char_size=2.0 * max(a_semi, b_semi),
     )
 
@@ -187,15 +183,7 @@ def bem_strip_contour(width: float, k: float, n_nodes: int) -> Surface:
     if width <= 0 or k <= 0:
         raise DomainError("width and k must be positive")
     lam = 2.0 * np.pi / k
-    s = bem_ellipse(0.5 * width, lam / 200.0, n_nodes)
-    return Surface(
-        positions=s.positions,
-        normals=s.normals,
-        weights=s.weights,
-        closed=True,
-        dim=2,
-        char_size=width,
-    )
+    return bem_ellipse(0.5 * width, lam / 200.0, n_nodes)
 
 
 def _fft_derivative(values: np.ndarray, order: int = 1, axis: int = 0) -> np.ndarray:

@@ -92,9 +92,13 @@ def test_build_config_rejects_any_input_with_usage_error_only(
     scenario, file_entries, overrides
 ):
     try:
-        cli.build_config(scenario, file_entries, overrides)
+        cfg = cli.build_config(scenario, file_entries, overrides)
     except UsageError:
-        pass
+        return
+    for key in overrides:
+        if key.replace("-", "_").endswith("_deg"):
+            assert key.replace("-", "_")[: -len("_deg")] == "incidence"
+            assert key not in cfg
 
 
 def test_argv_parsing():
@@ -254,6 +258,14 @@ def test_main_exit_codes(tmp_path):
          "angles must be >= 3 when with_bem is on"),
         (["slit", "--kd", "12.566370614359172", "--angles", "2"],
          "angles must be >= 3 when with_bem is on"),
+        # only the angle key incidence has a _deg spelling
+        (["sphere", "--ka_deg", "180"], "unknown config key 'ka_deg'"),
+        (["born", "--h_deg", "3"], "unknown config key 'h_deg'"),
+        # a first null under 2 grid steps from the incidence leaves the BEM
+        # null and lobe checks nothing to compare
+        (["strip", "--kd", "12.566370614359172", "--angles", "3"], "angles must be >= 25"),
+        (["slit", "--kd", "12.566370614359172", "--angles", "3"], "angles must be >= 25"),
+        (["strip", "--kd", "50.26548245743669", "--angles", "31"], "angles must be >= 102"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):

@@ -134,6 +134,15 @@ def test_refine_first_step_is_diagonal(strip_system):
         mth.refine_power(sys, 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_refine_history_records_the_residual_of_the_returned_coefficients(strip_system, k):
+    # the residual that drives each step is the one recorded, so the last
+    # entry is ||G v + b|| of the coefficients returned, bit for bit
+    *_, sys = strip_system
+    v, hist = mth.refine_iterate(sys, k)
+    assert hist[-1] == float(np.linalg.norm(sys.g @ v + sys.b))
+
+
 @st.composite
 def small_systems(draw):
     """A plane-wave basis of 1-12 random directions on a strip, or 1-12 point

@@ -263,7 +263,6 @@ def _closed_curve(t, pos, dx):
         normals=np.column_stack((dx[:, 1], -dx[:, 0])) / speed[:, None],
         weights=speed * (2.0 * np.pi / len(t)),
         closed=True,
-        dim=2,
         char_size=2.0,
     )
 
