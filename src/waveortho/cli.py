@@ -483,19 +483,24 @@ def _sphere_modes(
 ) -> Tuple[mth.SphericalModeBasis, geo.Surface]:
     """Spherical-mode basis on the unit sphere, with the automatic sizes.
 
-    The highest mode order n defaults to ceil(ka) + 8. A scenario that checks
-    its far field against `far_tol` takes the first n from there whose
-    partial-wave tail estimate 3 ka j_n(ka)^2 is at most far_tol, with j_n(ka)
-    for every candidate order from one call. The quadrature resolution
-    defaults to n + 8, at least 32.
+    The highest mode order n defaults to ceil(ka) + 8, which must not pass
+    the supported cap. A scenario that checks its far field against
+    `far_tol` takes the first n from there whose partial-wave tail estimate
+    3 ka j_n(ka)^2 is at most far_tol, with j_n(ka) for every candidate order
+    from one call. The quadrature resolution defaults to n + 8, at least 32.
     """
     tol = float(cfg.get("far_tol", math.inf))
     if not tol > 0:
         raise UsageError("far_tol must be positive")
     n_order = int(cfg["basis_size"])
     if not n_order:
-        cap = specfun.MAX_ORDER
-        orders = np.arange(min(math.ceil(ka) + 8, cap + 1), cap + 1)
+        cap, start = specfun.MAX_ORDER, math.ceil(ka) + 8
+        if start > cap:
+            raise UnsupportedOrderError(
+                f"the automatic mode order ceil(ka) + 8 = {start} at ka = {ka} "
+                f"is above the supported cap {cap}"
+            )
+        orders = np.arange(start, cap + 1)
         met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
         if not met.any():
             raise UnsupportedOrderError(
@@ -536,11 +541,12 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
         basis, s = _sphere_modes(cfg, ka)
+        angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
+        # the oracle first, so that a ka it refuses exits before the solve
+        _, mie_ff = orc.mie_series(bc, ka, angles)
         sys = mth.assemble_gram(basis, bc, s, u0)
         v, history = _solve_all(sys, float(cfg["lambda"]), report, str(cfg["solver"]))
-        angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         pattern = mth.far_field(basis, v, angles)
-        _, mie_ff, _ = orc.mie_series(bc, ka, angles)
         rel = _relative_l2(pattern.amplitude, mie_ff.amplitude)
         corr = _normalized_corr(pattern.amplitude, mie_ff.amplitude)
         report.metrics["far_rel_l2_vs_mie"] = rel

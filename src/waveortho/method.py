@@ -203,48 +203,47 @@ class SphericalModeBasis:
     def dim(self) -> int:
         return 3
 
-    def _polar(self, points: np.ndarray):
+    def _tables(self, points: np.ndarray):
+        """Every order's h_n, h_n' on the distinct k r and P_n, P_n' on the distinct mu.
+
+        On a sphere grid k r takes one value and mu = cos theta one per polar
+        ring, so each special function is evaluated there once, all orders in
+        one call; row n of a table gathered with its returned index gives
+        order n at every point.
+        """
         points = np.asarray(points, dtype=float)
         r = np.linalg.norm(points, axis=1)
         if np.any(r < 1e-12):
             raise SingularityError("spherical modes are singular at the origin")
         mu = np.clip(points[:, 2] / r, -1.0, 1.0)
-        return points, r, mu
-
-    def _radial(self, r: np.ndarray):
-        """h_n(kr) and h_n'(kr) for every order, on the distinct values of kr.
-
-        On a sphere kr takes a handful of values across all nodes, so the
-        Hankel functions are evaluated there once, all orders in one call;
-        row n gathered with the returned index gives order n at every point.
-        """
-        x, where = np.unique(self.k * r, return_inverse=True)
-        h, hp = specfun.sph_hankel1(np.arange(self.size)[:, None], x)
-        return h, hp, where
+        orders = np.arange(self.size)[:, None]
+        x, at_r = np.unique(self.k * r, return_inverse=True)
+        c, at_mu = np.unique(mu, return_inverse=True)
+        h, hp = specfun.sph_hankel1(orders, x)
+        p, pp = specfun.legendre_p(orders, c), specfun.legendre_p_deriv(orders, c)
+        return points, r, mu, (h, hp, at_r), (p, pp, at_mu)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        points, r, mu = self._polar(points)
-        h, _, where = self._radial(r)
-        out = np.empty((points.shape[0], self.size), dtype=complex)
-        for n in range(self.size):
-            out[:, n] = h[n, where] * specfun.legendre_p(n, mu)
+        _, _, _, (h, _, at_r), (p, _, at_mu) = self._tables(points)
+        out = h.T[at_r]
+        out *= p.T[at_mu]
         return out
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
-        points, r, mu = self._polar(points)
+        points, r, mu, (h, hp, at_r), (p, pp, at_mu) = self._tables(points)
         rhat = points / r[:, None]
         zhat = np.zeros_like(points)
         zhat[:, 2] = 1.0
         # grad D = k h' P rhat + h P'(mu) (zhat - mu rhat) / r
         tangent = (zhat - mu[:, None] * rhat) / r[:, None]
-        h_all, hp_all, where = self._radial(r)
         out = np.empty((points.shape[0], self.size, points.shape[1]), dtype=complex)
+        # One order at a time: a term over all orders at once would be a
+        # (points, orders, 3) temporary as large as out.
         for n in range(self.size):
-            h, hp = h_all[n, where], hp_all[n, where]
-            p = specfun.legendre_p(n, mu)
-            pp = specfun.legendre_p_deriv(n, mu)
+            h_n, p_n = h[n, at_r], p[n, at_mu]
             out[:, n, :] = (
-                (self.k * hp * p)[:, None] * rhat + (h * pp)[:, None] * tangent
+                (self.k * hp[n, at_r] * p_n)[:, None] * rhat
+                + (h_n * pp[n, at_mu])[:, None] * tangent
             )
         return out
 
@@ -495,12 +494,11 @@ def far_field(basis: BasisFamily, v: np.ndarray, angles: np.ndarray) -> FarField
         raise ValueError("coefficient length does not match basis size")
     angles = np.asarray(angles, dtype=float)
     if isinstance(basis, SphericalModeBasis):
-        mu = np.cos(angles)
-        amp = np.zeros_like(angles, dtype=complex)
-        for n in range(basis.size):
-            amp += v[n] * (-1j) ** (n + 1) * specfun.legendre_p(n, mu)
-        amp /= basis.k
-        return FarFieldPattern(angles=angles, amplitude=amp)
+        n = np.arange(basis.size)
+        coef = v * np.array([(-1j) ** (m + 1) for m in range(basis.size)])
+        # summed over axis 0, the orders are added in turn as a loop would
+        amp = (coef[:, None] * specfun.legendre_p(n[:, None], np.cos(angles))).sum(axis=0)
+        return FarFieldPattern(angles=angles, amplitude=amp / basis.k)
     # Point sources: f from the large-distance phase of each source.
     if basis.dim == 3:
         rhat = np.column_stack(

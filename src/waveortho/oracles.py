@@ -49,43 +49,28 @@ class MieCoefficients:
 
 def mie_series(
     bc: BoundaryCondition, ka: float, angles: np.ndarray
-) -> Tuple[MieCoefficients, FarFieldPattern, np.ndarray]:
+) -> Tuple[MieCoefficients, FarFieldPattern]:
     """Exact sphere scattering for an axially incident unit plane wave.
 
-    Truncates at N = ceil(ka) + 12. Returns the coefficients, the far-field
-    pattern f(theta) with u_scat ~ f e^{ikr}/r (k in units of 1/a via ka and
-    a = 1), and the surface trace the boundary condition leaves free: the
-    total field on r = a for a hard sphere, the radial derivative of the
-    total field for a soft one.
+    Truncates at N = ceil(ka) + 12. Returns the coefficients and the
+    far-field pattern f(theta) with u_scat ~ f e^{ikr}/r (k in units of 1/a
+    via ka and a = 1). Each special function takes one call for all orders.
     """
     if ka <= 0:
         raise DomainError("ka must be positive")
     if ka > 100:
         raise DomainError("series oracle supports ka <= 100")
-    n_max = int(np.ceil(ka)) + 12
     angles = np.asarray(angles, dtype=float)
-    mu = np.cos(angles)
-
-    a_n = np.empty(n_max + 1, dtype=complex)
-    amp = np.zeros_like(angles, dtype=complex)
-    trace = np.zeros_like(angles, dtype=complex)
     k = ka  # a = 1
-    orders = np.arange(n_max + 1)
-    j_all, jp_all = specfun.sph_bessel_j(orders, ka)
-    h_all, hp_all = specfun.sph_hankel1(orders, ka)
-    for n in range(n_max + 1):
-        j, jp, h, hp = j_all[n], jp_all[n], h_all[n], hp_all[n]
-        a_n[n] = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
-        pn = specfun.legendre_p(n, mu)
-        amp += (2 * n + 1) * a_n[n] * pn
-        if bc is BoundaryCondition.HARD:
-            # j_n + a_n h_n = (j_n h_n' - j_n' h_n)/h_n' = i/((ka)^2 h_n')
-            trace += (2 * n + 1) * (1j**n) * (j + a_n[n] * h) * pn
-        else:
-            trace += (2 * n + 1) * (1j**n) * k * (jp + a_n[n] * hp) * pn
-    amp /= 1j * k
+    orders = np.arange(int(np.ceil(ka)) + 13)
+    j, jp = specfun.sph_bessel_j(orders, ka)
+    h, hp = specfun.sph_hankel1(orders, ka)
+    a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
+    terms = ((2 * orders + 1) * a_n)[:, None] * specfun.legendre_p(orders[:, None], np.cos(angles))
+    # summed over axis 0, the orders are added in turn as a loop would
+    amp = terms.sum(axis=0) / (1j * k)
     sigma = float(4.0 * np.pi / k**2 * np.sum((2 * orders + 1) * np.abs(a_n) ** 2))
-    return MieCoefficients(a_n=a_n, sigma_total=sigma), FarFieldPattern(angles=angles, amplitude=amp), trace
+    return MieCoefficients(a_n=a_n, sigma_total=sigma), FarFieldPattern(angles=angles, amplitude=amp)
 
 
 def cylinder_series(bc: BoundaryCondition, ka: float, angles: np.ndarray) -> FarFieldPattern:

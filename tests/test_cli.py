@@ -266,6 +266,9 @@ def test_main_exit_codes(tmp_path):
         (["strip", "--kd", "12.566370614359172", "--angles", "3"], "angles must be >= 25"),
         (["slit", "--kd", "12.566370614359172", "--angles", "3"], "angles must be >= 25"),
         (["strip", "--kd", "50.26548245743669", "--angles", "31"], "angles must be >= 102"),
+        # the automatic order ceil(ka) + 8 is itself above the cap
+        (["kernel-profile", "--ka", "200"],
+         "ceil(ka) + 8 = 208 at ka = 200.0 is above the supported cap 200"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -273,6 +276,8 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert reason in err
+    if argv[0] == "kernel-profile":  # which has no far_tol key
+        assert "far_tol" not in err
 
 
 def test_sphere_refuses_bad_pw_polar_list_at_default_basis(capsys):
@@ -414,6 +419,15 @@ def test_sphere_basis_sizing_matches_order_by_order_search():
 def test_sphere_basis_sizing_beyond_order_cap_is_usage_error(capsys):
     assert cli.main(["sphere", "--ka", "200"]) == 2
     assert "supported cap 200" in capsys.readouterr().err
+
+
+def test_sphere_ka_beyond_series_oracle_is_refused_before_the_solve(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the Gram system was assembled")
+
+    monkeypatch.setattr(cli.mth, "assemble_gram", no_solve)
+    assert cli.main(["sphere", "--ka", "150", "--bc", "hard"]) == 2
+    assert "series oracle supports ka <= 100" in capsys.readouterr().err
 
 
 def test_plane_wave_ratios_at_rounding_level_pass(capsys):

@@ -313,6 +313,18 @@ def test_far_field_spherical_modes_matches_large_radius():
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
 
 
+def test_far_field_spherical_modes_equals_per_order_evaluation():
+    basis = mth.SphericalModeBasis(max_order=21, k=12.0)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    th = np.linspace(0.0, np.pi, 181)
+    ref = np.zeros_like(th, dtype=complex)
+    for n in range(basis.size):
+        ref += v[n] * (-1j) ** (n + 1) * specfun.legendre_p(n, np.cos(th))
+    ref /= basis.k
+    assert np.array_equal(mth.far_field(basis, v, th).amplitude, ref)
+
+
 def _spherical_modes_per_order(basis, points):
     """Values and gradients of the modes with one Hankel call per order."""
     r = np.linalg.norm(points, axis=1)
@@ -365,8 +377,9 @@ def test_spherical_mode_trace_bessel_calls_do_not_grow_with_order(bc, monkeypatc
     for max_order in (2, 25):
         calls.clear()
         mth.eval_basis_trace(mth.SphericalModeBasis(max_order=max_order, k=6.0), bc, s)
-        counts.append(sum(c in ("spherical_jn", "spherical_yn") for c in calls))
-    assert counts == [4, 4]
+        counts.append((sum(c in ("spherical_jn", "spherical_yn") for c in calls),
+                       calls.count("eval_legendre")))
+    assert counts == [(4, 3), (4, 3)]
 
 
 def test_far_field_rejects_plane_waves(strip_system):

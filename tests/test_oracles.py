@@ -7,6 +7,7 @@ from scipy import special
 from waveortho import method as mth
 from waveortho.geometry import Surface
 from waveortho import oracles as orc
+from waveortho import specfun
 from waveortho.errors import DomainError, SingularSystemError, UnsupportedRegionError
 
 SOFT = mth.BoundaryCondition.SOFT
@@ -20,7 +21,7 @@ HARD = mth.BoundaryCondition.HARD
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_mie_unitarity(bc):
     # 1 + 2 a_n must lie on the unit circle for a lossless scatterer
-    coeffs, _, _ = orc.mie_series(bc, 5.0, np.linspace(0, np.pi, 5))
+    coeffs, _ = orc.mie_series(bc, 5.0, np.linspace(0, np.pi, 5))
     s_matrix = 1.0 + 2.0 * coeffs.a_n
     assert np.max(np.abs(np.abs(s_matrix) - 1.0)) < 1e-12
 
@@ -29,7 +30,7 @@ def test_mie_unitarity(bc):
 def test_mie_optical_theorem(bc):
     # sigma_total = (4 pi / k) Im f(0)
     angles = np.array([0.0, 0.5])
-    coeffs, ff, _ = orc.mie_series(bc, 5.0, angles)
+    coeffs, ff = orc.mie_series(bc, 5.0, angles)
     k = 5.0
     sigma_from_forward = 4.0 * np.pi / k * ff.amplitude[0].imag
     assert coeffs.sigma_total == pytest.approx(sigma_from_forward, rel=1e-12)
@@ -37,32 +38,47 @@ def test_mie_optical_theorem(bc):
 
 def test_mie_cross_sections_frozen():
     # regression pins from the series itself at ka = 5
-    c_soft, _, _ = orc.mie_series(SOFT, 5.0, np.array([0.0]))
-    c_hard, _, _ = orc.mie_series(HARD, 5.0, np.array([0.0]))
+    c_soft, _ = orc.mie_series(SOFT, 5.0, np.array([0.0]))
+    c_hard, _ = orc.mie_series(HARD, 5.0, np.array([0.0]))
     assert c_soft.sigma_total == pytest.approx(8.175607, rel=1e-5)
     assert c_hard.sigma_total == pytest.approx(4.094637, rel=1e-5)
 
 
-def test_mie_hard_surface_trace_identity():
-    """For the hard sphere, j_n + a_n h_n collapses to i/((ka)^2 h_n')
-    by the Wronskian, fixing the surface trace independently."""
-    from waveortho import specfun
-
+def test_mie_hard_coefficient_wronskian_identity():
+    """For the hard sphere, j_n + a_n h_n collapses to i/((ka)^2 h_n') order
+    by order, by the Wronskian, fixing each a_n independently."""
     ka = 5.0
-    angles = np.linspace(0.0, np.pi, 9)
-    _, _, trace = orc.mie_series(HARD, ka, angles)
+    coeffs, _ = orc.mie_series(HARD, ka, np.array([0.0]))
+    n = np.arange(int(np.ceil(ka)) + 13)
+    assert coeffs.a_n.shape == n.shape
+    j, _ = specfun.sph_bessel_j(n, ka)
+    h, hp = specfun.sph_hankel1(n, ka)
+    assert np.allclose(j + coeffs.a_n * h, 1j / (ka**2 * hp), rtol=1e-12, atol=0.0)
+
+
+def _mie_per_order(bc, ka, angles):
+    """a_n and the far-field amplitude with one special-function call per order."""
+    n_max = int(np.ceil(ka)) + 12
     mu = np.cos(angles)
-    ref = np.zeros_like(angles, dtype=complex)
-    for n in range(int(np.ceil(ka)) + 13):
-        _, hp = specfun.sph_hankel1(n, ka)
-        ref += (2 * n + 1) * (1j**n) * (1j / (ka**2 * hp)) * specfun.legendre_p(n, mu)
-    assert np.allclose(trace, ref, rtol=1e-12)
+    a_n = np.empty(n_max + 1, dtype=complex)
+    amp = np.zeros_like(angles, dtype=complex)
+    for n in range(n_max + 1):
+        j, jp = specfun.sph_bessel_j(n, ka)
+        h, hp = specfun.sph_hankel1(n, ka)
+        a_n[n] = -(j / h) if bc is SOFT else -(jp / hp)
+        amp += (2 * n + 1) * a_n[n] * specfun.legendre_p(n, mu)
+    amp /= 1j * ka
+    return a_n, amp
 
 
-def test_mie_soft_trace_is_normal_derivative():
-    # soft: total field vanishes, the series reports d(total)/dr instead
-    _, _, trace = orc.mie_series(SOFT, 3.0, np.linspace(0, np.pi, 7))
-    assert np.all(np.abs(trace) > 0.1)
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_mie_series_equals_per_order_evaluation(bc):
+    ka, angles = 12.0, np.linspace(0.0, np.pi, 181)  # 25 orders
+    a_n, amp = _mie_per_order(bc, ka, angles)
+    coeffs, ff = orc.mie_series(bc, ka, angles)
+    assert a_n.size >= 20
+    assert np.array_equal(coeffs.a_n, a_n)
+    assert np.array_equal(ff.amplitude, amp)
 
 
 def test_mie_domain():

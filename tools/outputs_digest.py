@@ -38,6 +38,9 @@ RUNS = {
     "sphere-ka5-hard": ("sphere", {"ka": "5", "bc": "hard"}, ("out", "history_out")),
     "sphere-ka9-soft": ("sphere", {"ka": "9"}, ("out", "history_out")),
     "sphere-ka9-hard": ("sphere", {"ka": "9", "bc": "hard"}, ("out", "history_out")),
+    # mode order 21, the largest of the benchmark's sphere sweep
+    "sphere-ka12-soft": ("sphere", {"ka": "12"}, ("out", "history_out")),
+    "sphere-ka12-hard": ("sphere", {"ka": "12", "bc": "hard"}, ("out", "history_out")),
     "sphere-galerkin": ("sphere", {"solver": "galerkin"}, ("out", "history_out")),
     "sphere-iterate7": ("sphere", {"solver": "iterate:7"}, ("out", "history_out")),
     "sphere-plane-waves": ("sphere", {"basis": "plane-waves", "bc": "hard"}, ()),
