@@ -15,19 +15,17 @@ from typing import Dict
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError, UnsupportedRegionError
+from .errors import DomainError
 from .method import IncidentField
 # grid_green_matrix is unused here but stays bound in this module, where the
 # benchmark tracer wraps it
 from .oracles import (  # noqa: F401
     EULER_GAMMA,
     LatticeOperator,
+    VolumeGreen,
     VolumePotential,
-    _grid_distances,
     _lattice_offsets,
-    _volume_green,
     grid_green_matrix,
-    volume_green_operator,
 )
 
 
@@ -92,35 +90,13 @@ def beta_weight(pot: VolumePotential, k: float) -> np.ndarray:
     return 1.0 / (1.0 + corr)
 
 
-def _exterior_green(pot: VolumePotential, k: float, points: np.ndarray) -> np.ndarray:
-    """Cell-integrated G(p, r_j) rows for evaluation points off the support."""
-    return _volume_green(pot, k, _grid_distances(pot, points))
-
-
-def _check_points(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != pot.dim:
-        raise DomainError(f"points must be (n, {pot.dim})")
-    # support = union of grid cells; half-cell margin around the node lattice
-    lo = pot.origin - 0.5 * pot.h
-    hi = pot.origin + (np.array(pot.values.shape) - 0.5) * pot.h
-    inside = np.all((points >= lo) & (points <= hi), axis=1)
-    if np.any(inside):
-        bad = points[np.argmax(inside)]
-        raise UnsupportedRegionError(
-            f"evaluation point {bad.tolist()} lies inside the potential support"
-        )
-    return points
-
-
 def born_approximation(
     pot: VolumePotential,
     u0: IncidentField,
-    k: float,
-    points: np.ndarray,
+    green: VolumeGreen,
     alt_second_reading: bool = False,
 ) -> BornResult:
-    """Weak-scattering fields of all three orders at exterior points.
+    """Weak-scattering fields of all three orders at the points of `green`.
 
     first:            u0 - sum_j beta_j G(p, r_j) Xi_j u0_j
     second-standard:  iterated-kernel second order with beta = 1,
@@ -130,20 +106,17 @@ def born_approximation(
     where the inner |Xi|^2 sum weighs u0 at r_j; alt_second_reading instead
     pairs u0 with |Xi|^2 at r_m (a sensitivity study, off by default).
 
-    The exterior Green rows, beta and the grid Green operator are evaluated
-    once and shared by all orders.
+    `green` (built for `pot`'s grid) supplies the exterior Green rows and the
+    grid Green operator; beta is evaluated once. All orders share them.
     """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
+    green.require_grid(pot)
     if u0.dim != pot.dim:
         raise DomainError("incident field dimension does not match the grid")
-    points = _check_points(pot, points)
 
     xi = pot.flat()
     u0g = u0.values(pot.points())
-    gout = _exterior_green(pot, k, points)
-    beta = beta_weight(pot, k)
-    gop = volume_green_operator(pot, k)
+    gout, gop = green.rows, green.operator
+    beta = beta_weight(pot, green.k)
 
     plain_term = -gout @ (xi * u0g)
     first_term = -gout @ (beta * xi * u0g)
@@ -156,7 +129,7 @@ def born_approximation(
         "second-modified": modified,
     }
 
-    incident = u0.values(points)
+    incident = u0.values(green.points)
     fields = {
         "first": incident + first_term,
         "second-standard": (incident + plain_term) + second_terms["second-standard"],

@@ -41,7 +41,7 @@ class UndefinedNormalizationError(ValueError):
     """A normalized quantity was requested but its denominator vanishes."""
 
 
-class UnsupportedRegionError(ValueError):
+class UnsupportedRegionError(DomainError):
     """Evaluation point lies in a region where the representation is invalid."""
 
 

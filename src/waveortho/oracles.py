@@ -28,7 +28,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
 from . import specfun
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError, SingularSystemError, UnsupportedRegionError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
 
@@ -394,7 +394,10 @@ def _solve_blocks(c: _CurveData, a_reps: np.ndarray, rhs: np.ndarray) -> Tuple[n
 def _bem_far_field(c: _CurveData, k: float, psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Far-field amplitude of the combined layer (D - i k S) psi at `angles`."""
     rhat = np.column_stack((np.sin(angles), np.cos(angles)))
-    phase = np.exp(1j * ((-k * rhat) @ c.x.T))  # (n_angles, n_nodes), from a real product
+    arg = (-k * rhat) @ c.x.T  # (n_angles, n_nodes)
+    phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
+    phase.real = np.cos(arg)
+    phase.imag = np.sin(arg)
     ds_w = c.speed * c.trap
     obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
     pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
@@ -607,6 +610,62 @@ def volume_green_operator(pot: VolumePotential, k: float) -> LatticeOperator:
     return LatticeOperator(kernel)
 
 
+@dataclass(frozen=True)
+class VolumeGreen:
+    """The cell-integrated Green's tables of one grid at one wavenumber.
+
+    `operator` applies the grid's Green matrix (`volume_green_operator`) and
+    `rows` holds h^d G(p, r_j) from each evaluation point p (one row per
+    point, off the support) to every node r_j. Built once by `volume_green`,
+    it serves every volume sum of a run, for any potential on the same grid.
+    """
+
+    origin: np.ndarray
+    h: float
+    shape: Tuple[int, ...]
+    k: float
+    points: np.ndarray
+    operator: LatticeOperator
+    rows: np.ndarray
+
+    def require_grid(self, pot: VolumePotential) -> None:
+        """Raise DomainError unless `pot` lies on the grid the tables were built for."""
+        if not (pot.h == self.h and pot.values.shape == self.shape
+                and np.array_equal(pot.origin, self.origin)):
+            raise DomainError("potential grid differs from the grid of the Green tables")
+
+
+def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGreen:
+    """The grid Green operator of `pot` and its rows at exterior `points`.
+
+    The support is the union of the grid cells, a half-cell margin around
+    the node lattice; a point inside it raises UnsupportedRegionError, which
+    covers every point closer than h/2 to a node.
+    """
+    if k <= 0:
+        raise DomainError("wavenumber must be positive")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != pot.dim:
+        raise DomainError(f"points must be (n, {pot.dim})")
+    lo = pot.origin - 0.5 * pot.h
+    hi = pot.origin + (np.array(pot.values.shape) - 0.5) * pot.h
+    inside = np.all((points >= lo) & (points <= hi), axis=1)
+    if np.any(inside):
+        bad = points[np.argmax(inside)]
+        raise UnsupportedRegionError(
+            f"evaluation point {bad.tolist()} lies inside the potential support"
+        )
+    return VolumeGreen(
+        origin=pot.origin,
+        h=pot.h,
+        shape=pot.values.shape,
+        k=k,
+        points=points,
+        operator=volume_green_operator(pot, k),
+        rows=_volume_green(pot, k, _grid_distances(pot, points)),
+    )
+
+
 def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
 
@@ -620,17 +679,17 @@ def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
 def lippmann_schwinger(
     pot: VolumePotential,
     u0: IncidentField,
-    k: float,
+    green: VolumeGreen,
     info: Optional[dict] = None,
 ) -> np.ndarray:
     """Total field on the potential grid: u = u0 - integral of G Xi u.
 
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
-    Green operator and solved by GMRES (Saad & Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986) with G applied by FFT: one cycle of at most 200 Krylov
-    steps, stopped at a relative residual of 1e-12. The true residual is
-    recomputed once; a solve that leaves it above 1e-12 raises
-    SingularSystemError.
+    Green operator of `green` (built for `pot`'s grid) and solved by GMRES
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with G applied by
+    FFT: one cycle of at most 200 Krylov steps, stopped at a relative
+    residual of 1e-12. The true residual is recomputed once; a solve that
+    leaves it above 1e-12 raises SingularSystemError.
 
     If `info` is given it receives the GMRES `iterations` and that relative
     `residual`.
@@ -638,9 +697,10 @@ def lippmann_schwinger(
     # scipy.sparse adds ~3 MB to every process that imports it; only this solve needs it
     from scipy.sparse.linalg import LinearOperator, gmres
 
+    green.require_grid(pot)
     if u0.dim != pot.dim:
         raise DomainError("incident field dimension does not match the grid")
-    gop = volume_green_operator(pot, k)
+    gop = green.operator
     xi = pot.flat()
     b = u0.values(pot.points())
     n = pot.n_cells
@@ -670,17 +730,12 @@ def scattered_field_at(
     pot: VolumePotential,
     u_grid: np.ndarray,
     u0: IncidentField,
-    k: float,
-    points: np.ndarray,
+    green: VolumeGreen,
 ) -> np.ndarray:
-    """Total field at exterior points from a grid solution of the volume equation.
+    """Total field at the evaluation points of `green` from a grid solution.
 
     u(p) = u0(p) - sum_j G(p, r_j) Xi_j u_j h^d, valid for points off the
     support (no self-cell needed).
     """
-    points = np.asarray(points, dtype=float)
-    r = _grid_distances(pot, points)
-    if np.any(r < 0.5 * pot.h):
-        raise DomainError("evaluation points must be clear of the potential grid nodes")
-    g = _volume_green(pot, k, r)
-    return u0.values(points) - g @ (pot.flat() * np.asarray(u_grid).ravel())
+    green.require_grid(pot)
+    return u0.values(green.points) - green.rows @ (pot.flat() * np.asarray(u_grid).ravel())

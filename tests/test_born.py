@@ -18,11 +18,11 @@ def setup():
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=K)
     th = np.linspace(-np.pi, np.pi, 16, endpoint=False)
     pts = 5.4 * np.column_stack([np.sin(th), np.cos(th)])
-    return pot, u0, pts
+    return pot, u0, orc.volume_green(pot, K, pts)
 
 
 def test_beta_weight_properties(setup):
-    pot, u0, pts = setup
+    pot = setup[0]
     beta = brn.beta_weight(pot, K)
     assert beta.shape == (pot.n_cells,)
     assert np.all(beta > 0) and np.all(beta <= 1.0)
@@ -50,19 +50,19 @@ def test_beta_weight_matches_dense_row_sums(dim, h):
 
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
 def test_born_run_builds_no_dense_green(overrides, monkeypatch):
-    """No dense grid-Green matrix, and one library call per potential (plain
-    and phase-rotated), each evaluating the exterior Green rows once for all
-    three orders."""
+    """No dense grid-Green matrix, one library call per potential (plain and
+    phase-rotated), and each Green table evaluated once per run: the exterior
+    rows and the lattice kernel, shared by both potentials and the oracle."""
     calls = []
-    counts = {"_exterior_green": 0, "born_approximation": 0}
+    counts = {"_volume_green": 0, "born_approximation": 0}
     original = orc.grid_green_matrix
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    def counting(name):
-        fn = getattr(brn, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -72,21 +72,22 @@ def test_born_run_builds_no_dense_green(overrides, monkeypatch):
 
     monkeypatch.setattr(orc, "grid_green_matrix", counted)
     monkeypatch.setattr(brn, "grid_green_matrix", counted)
-    for name in list(counts):
-        monkeypatch.setattr(brn, name, counting(name))
+    monkeypatch.setattr(orc, "_volume_green", counting(orc, "_volume_green"))
+    monkeypatch.setattr(brn, "born_approximation", counting(brn, "born_approximation"))
     rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
     assert rep.passed
     assert len(calls) == 0
-    assert counts == {"_exterior_green": 2, "born_approximation": 2}
+    assert counts == {"_volume_green": 2, "born_approximation": 2}
     assert rep.metrics["ls_residual"] <= 1e-12
 
 
 def test_first_with_unit_weight_is_plain_born(setup):
     """The unit-weight first integral is the textbook first-order sum bit
     for bit, and the second-standard field builds on it."""
-    pot, u0, pts = setup
-    r = brn.born_approximation(pot, u0, K, pts)
-    gout = brn._exterior_green(pot, K, pts)
+    pot, u0, green = setup
+    pts = green.points
+    r = brn.born_approximation(pot, u0, green)
+    gout = orc._volume_green(pot, K, orc._grid_distances(pot, pts))
     plain = u0.values(pts) - gout @ (pot.flat() * u0.values(pot.points()))
     assert np.max(np.abs(u0.values(pts) + r.plain_term - plain)) == 0.0
     assert set(r.second_terms) == {"second-standard", "second-modified"}
@@ -95,8 +96,9 @@ def test_first_with_unit_weight_is_plain_born(setup):
 
 
 def test_weighted_first_differs_but_slightly(setup):
-    pot, u0, pts = setup
-    r = brn.born_approximation(pot, u0, K, pts)
+    pot, u0, green = setup
+    pts = green.points
+    r = brn.born_approximation(pot, u0, green)
     plain = u0.values(pts) + r.plain_term
     assert np.array_equal(r.fields["first"], u0.values(pts) + r.first_term)
     assert np.array_equal(r.beta, brn.beta_weight(pot, K))
@@ -105,31 +107,31 @@ def test_weighted_first_differs_but_slightly(setup):
 
 
 def test_modified_second_term_phase_invariant(setup):
-    pot, u0, pts = setup
-    r0 = brn.born_approximation(pot, u0, K, pts).second_terms["second-modified"]
+    pot, u0, green = setup
+    r0 = brn.born_approximation(pot, u0, green).second_terms["second-modified"]
     rot = orc.VolumePotential(
         origin=pot.origin, h=pot.h, values=np.exp(1.3j) * pot.values
     )
-    r1 = brn.born_approximation(rot, u0, K, pts).second_terms["second-modified"]
+    r1 = brn.born_approximation(rot, u0, green).second_terms["second-modified"]
     scale = np.max(np.abs(r0))
     assert np.max(np.abs(r1 - r0)) < 1e-13 * scale
 
 
 def test_standard_second_term_rotates_with_global_phase(setup):
     # quadratic in Xi: a global phase e^{i phi} multiplies the term by e^{2i phi}
-    pot, u0, pts = setup
+    pot, u0, green = setup
     phi = 0.9
-    r0 = brn.born_approximation(pot, u0, K, pts).second_terms["second-standard"]
+    r0 = brn.born_approximation(pot, u0, green).second_terms["second-standard"]
     rot = orc.VolumePotential(
         origin=pot.origin, h=pot.h, values=np.exp(1j * phi) * pot.values
     )
-    r1 = brn.born_approximation(rot, u0, K, pts).second_terms["second-standard"]
+    r1 = brn.born_approximation(rot, u0, green).second_terms["second-standard"]
     assert np.allclose(r1, np.exp(2j * phi) * r0, rtol=1e-12)
 
 
 def test_second_terms_have_opposite_sign(setup):
-    pot, u0, pts = setup
-    terms = brn.born_approximation(pot, u0, K, pts).second_terms
+    pot, u0, green = setup
+    terms = brn.born_approximation(pot, u0, green).second_terms
     std, mod = terms["second-standard"], terms["second-modified"]
     ip = np.vdot(std, mod).real
     assert ip < 0.0
@@ -139,9 +141,9 @@ def test_second_terms_have_opposite_sign(setup):
 
 
 def test_alt_reading_is_different(setup):
-    pot, u0, pts = setup
-    a = brn.born_approximation(pot, u0, K, pts)
-    b = brn.born_approximation(pot, u0, K, pts, alt_second_reading=True)
+    pot, u0, green = setup
+    a = brn.born_approximation(pot, u0, green)
+    b = brn.born_approximation(pot, u0, green, alt_second_reading=True)
     mod_a, mod_b = a.second_terms["second-modified"], b.second_terms["second-modified"]
     assert np.max(np.abs(mod_a - mod_b)) > 0
     # the reading changes only the modified double integral
@@ -152,10 +154,10 @@ def test_alt_reading_is_different(setup):
 def test_errors_against_volume_equation(setup):
     """Iterated second order should beat first order on a weak disturbance;
     relative errors against the dense volume-equation solution."""
-    pot, u0, pts = setup
-    u = orc.lippmann_schwinger(pot, u0, K)
-    ref = orc.scattered_field_at(pot, u, u0, K, pts)
-    fields = brn.born_approximation(pot, u0, K, pts).fields
+    pot, u0, green = setup
+    u = orc.lippmann_schwinger(pot, u0, green)
+    ref = orc.scattered_field_at(pot, u, u0, green)
+    fields = brn.born_approximation(pot, u0, green).fields
 
     def rel(order):
         return np.linalg.norm(fields[order] - ref) / np.linalg.norm(ref)
@@ -173,35 +175,77 @@ def test_second_order_error_scales_as_alpha_squared():
     errs = []
     for amp in (0.4, 0.04):
         pot = orc.gaussian_potential(amp, 0.3, 0.9, 0.09, dim=2)
-        u = orc.lippmann_schwinger(pot, u0, K)
-        ref = orc.scattered_field_at(pot, u, u0, K, pts) - u0.values(pts)
-        res = brn.born_approximation(pot, u0, K, pts)
+        green = orc.volume_green(pot, K, pts)
+        u = orc.lippmann_schwinger(pot, u0, green)
+        ref = orc.scattered_field_at(pot, u, u0, green) - u0.values(pts)
+        res = brn.born_approximation(pot, u0, green)
         f = res.fields["second-standard"] - u0.values(pts)
         errs.append(np.linalg.norm(f - ref) / np.linalg.norm(ref))
     assert errs[0] / errs[1] > 50.0  # two orders for a 10x weaker potential
 
 
 def test_points_inside_support_rejected(setup):
-    pot, u0, pts = setup
-    with pytest.raises(UnsupportedRegionError):
-        brn.born_approximation(pot, u0, K, np.array([[0.0, 0.0]]))
-    with pytest.raises(UnsupportedRegionError):
-        brn.born_approximation(pot, u0, K, np.array([[0.89, 0.89]]))
+    pot = setup[0]
+    with pytest.raises(UnsupportedRegionError, match="inside the potential support"):
+        orc.volume_green(pot, K, np.array([[0.0, 0.0]]))
+    with pytest.raises(UnsupportedRegionError, match="inside the potential support"):
+        orc.volume_green(pot, K, np.array([[0.89, 0.89]]))
 
 
 def test_dimension_mismatch(setup):
-    pot, _, pts = setup
+    pot, _, green = setup
     u0_3d = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=K)
     with pytest.raises(DomainError):
-        brn.born_approximation(pot, u0_3d, K, pts)
+        brn.born_approximation(pot, u0_3d, green)
+    with pytest.raises(DomainError):
+        orc.volume_green(pot, K, np.array([[0.0, 0.0, 5.4]]))
+    with pytest.raises(DomainError):
+        orc.volume_green(pot, -1.0, green.points)
+
+
+@pytest.mark.parametrize("change", ["h", "origin", "shape"])
+def test_green_tables_refuse_another_grid(setup, change):
+    pot, u0, green = setup
+    other = {
+        "h": orc.VolumePotential(origin=pot.origin, h=0.061, values=pot.values),
+        "origin": orc.VolumePotential(origin=pot.origin + 0.01, h=pot.h, values=pot.values),
+        "shape": orc.VolumePotential(origin=pot.origin, h=pot.h,
+                                     values=np.pad(pot.values, ((0, 1), (0, 0)))),
+    }[change]
+    u_grid = np.zeros(other.values.shape, dtype=complex)
+    for call in (lambda: brn.born_approximation(other, u0, green),
+                 lambda: orc.lippmann_schwinger(other, u0, green),
+                 lambda: orc.scattered_field_at(other, u_grid, u0, green)):
+        with pytest.raises(DomainError, match="grid differs"):
+            call()
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.06), (3, 0.12)])
+def test_shared_green_tables_match_fresh_ones(dim, h):
+    """The phase-rotated potential read through the plain one's tables gives
+    the same bits as through tables built for it alone."""
+    pot = orc.gaussian_potential(0.5, 0.25, 0.6, h, dim=dim)
+    u0 = mth.IncidentField(direction=np.eye(dim)[-1] * -1.0, k=K)
+    pts = 4.0 * np.eye(dim)[:2]
+    rot = orc.VolumePotential(origin=pot.origin, h=pot.h, values=np.exp(0.7j) * pot.values)
+    for alt in (False, True):
+        shared = brn.born_approximation(rot, u0, orc.volume_green(pot, K, pts), alt)
+        fresh = brn.born_approximation(rot, u0, orc.volume_green(rot, K, pts), alt)
+        for order in shared.fields:
+            assert np.array_equal(shared.fields[order], fresh.fields[order])
+        for order in shared.second_terms:
+            assert np.array_equal(shared.second_terms[order], fresh.second_terms[order])
+        assert np.array_equal(shared.plain_term, fresh.plain_term)
+        assert np.array_equal(shared.first_term, fresh.first_term)
 
 
 def test_born_3d_first_order():
     pot = orc.gaussian_potential(0.05, 0.25, 0.6, 0.12, dim=3)
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=1.2)
     pts = np.array([[0.0, 0.0, 4.0], [3.0, 0.0, 0.0]])
-    r = brn.born_approximation(pot, u0, 1.2, pts)
-    u = orc.lippmann_schwinger(pot, u0, 1.2)
-    ref = orc.scattered_field_at(pot, u, u0, 1.2, pts)
+    green = orc.volume_green(pot, 1.2, pts)
+    r = brn.born_approximation(pot, u0, green)
+    u = orc.lippmann_schwinger(pot, u0, green)
+    ref = orc.scattered_field_at(pot, u, u0, green)
     err = np.linalg.norm(r.fields["first"] - ref) / np.linalg.norm(ref - u0.values(pts))
     assert err < 0.02

@@ -325,6 +325,17 @@ def test_far_field_spherical_modes_equals_per_order_evaluation():
     assert np.array_equal(mth.far_field(basis, v, th).amplitude, ref)
 
 
+def test_far_field_spherical_mode_phase_is_exact_at_high_order():
+    # (-i)^(n+1) has period 4; the float power drifts off it by ~1e-14 from order 100
+    basis = mth.SphericalModeBasis(max_order=103, k=1.0)
+    amp = []
+    for n in range(100, 104):
+        v = np.zeros(basis.size, dtype=complex)
+        v[n] = 1.0
+        amp.append(mth.far_field(basis, v, np.array([0.0])).amplitude[0])
+    assert amp == [-1j, -1.0, 1j, 1.0]
+
+
 def _spherical_modes_per_order(basis, points):
     """Values and gradients of the modes with one Hankel call per order."""
     r = np.linalg.norm(points, axis=1)

@@ -53,6 +53,7 @@ RUNS = {
     "spheroid": ("spheroid", {}, ("out", "history_out")),
     "born-default": ("born", {}, ("out",)),
     "born-strong": ("born", {"amplitude": "4", "h": "0.045"}, ("out",)),
+    "born-alt": ("born", {"alt_second_reading": "true"}, ("out",)),
     "kernel-profile-csv": ("kernel-profile", {}, ("out",)),
     "kernel-profile-json": ("kernel-profile", {"format": "json"}, ("out",)),
     "riemann-decay": ("riemann-decay", {}, ("out",)),
@@ -60,6 +61,8 @@ RUNS = {
     "sphere-ka-deg": ("sphere", {"ka_deg": "180"}, ()),
     "strip-4pi-3-angles": ("strip", {"kd": KD_4PI, "angles": "3"}, ()),
     "strip-16pi-31-angles": ("strip", {"kd": KD_16PI, "angles": "31"}, ()),
+    # a ring inside the disturbance's support
+    "born-ring-inside": ("born", {"ring_radius": "0.3"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
