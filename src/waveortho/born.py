@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-import scipy.special as sp
+# sp and grid_green_matrix are unused here but stay bound in this module,
+# where the benchmark tracer replaces and wraps them
+import scipy.special as sp  # noqa: F401
 
 from .errors import DomainError
 from .method import IncidentField
-# grid_green_matrix is unused here but stays bound in this module, where the
-# benchmark tracer wraps it
 from .oracles import (  # noqa: F401
     EULER_GAMMA,
     LatticeOperator,
     VolumeGreen,
     VolumePotential,
-    _lattice_offsets,
     grid_green_matrix,
 )
 
@@ -65,28 +64,28 @@ def _self_cell_green_sq(dim: int, k: float, h: float) -> float:
     return r0 / (4.0 * np.pi)
 
 
-def _green_sq_kernel(pot: VolumePotential, k: float) -> np.ndarray:
-    """Cell-integrated |G|^2 on the lattice offsets, self-cell value at offset 0."""
-    r = _lattice_offsets(pot)
-    if pot.dim == 2:
-        kr = k * r
-        g2 = (sp.j0(kr) ** 2 + sp.y0(kr) ** 2) / 16.0 * pot.h**2
-    else:
-        g2 = 1.0 / (4.0 * np.pi * r) ** 2 * pot.h**3
-    g2[(0,) * pot.dim] = _self_cell_green_sq(pot.dim, k, pot.h)
+def _green_sq_kernel(pot: VolumePotential, green: VolumeGreen) -> np.ndarray:
+    """Cell-integrated |G|^2 on the lattice offsets, self-cell value at offset 0.
+
+    Off the self cell it is |h^d G|^2 / h^d, read from the grid Green kernel
+    of `green`; no Bessel function is evaluated again.
+    """
+    kernel = green.operator.kernel
+    g2 = (kernel.real**2 + kernel.imag**2) / pot.h**pot.dim
+    g2[(0,) * pot.dim] = _self_cell_green_sq(pot.dim, green.k, pot.h)
     return g2
 
 
-def beta_weight(pot: VolumePotential, k: float) -> np.ndarray:
+def beta_weight(pot: VolumePotential, green: VolumeGreen) -> np.ndarray:
     """Normalizing weight beta(r') = [1 + integral |Xi(r'')|^2 |G(r'', r')|^2 dr'']^-1.
 
     Grid quadrature with the singular cell replaced by the analytic
     cell-average of |G|^2; the sum is a convolution of |Xi|^2 with the |G|^2
-    offset kernel, taken by FFT. Values lie in (0, 1] and tend to 1 as Xi -> 0.
+    offset kernel (from the Green tables `green` of `pot`'s grid), taken by
+    FFT. Values lie in (0, 1] and tend to 1 as Xi -> 0.
     """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
-    corr = (LatticeOperator(_green_sq_kernel(pot, k)) @ np.abs(pot.flat()) ** 2).real
+    green.require_grid(pot)
+    corr = (LatticeOperator(_green_sq_kernel(pot, green)) @ np.abs(pot.flat()) ** 2).real
     return 1.0 / (1.0 + corr)
 
 
@@ -116,7 +115,7 @@ def born_approximation(
     xi = pot.flat()
     u0g = u0.values(pot.points())
     gout, gop = green.rows, green.operator
-    beta = beta_weight(pot, green.k)
+    beta = beta_weight(pot, green)
 
     plain_term = -gout @ (xi * u0g)
     first_term = -gout @ (beta * xi * u0g)

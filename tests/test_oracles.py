@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -383,6 +383,41 @@ def test_grid_green_matrix_entries():
     # the singular diagonal stays finite and cell-scaled
     assert np.all(np.isfinite(np.diag(g)))
     assert abs(g[0, 0]) < 10.0 * pot.h**2
+
+
+# H0(x) = J0(x) + i Y0(x) from mpmath at 40 digits, on the double x given;
+# 2.404825557695773 is the double nearest the first zero of J0
+H0_PINNED = [
+    (0.06, 0.9991002024797512 - 1.8626264088766658j),
+    (1.0, 0.7651976865579666 + 0.08825696421567696j),
+    (2.404825557695773, -6.10876525973673e-17 + 0.509924383448479j),
+    (8.935769662791675, -0.07434481073705648 + 0.25613964220265056j),
+    (60.0, -0.09147180408906187 + 0.0473589522094494j),
+]
+
+
+def _unit_grid_h0(x):
+    """H0(x) read back from the 2D volume kernel (i/4) H0(kr) h^2 at h = 1, k = 1."""
+    pot = orc.VolumePotential(origin=np.zeros(2), h=1.0, values=np.zeros((3, 3)))
+    return orc._volume_green(pot, 1.0, np.asarray(x, dtype=float)) * -4j
+
+
+def test_volume_green_2d_matches_pinned_hankel():
+    """Within 5e-15 of |H0|: a relative bound on the complex value, which
+    bounds the real part at the zero of J0 absolutely."""
+    x, ref = (np.array(v) for v in zip(*H0_PINNED))
+    assert np.all(np.abs(_unit_grid_h0(x) - ref) <= 5e-15 * np.abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-6, 60.0))
+# cephes y0 is least accurate just below its switch to the asymptotic form
+# at x = 5 (4.5e-15 of |H0| against mpmath); with AMOS's own rounding
+# the two differ by up to 5.0e-15 there, so the bound is 6e-15
+@example(x=4.985847140914534)
+def test_volume_green_2d_matches_amos_hankel(x):
+    ref = special.hankel1(0, x)
+    assert abs(_unit_grid_h0(x) - ref) <= 6e-15 * abs(ref)
 
 
 def _dense_green(pot, k):

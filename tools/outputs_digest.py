@@ -1,6 +1,7 @@
 """Digest of the data tables, reports and exit codes of a fixed list of runs.
 
 Usage: python3 tools/outputs_digest.py OUTDIR
+       python3 tools/outputs_digest.py --compare DIR_A DIR_B
 
 Runs each scenario below through ``waveortho.cli.main`` with one BLAS
 thread (a dense product can round differently under two threads), writes its
@@ -10,6 +11,12 @@ run, the exit code and the sha256 of every table and of the report. Reports
 ``config``, ``outputs`` and ``wall_clock_s``, which carry paths and timings.
 Run it in two checkouts and compare the two digest.json files: a change that
 keeps every output byte-identical leaves them equal.
+
+``--compare DIR_A DIR_B`` reads two such output directories and, for each run
+whose digest differs, prints the largest difference of each table column
+relative to that column's largest |value| in DIR_A, the relative difference
+of each report metric that changed, and whether every check verdict and the
+exit code are equal. It exits 0 when every digest is equal and 1 otherwise.
 """
 
 import os
@@ -18,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -108,7 +116,78 @@ def main(outdir: str) -> dict:
     return result
 
 
+def _columns(path: str) -> dict:
+    """Table columns by name: a CSV header and its rows, or a JSON object of lists."""
+    with open(path) as f:
+        if path.endswith(".json"):
+            return {k: [float(x) for x in v] for k, v in json.load(f).items()}
+        rows = list(csv.reader(f))
+    return {name: [float(row[i]) for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _compare_run(run: str, dir_a: str, dir_b: str, entry_a: dict, entry_b: dict) -> None:
+    print(f"{run}: exit {entry_a.get('exit')} -> {entry_b.get('exit')}"
+          f" ({'equal' if entry_a.get('exit') == entry_b.get('exit') else 'DIFFERS'})")
+    for key in sorted((set(entry_a) | set(entry_b)) - {"exit"}):
+        if entry_a.get(key) == entry_b.get(key):
+            continue
+        if key not in entry_a or key not in entry_b:
+            print(f"  {key}: written only in {dir_a if key in entry_a else dir_b}")
+            continue
+        stem = "report" if key == "report_out" else key
+        name = next(n for n in os.listdir(os.path.join(dir_a, run)) if n.startswith(stem + "."))
+        path_a, path_b = (os.path.join(d, run, name) for d in (dir_a, dir_b))
+        with open(path_a) as f:
+            is_report = name.endswith(".json") and "scenario" in json.load(f)
+        if not is_report:
+            cols_a, cols_b = _columns(path_a), _columns(path_b)
+            for col in cols_a:
+                a, b = cols_a[col], cols_b.get(col, [])
+                if len(a) != len(b):
+                    print(f"  {key} {col}: {len(a)} -> {len(b)} rows")
+                    continue
+                scale = max((abs(x) for x in a), default=0.0) or 1.0
+                worst = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+                print(f"  {key} {col}: max |diff| / column max {worst / scale:.2e}")
+            continue
+        with open(path_a) as fa, open(path_b) as fb:
+            rep_a, rep_b = json.load(fa), json.load(fb)
+        met_a, met_b = rep_a.get("metrics", {}), rep_b.get("metrics", {})
+        for metric in sorted(set(met_a) | set(met_b)):
+            a, b = met_a.get(metric), met_b.get(metric)
+            if a == b:
+                continue
+            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                rel = abs(b - a) / (abs(a) or 1.0)
+                print(f"  {key} metric {metric}: {a!r} -> {b!r} (relative {rel:.2e})")
+            else:
+                print(f"  {key} metric {metric}: {a!r} -> {b!r}")
+        verdicts_a = [(c["name"], c["passed"]) for c in rep_a.get("checks", [])]
+        verdicts_b = [(c["name"], c["passed"]) for c in rep_b.get("checks", [])]
+        print(f"  {key} check verdicts: "
+              f"{'equal' if verdicts_a == verdicts_b else 'DIFFER'} ({len(verdicts_a)} checks)")
+
+
+def compare(dir_a: str, dir_b: str) -> bool:
+    """Print what differs between two output directories; True if every digest is equal."""
+    with open(os.path.join(dir_a, "digest.json")) as fa, \
+            open(os.path.join(dir_b, "digest.json")) as fb:
+        dig_a, dig_b = json.load(fa), json.load(fb)
+    runs = sorted(set(dig_a) | set(dig_b))
+    same = [run for run in runs if dig_a.get(run) == dig_b.get(run)]
+    print(f"{len(same)} of {len(runs)} digests identical")
+    for run in runs:
+        if run not in same:
+            if run in dig_a and run in dig_b:
+                _compare_run(run, dir_a, dir_b, dig_a[run], dig_b[run])
+            else:
+                print(f"{run}: only in {dir_a if run in dig_a else dir_b}")
+    return len(same) == len(runs)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(0 if compare(sys.argv[2], sys.argv[3]) else 1)
     if len(sys.argv) != 2:
         sys.exit(__doc__.strip())
     for run, entry in main(sys.argv[1]).items():
