@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,21 +57,6 @@ class RunReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "config": {k: _jsonable(v) for k, v in self.config.items()},
-            "residuals": self.residuals,
-            "epsilon": self.epsilon,
-            "metrics": {k: _jsonable(v) for k, v in self.metrics.items()},
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
-            "warnings": self.warnings,
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": self.outputs,
-        }
-
     def render(self) -> str:
         lines = [f"scenario: {self.scenario}"]
         for k in sorted(self.config):
@@ -96,11 +81,8 @@ class RunReport:
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
+    """json's fallback for the numpy scalars and arrays a report may hold."""
+    return v.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +117,7 @@ def _write_table(
     if not cfg.get(key):
         return
     if columns is None:
-        text = json.dumps(report.to_dict(), indent=1)
+        text = json.dumps(asdict(report), indent=1, default=_jsonable)
     else:
         arrays = {name: np.asarray(a, dtype=float) for name, a in columns.items()}
         if cfg["format"] == "csv":
@@ -171,7 +153,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "basis_size": 0,
         "quad_resolution": 0,
         "solver": "diagonal",
-        "lambda": 0.0,
         "angles": 181,
         "far_tol": 1e-8,
         "pw_polar_list": "4,6,8",
@@ -183,7 +164,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "basis_size": 0,
         "quad_resolution": 0,
         "solver": "diagonal",
-        "lambda": 0.0,
         "angles": 181,
         "incidence": 0.0,
         "with_bem": True,
@@ -196,7 +176,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "bc": "hard",
         "n_sources": 8,
         "quad_resolution": 0,
-        "lambda": 0.0,
         "angles": 181,
         "history_out": "",
     },
@@ -237,6 +216,7 @@ ANGLE_KEYS = ("incidence",)
 _INT_MINIMA: Dict[str, Tuple[int, str]] = {
     "angles": (2, "a far-field table compares at least two directions"),
     "ring_points": (1, "the ring field table needs at least one point"),
+    "n_sources": (1, "the spheroid basis needs at least one point source"),
 }
 
 
@@ -371,7 +351,6 @@ def _list_values(
 
 def _solve_all(
     sys: mth.GramSystem,
-    lam: float,
     report: RunReport,
     solver: str = "",
     refine: bool = True,
@@ -395,7 +374,7 @@ def _solve_all(
     report.epsilon = mth.epsilon_diagnostic(sys, v_diag)
     report.residuals["diagonal"] = mth.boundary_residual(sys, v_diag)
     try:
-        v_gal = mth.solve_galerkin(sys, lam=lam)
+        v_gal = mth.solve_galerkin(sys)
         spectra["galerkin"] = v_gal
         report.residuals["galerkin"] = mth.boundary_residual(sys, v_gal)
     except SingularSystemError as e:
@@ -446,7 +425,7 @@ def _solve_all(
             f"{len(history)} entries, first {hist[0]:.3e}, last {hist[-1]:.3e}",
         )
     )
-    if margin > 0.0 and spectra["galerkin"] is not None and lam == 0.0:
+    if margin > 0.0 and spectra["galerkin"] is not None:
         # run the contraction out to its limit; 50 steps need not be enough
         # when the spectral radius is close to 1
         n_need = int(math.log(1e-9) / math.log1p(-margin)) + 1 if margin < 1.0 else 0
@@ -545,7 +524,7 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
         # the oracle first, so that a ka it refuses exits before the solve
         _, mie_ff = orc.mie_series(bc, ka, angles)
         sys = mth.assemble_gram(basis, bc, s, u0)
-        v, history = _solve_all(sys, float(cfg["lambda"]), report, str(cfg["solver"]))
+        v, history = _solve_all(sys, report, str(cfg["solver"]))
         pattern = mth.far_field(basis, v, angles)
         rel = _relative_l2(pattern.amplitude, mie_ff.amplitude)
         corr = _normalized_corr(pattern.amplitude, mie_ff.amplitude)
@@ -576,7 +555,7 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             ratios.append(ratio)
             report.metrics[f"im_ratio_npolar_{npol}"] = ratio
         # refinement diagnostics on the finest grid
-        _solve_all(sys, float(cfg["lambda"]), report, refine=False)
+        _solve_all(sys, report, refine=False)
         report.checks.append(
             Check(
                 "im_ratio_decreases_under_refinement",
@@ -694,7 +673,7 @@ def _run_strip_pipeline(
     s = geo.make_surface(geo.Strip(width=d), res)
     u0 = mth.IncidentField(direction=np.array([math.sin(alpha), -math.cos(alpha)]), k=k)
     sys = mth.assemble_gram(basis, bc_solve, s, u0)
-    v, history = _solve_all(sys, float(cfg["lambda"]), report, str(cfg["solver"]))
+    v, history = _solve_all(sys, report, str(cfg["solver"]))
 
     # Aperture density against the geometric-optics field: correlate the
     # normal-trace spectrum samples with the Kirchhoff sinc of the aperture,
@@ -815,8 +794,6 @@ def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
     k = ka
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     n_src = int(cfg["n_sources"])
-    if n_src < 1:
-        raise UsageError("n_sources must be >= 1")
     res = int(cfg["quad_resolution"]) or max(32, 8 * math.ceil(ka))
     s = geo.make_surface(geo.Spheroid(equatorial_radius=a, polar_radius=c), res)
     u0 = mth.IncidentField(direction=np.array([0.0, 0.0, -1.0]), k=k)
@@ -828,7 +805,7 @@ def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
     locs[:, 2] = focal * nodes
     basis = mth.PointSourceBasis(locations=locs, k=k)
     sys = mth.assemble_gram(basis, bc, s, u0)
-    v, history = _solve_all(sys, float(cfg["lambda"]), report)
+    v, history = _solve_all(sys, report)
 
     r_d = report.residuals["diagonal"]
     r_g = report.residuals["galerkin"]

@@ -109,8 +109,10 @@ class Surface:
     def n_nodes(self) -> int:
         return self.positions.shape[0]
 
-    def area(self) -> float:
-        return float(np.sum(self.weights))
+
+def physical_memory() -> int:
+    """Bytes of physical memory: the bound of the allocation guards."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -120,7 +122,7 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     physical memory raises MemoryError before numpy allocates anything.
     """
     need = 8 * int(n) ** 2
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise MemoryError(
             f"Gauss-Legendre degree {n} needs a {need}-byte companion matrix, "

@@ -286,15 +286,6 @@ def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> n
     return np.einsum("pmd,pd->pm", basis.gradients(s.positions), s.normals)
 
 
-def incident_trace(u0: IncidentField, bc: BoundaryCondition, s: Surface) -> np.ndarray:
-    """A u0 sampled at the surface nodes."""
-    if u0.dim != s.dim:
-        raise DomainError("incident field dimension does not match surface")
-    if bc is BoundaryCondition.SOFT:
-        return u0.values(s.positions)
-    return np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
-
-
 @dataclass(frozen=True, eq=False)
 class GramSystem:
     """Hermitian Gram matrix, its inverse diagonal, and what it was built from.
@@ -343,7 +334,12 @@ def assemble_gram(
         )
     au0 = b = None
     if u0 is not None:
-        au0 = incident_trace(u0, bc, s)
+        if u0.dim != s.dim:
+            raise DomainError("incident field dimension does not match surface")
+        if bc is BoundaryCondition.SOFT:
+            au0 = u0.values(s.positions)
+        else:
+            au0 = np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
         b = t.conj().T @ (s.weights * au0)
     return GramSystem(g=g, beta=1.0 / diag, surface=s, traces=t, au0=au0, b=b)
 

@@ -27,7 +27,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
-from . import specfun
+from . import geometry, specfun
 from .errors import DomainError, SingularSystemError, UnsupportedRegionError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
@@ -127,11 +127,6 @@ def kirchhoff_pattern(kd: float, incidence_angle: float, angles: np.ndarray) -> 
 # tangent and second derivative are recovered spectrally by FFT. The
 # quadrature for the logarithmic singularity is the classical product rule
 # with trigonometric weights.
-
-
-def bem_circle(radius: float, n_nodes: int) -> Surface:
-    """Closed circular contour with uniformly spaced nodes (counterclockwise)."""
-    return bem_ellipse(radius, radius, n_nodes)
 
 
 def bem_ellipse(a_semi: float, b_semi: float, n_nodes: int) -> Surface:
@@ -428,12 +423,20 @@ def bem_dense_solve(
     (about n/4 + 1), and the system is solved in its four Z2 x Z2 character
     blocks. If `info` is given it receives `rcond`, the least of the blocks'
     LAPACK estimates of the reciprocal 1-norm condition number.
+
+    Assembly and solve peak at about six complex (n/4 + 1) x n arrays; a node
+    count n whose peak exceeds physical memory raises MemoryError first.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     if u0.dim != 2:
         raise DomainError("boundary-element oracle is 2D")
     c = _CurveData(s)
+    need = 6 * 16 * len(c.reps) * c.n
+    have = geometry.physical_memory()
+    if need > have:
+        raise MemoryError(f"the BEM oracle at {c.n} nodes needs about {need} bytes, "
+                          f"more than the {have} bytes of physical memory")
     if bc is BoundaryCondition.SOFT:
         rhs = -u0.values(c.x)
     else:
@@ -609,28 +612,17 @@ class LatticeOperator:
         return self.kernel.ravel()[idx]
 
 
-def volume_green_operator(pot: VolumePotential, k: float) -> LatticeOperator:
-    """The cell-integrated Green's operator of the grid, applied by FFT.
-
-    Offset m carries h^d G(h|m|); offset 0 carries the analytic integral of G
-    over the equal-measure disk (2D) or ball (3D), which regularizes the
-    singular self-interaction.
-    """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
-    kernel = _volume_green(pot, k, _lattice_offsets(pot))
-    kernel[(0,) * pot.dim] = _self_cell_green(pot.dim, k, pot.h)
-    return LatticeOperator(kernel)
-
-
 @dataclass(frozen=True)
 class VolumeGreen:
     """The cell-integrated Green's tables of one grid at one wavenumber.
 
-    `operator` applies the grid's Green matrix (`volume_green_operator`) and
-    `rows` holds h^d G(p, r_j) from each evaluation point p (one row per
-    point, off the support) to every node r_j. Built once by `volume_green`,
-    it serves every volume sum of a run, for any potential on the same grid.
+    `operator` applies the grid's Green matrix by FFT: offset m carries
+    h^d G(h|m|), and offset 0 the analytic integral of G over the
+    equal-measure disk (2D) or ball (3D), which regularizes the singular
+    self-interaction. `rows` holds h^d G(p, r_j) from each evaluation point p
+    (one row per point, off the support) to every node r_j. Built once by
+    `volume_green`, it serves every volume sum of a run, for any potential on
+    the same grid.
     """
 
     origin: np.ndarray
@@ -668,13 +660,15 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
         raise UnsupportedRegionError(
             f"evaluation point {bad.tolist()} lies inside the potential support"
         )
+    kernel = _volume_green(pot, k, _lattice_offsets(pot))
+    kernel[(0,) * pot.dim] = _self_cell_green(pot.dim, k, pot.h)
     return VolumeGreen(
         origin=pot.origin,
         h=pot.h,
         shape=pot.values.shape,
         k=k,
         points=points,
-        operator=volume_green_operator(pot, k),
+        operator=LatticeOperator(kernel),
         rows=_volume_green(pot, k, _grid_distances(pot, points)),
     )
 
@@ -682,11 +676,11 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
 def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
 
-    Gathered from the offset kernel of `volume_green_operator`; the diagonal
+    Gathered from the offset kernel of `volume_green`'s operator; the diagonal
     carries the self-cell integral. No solve uses it: it is the dense
     reference against which the FFT operator and the volume solve are checked.
     """
-    return volume_green_operator(pot, k).toarray()
+    return volume_green(pot, k, np.empty((0, pot.dim))).operator.toarray()
 
 
 def lippmann_schwinger(

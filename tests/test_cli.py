@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveortho import cli, specfun
+from waveortho import geometry as geo
+from waveortho import oracles as orc
 from waveortho.errors import SingularSystemError, UsageError
 
 
@@ -217,7 +219,7 @@ def test_main_exit_codes(tmp_path):
         (["sphere", "--ka", "inf"], "'ka'"),
         (["strip", "--kd", "nan", "--with_bem", "false"], "'kd'"),
         (["born", "--h", "0"], "h must be positive"),
-        (["sphere", "--lambda", "-1"], "lam must be >= 0"),
+        (["sphere", "--lambda", "-1"], "unknown config key 'lambda'"),
         (["kernel-profile", "--anchor", "999999"], "anchor index 999999"),
         (["sphere", "--angles", "0"], "angles must be >= 2"),
         (["sphere", "--angles", "1"], "angles must be >= 2"),
@@ -269,6 +271,11 @@ def test_main_exit_codes(tmp_path):
         # the automatic order ceil(ka) + 8 is itself above the cap
         (["kernel-profile", "--ka", "200"],
          "ceil(ka) + 8 = 208 at ka = 200.0 is above the supported cap 200"),
+        (["spheroid", "--n_sources", "0"], "n_sources must be >= 1"),
+        (["spheroid", "--c_over_a", "1"], "c_over_a must exceed 1"),
+        # no key switches off the 8 pi strip's failing Galerkin-limit probe
+        (["strip", "--kd", "25.132741228718345", "--with_bem", "false", "--lambda", "1e-12"],
+         "unknown config key 'lambda'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -313,6 +320,18 @@ def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
     assert f"degree 1000000024 needs a {8 * (10**9 + 24) ** 2}-byte companion matrix" in err
+
+
+def test_oversized_bem_node_count_exits_2_before_assembling(monkeypatch, capsys):
+    def unreachable(*args):
+        pytest.fail("the BEM rows were assembled")
+
+    monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(orc, "_bem_rows", unreachable)
+    assert cli.main(["strip", "--kd", "12.566370614359172", "--bem_nodes", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: not enough memory for this configuration: ")
+    assert f"at 20000 nodes needs about {96 * 5001 * 20000} bytes" in err
 
 
 def test_main_prints_report(capsys):

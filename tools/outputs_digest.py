@@ -71,6 +71,10 @@ RUNS = {
     "strip-16pi-31-angles": ("strip", {"kd": KD_16PI, "angles": "31"}, ()),
     # a ring inside the disturbance's support
     "born-ring-inside": ("born", {"ring_radius": "0.3"}, ()),
+    # no key may switch off criterion 5's Galerkin-limit probe: lambda is refused
+    "strip-8pi-lambda": ("strip", {"kd": KD_8PI, "with_bem": "false", "lambda": "1e-12"}, ()),
+    # a spheroid basis without point sources
+    "spheroid-no-sources": ("spheroid", {"n_sources": "0"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
