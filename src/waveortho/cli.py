@@ -154,7 +154,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "quad_resolution": 0,
         "solver": "diagonal",
         "angles": 181,
-        "far_tol": 1e-8,
         "pw_polar_list": "4,6,8",
         "history_out": "",
     },
@@ -458,19 +457,16 @@ def _solve_all(
 
 
 def _sphere_modes(
-    cfg: Dict[str, object], ka: float
+    cfg: Dict[str, object], ka: float, tol: float = math.inf
 ) -> Tuple[mth.SphericalModeBasis, geo.Surface]:
     """Spherical-mode basis on the unit sphere, with the automatic sizes.
 
     The highest mode order n defaults to ceil(ka) + 8, which must not pass
-    the supported cap. A scenario that checks its far field against
-    `far_tol` takes the first n from there whose partial-wave tail estimate
-    3 ka j_n(ka)^2 is at most far_tol, with j_n(ka) for every candidate order
+    the supported cap. A scenario that checks its far field against a bound
+    tol takes the first n from there whose partial-wave tail estimate
+    3 ka j_n(ka)^2 is at most tol, with j_n(ka) for every candidate order
     from one call. The quadrature resolution defaults to n + 8, at least 32.
     """
-    tol = float(cfg.get("far_tol", math.inf))
-    if not tol > 0:
-        raise UsageError("far_tol must be positive")
     n_order = int(cfg["basis_size"])
     if not n_order:
         cap, start = specfun.MAX_ORDER, math.ceil(ka) + 8
@@ -484,7 +480,7 @@ def _sphere_modes(
         if not met.any():
             raise UnsupportedOrderError(
                 f"no mode order up to the supported cap {cap} "
-                f"meets far_tol {tol:.1e} at ka = {ka}"
+                f"meets the far-field bound {tol:.1e} at ka = {ka}"
             )
         n_order = int(orders[np.argmax(met)])
     res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
@@ -519,7 +515,7 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
 
     basis_kind = str(cfg["basis"])
     if basis_kind == "spherical-modes":
-        basis, s = _sphere_modes(cfg, ka)
+        basis, s = _sphere_modes(cfg, ka, FAR_TOL)
         angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         # the oracle first, so that a ka it refuses exits before the solve
         _, mie_ff = orc.mie_series(bc, ka, angles)
@@ -533,8 +529,8 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
         report.checks.append(
             Check(
                 "far_field_matches_mie",
-                rel <= float(cfg["far_tol"]),
-                f"relative L2 {rel:.3e} <= {float(cfg['far_tol']):.1e}",
+                rel <= FAR_TOL,
+                f"relative L2 {rel:.3e} <= {FAR_TOL:.1e}",
             )
         )
         _write_table(cfg, report, "out", _pattern_columns(pattern))
@@ -632,6 +628,8 @@ def _half_power_steps(a: np.ndarray) -> int:
 # least aperture-density correlation with the Kirchhoff sinc, and the most
 # grid steps a first null or the main-lobe width may sit from the BEM one
 KIRCHHOFF_CORR_MIN = 0.999
+# largest relative L2 distance of the sphere's far field from the series
+FAR_TOL = 1e-8
 NULL_STEP_TOL = 1
 
 

@@ -6,7 +6,7 @@ normals, and positive weights that sum to the surface measure. Axisymmetric
 nodes in cos(theta) times a uniform azimuth grid, which integrates smooth
 integrands spectrally and keeps Legendre products exactly orthogonal up to
 the quadrature degree. The 2D strip uses endpoint-clustered nodes from the
-cosine map, matching how field gradients concentrate near screen edges.
+cosine map, matching how the field varies fastest near the screen edges.
 """
 
 from __future__ import annotations

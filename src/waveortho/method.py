@@ -57,6 +57,13 @@ class BoundaryCondition(enum.Enum):
         except ValueError:
             raise DomainError(f"unknown boundary condition {text!r}") from None
 
+    def trace(self, field: Union[IncidentField, BasisFamily], s: Surface) -> np.ndarray:
+        """A applied to field at the nodes of s: its values (soft) or its
+        normal derivatives along the surface normals (hard)."""
+        if self is BoundaryCondition.SOFT:
+            return field.values(s.positions)
+        return field.normal_derivatives(s.positions, s.normals)
+
 
 @dataclass(frozen=True, eq=False)
 class IncidentField:
@@ -83,9 +90,8 @@ class IncidentField:
         points = np.asarray(points, dtype=float)
         return np.exp(1j * (self.k * points @ self.direction))
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
-        vals = self.values(points)
-        return 1j * self.k * vals[:, None] * self.direction[None, :]
+    def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        return 1j * self.k * self.values(points) * (normals @ self.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +128,8 @@ class PlaneWaveBasis:
         points = np.asarray(points, dtype=float)
         return np.exp(1j * (self.k * points @ self.directions.T))
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
-        vals = self.values(points)
-        return 1j * self.k * vals[:, :, None] * self.directions[None, :, :]
+    def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        return 1j * self.k * self.values(points) * (normals @ self.directions.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,16 +170,15 @@ class PointSourceBasis:
         h0, _ = specfun.cyl_hankel1_0(self.k * r)
         return 0.25j * h0
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
+    def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         d, r = self._displacements(points)
-        rhat = d / r[:, :, None]
         if self.dim == 3:
             vals = np.exp(1j * self.k * r) / (4.0 * np.pi * r)
             radial = (1j * self.k - 1.0 / r) * vals
         else:
             _, dh0 = specfun.cyl_hankel1_0(self.k * r)
             radial = 0.25j * self.k * dh0
-        return radial[:, :, None] * rhat
+        return radial * (np.einsum("pmd,pd->pm", d, normals) / r)
 
 
 @dataclass(frozen=True)
@@ -229,22 +233,13 @@ class SphericalModeBasis:
         out *= p.T[at_mu]
         return out
 
-    def gradients(self, points: np.ndarray) -> np.ndarray:
+    def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         points, r, mu, (h, hp, at_r), (p, pp, at_mu) = self._tables(points)
-        rhat = points / r[:, None]
-        zhat = np.zeros_like(points)
-        zhat[:, 2] = 1.0
-        # grad D = k h' P rhat + h P'(mu) (zhat - mu rhat) / r
-        tangent = (zhat - mu[:, None] * rhat) / r[:, None]
-        out = np.empty((points.shape[0], self.size, points.shape[1]), dtype=complex)
-        # One order at a time: a term over all orders at once would be a
-        # (points, orders, 3) temporary as large as out.
-        for n in range(self.size):
-            h_n, p_n = h[n, at_r], p[n, at_mu]
-            out[:, n, :] = (
-                (self.k * hp[n, at_r] * p_n)[:, None] * rhat
-                + (h_n * pp[n, at_mu])[:, None] * tangent
-            )
+        # dD/dn = k h' P (rhat.n) + h P'(mu) (n_z - mu rhat.n) / r
+        radial = np.einsum("pd,pd->p", points, normals) / r
+        tangent = (normals[:, 2] - mu * radial) / r
+        out = self.k * hp.T[at_r] * (p.T[at_mu] * radial[:, None])
+        out += h.T[at_r] * (pp.T[at_mu] * tangent[:, None])
         return out
 
 
@@ -281,9 +276,7 @@ def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> n
         )
     if isinstance(basis, PointSourceBasis):
         _check_point_sources_inside(basis, s)
-    if bc is BoundaryCondition.SOFT:
-        return basis.values(s.positions)
-    return np.einsum("pmd,pd->pm", basis.gradients(s.positions), s.normals)
+    return bc.trace(basis, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,10 +329,7 @@ def assemble_gram(
     if u0 is not None:
         if u0.dim != s.dim:
             raise DomainError("incident field dimension does not match surface")
-        if bc is BoundaryCondition.SOFT:
-            au0 = u0.values(s.positions)
-        else:
-            au0 = np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
+        au0 = bc.trace(u0, s)
         b = t.conj().T @ (s.weights * au0)
     return GramSystem(g=g, beta=1.0 / diag, surface=s, traces=t, au0=au0, b=b)
 
@@ -358,7 +348,7 @@ def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> np.ndarray:
 
     lam = 0 requires a well-conditioned G; a tiny positive lam regularizes
     oversampled (frame-like) bases. A solve whose algebraic residual exceeds
-    1e-8 relative is reported as singular with a hint to raise lam.
+    1e-8 relative raises SingularSystemError; retry such a system with lam > 0.
     """
     if lam < 0:
         raise DomainError("regularization parameter lam must be >= 0")
@@ -367,16 +357,13 @@ def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> np.ndarray:
     try:
         v = np.linalg.solve(a, -b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"Gram system is singular ({exc}); retry with lam > 0"
-        ) from None
+        raise SingularSystemError(f"Gram system is singular ({exc})") from None
     scale = float(np.linalg.norm(b))
     if scale > 0.0:
         resid = float(np.linalg.norm(a @ v + b)) / scale
         if resid > 1e-8:
             raise SingularSystemError(
-                f"Gram solve is unreliable (relative residual {resid:.3e}); "
-                "retry with lam > 0"
+                f"Gram solve is unreliable (relative residual {resid:.3e})"
             )
     return v
 

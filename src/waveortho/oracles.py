@@ -440,7 +440,8 @@ def bem_dense_solve(
     if bc is BoundaryCondition.SOFT:
         rhs = -u0.values(c.x)
     else:
-        rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
+        grad = 1j * u0.k * u0.values(c.x)[:, None] * u0.direction
+        rhs = -np.einsum("pd,pd->p", grad, c.normals)
     psi, rcond = _solve_blocks(c, _bem_rows(c, bc, k, c.reps), rhs)
     if info is not None:
         info["rcond"] = rcond

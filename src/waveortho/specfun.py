@@ -108,7 +108,7 @@ def cyl_hankel1_0(x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     """H_0^(1)(x) and its derivative -H_1^(1)(x), for x > 0.
 
     This is the radial kernel of the two-dimensional free-space Green's
-    function, so the derivative is provided for gradient evaluations.
+    function, so the derivative is provided for normal-derivative evaluations.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):

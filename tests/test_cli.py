@@ -276,6 +276,10 @@ def test_main_exit_codes(tmp_path):
         # no key switches off the 8 pi strip's failing Galerkin-limit probe
         (["strip", "--kd", "25.132741228718345", "--with_bem", "false", "--lambda", "1e-12"],
          "unknown config key 'lambda'"),
+        # the sphere's far-field bound is a constant: no key passes a mode
+        # order that misses it
+        (["sphere", "--ka", "12", "--bc", "hard", "--basis_size", "10", "--far_tol", "1"],
+         "unknown config key 'far_tol'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -429,9 +433,9 @@ def test_sphere_basis_sizing_matches_order_by_order_search():
     cfg = cli.build_config("sphere")
     for ka in [*range(1, 21), 2.5, 9.75]:
         n = math.ceil(ka) + 8
-        while 3.0 * ka * specfun.sph_bessel_j(n, float(ka))[0] ** 2 > cfg["far_tol"]:
+        while 3.0 * ka * specfun.sph_bessel_j(n, float(ka))[0] ** 2 > cli.FAR_TOL:
             n += 1
-        basis, _ = cli._sphere_modes(cfg, float(ka))
+        basis, _ = cli._sphere_modes(cfg, float(ka), cli.FAR_TOL)
         assert basis.max_order == n, ka
 
 

@@ -100,9 +100,11 @@ def test_shape_validation():
 
 def _green_and_gradient(k, src, tgt):
     """Free-space Green's function of a point source at src, and its
-    gradient, evaluated at tgt."""
+    gradient (the normal derivatives along the axes), evaluated at tgt."""
     basis = PointSourceBasis(locations=np.array([src]), k=k)
-    return basis.values(tgt[None, :])[0, 0], basis.gradients(tgt[None, :])[0, 0]
+    axes = np.eye(tgt.size)
+    grad = basis.normal_derivatives(np.tile(tgt, (tgt.size, 1)), axes)[:, 0]
+    return basis.values(tgt[None, :])[0, 0], grad
 
 
 def _check_gradient_by_central_differences(k, src, tgt, grad):

@@ -36,9 +36,9 @@ def test_incident_field_plane_wave():
     u0 = mth.IncidentField(direction=np.array([0.0, 1.0]), k=3.0)
     pts = np.array([[0.5, -1.0], [0.0, 0.25]])
     assert np.allclose(u0.values(pts), np.exp(3j * pts[:, 1]))
-    g = u0.gradients(pts)
-    assert np.allclose(g[:, 1], 3j * np.exp(3j * pts[:, 1]))
-    assert np.allclose(g[:, 0], 0.0)
+    along = [u0.normal_derivatives(pts, np.tile(n, (2, 1))) for n in np.eye(2)]
+    assert np.allclose(along[1], 3j * np.exp(3j * pts[:, 1]))
+    assert np.allclose(along[0], 0.0)
 
 
 def test_plane_wave_traces(strip_system):
@@ -63,7 +63,7 @@ def test_gram_conjugates_first_argument(strip_system):
 
 def test_project_incident_manual(strip_system):
     s, basis, bc, u0, sys = strip_system
-    au0 = np.einsum("pd,pd->p", u0.gradients(s.positions), s.normals)
+    au0 = 1j * u0.k * (s.normals @ u0.direction) * u0.values(s.positions)
     manual = np.array(
         [np.sum(s.weights * np.conj(sys.traces[:, i]) * au0) for i in range(basis.size)]
     )
@@ -336,28 +336,32 @@ def test_far_field_spherical_mode_phase_is_exact_at_high_order():
     assert amp == [-1j, -1.0, 1j, 1.0]
 
 
-def _spherical_modes_per_order(basis, points):
-    """Values and gradients of the modes with one Hankel call per order."""
+def _spherical_modes_per_order(basis, points, normals):
+    """Values and normal derivatives of the modes with one Hankel call per order."""
     r = np.linalg.norm(points, axis=1)
     mu = np.clip(points[:, 2] / r, -1.0, 1.0)
-    rhat = points / r[:, None]
-    zhat = np.zeros_like(points)
-    zhat[:, 2] = 1.0
-    tangent = (zhat - mu[:, None] * rhat) / r[:, None]
+    # dD/dn = k h' P (rhat.n) + h P'(mu) (n_z - mu rhat.n) / r
+    radial = np.einsum("pd,pd->p", points, normals) / r
+    tangent = (normals[:, 2] - mu * radial) / r
     vals = np.empty((points.shape[0], basis.size), dtype=complex)
-    grads = np.empty((points.shape[0], basis.size, 3), dtype=complex)
+    derivs = np.empty((points.shape[0], basis.size), dtype=complex)
     for n in range(basis.size):
         h, hp = specfun.sph_hankel1(n, basis.k * r)
         p = specfun.legendre_p(n, mu)
         pp = specfun.legendre_p_deriv(n, mu)
         vals[:, n] = h * p
-        grads[:, n, :] = (basis.k * hp * p)[:, None] * rhat + (h * pp)[:, None] * tangent
-    return vals, grads
+        derivs[:, n] = basis.k * hp * (p * radial) + h * (pp * tangent)
+    return vals, derivs
 
 
-def _scattered_points(n, seed):
+def _unit_vectors(n, seed, dim=3):
+    d = np.random.default_rng(seed).normal(size=(n, dim))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+def _scattered_points(n, seed, dim=3):
     rng = np.random.default_rng(seed)
-    d = rng.normal(size=(n, 3))
+    d = rng.normal(size=(n, dim))
     return d / np.linalg.norm(d, axis=1)[:, None] * rng.uniform(0.5, 3.0, size=(n, 1))
 
 
@@ -368,9 +372,32 @@ def _scattered_points(n, seed):
 )
 def test_spherical_modes_equal_per_order_evaluation(points):
     basis = mth.SphericalModeBasis(max_order=14, k=7.5)
-    vals, grads = _spherical_modes_per_order(basis, points)
+    normals = _unit_vectors(points.shape[0], 6)
+    vals, derivs = _spherical_modes_per_order(basis, points, normals)
     assert np.array_equal(basis.values(points), vals)
-    assert np.array_equal(basis.gradients(points), grads)
+    assert np.array_equal(basis.normal_derivatives(points, normals), derivs)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        mth.PlaneWaveBasis(directions=_unit_vectors(5, 1, dim=2), k=3.1),
+        mth.PlaneWaveBasis(directions=_unit_vectors(5, 2), k=3.1),
+        mth.PointSourceBasis(locations=0.3 * _unit_vectors(4, 3, dim=2), k=1.7),
+        mth.PointSourceBasis(locations=0.3 * _unit_vectors(4, 4), k=2.3),
+        mth.SphericalModeBasis(max_order=14, k=7.5),
+        mth.IncidentField(direction=_unit_vectors(1, 5)[0], k=3.1),
+    ],
+    ids=["plane-waves-2d", "plane-waves-3d", "point-sources-2d", "point-sources-3d",
+         "spherical-modes", "incident"],
+)
+def test_normal_derivatives_match_central_differences(field):
+    # points at radius 0.5 to 3, clear of the point sources at radius 0.3
+    points = _scattered_points(40, 7, dim=field.dim)
+    normals = _unit_vectors(40, 8, dim=field.dim)
+    eps = 1e-6
+    fd = (field.values(points + eps * normals) - field.values(points - eps * normals)) / (2 * eps)
+    np.testing.assert_allclose(field.normal_derivatives(points, normals), fd, rtol=1e-6, atol=0)
 
 
 @pytest.mark.parametrize("bc", [mth.BoundaryCondition.SOFT, mth.BoundaryCondition.HARD])

@@ -244,7 +244,7 @@ def _bem_case(bc, n):
     if bc is SOFT:
         rhs = -u0.values(c.x)
     else:
-        rhs = -np.einsum("pd,pd->p", u0.gradients(c.x), c.normals)
+        rhs = -1j * u0.k * (c.normals @ u0.direction) * u0.values(c.x)
     return k, s, c, u0, rhs
 
 

@@ -75,6 +75,9 @@ RUNS = {
     "strip-8pi-lambda": ("strip", {"kd": KD_8PI, "with_bem": "false", "lambda": "1e-12"}, ()),
     # a spheroid basis without point sources
     "spheroid-no-sources": ("spheroid", {"n_sources": "0"}, ()),
+    # no key may relax the sphere's far-field bound: far_tol is refused
+    "sphere-far-tol": ("sphere", {"ka": "12", "bc": "hard", "basis_size": "10", "far_tol": "1"},
+                       ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
