@@ -11,19 +11,7 @@ The package has three layers:
 """
 
 from .born import BornResult, beta_weight, born_approximation
-from .errors import (
-    DegenerateBasisError,
-    DomainError,
-    InvalidBasisError,
-    NotProlateError,
-    SingularityError,
-    SingularSystemError,
-    TooCoarseError,
-    UndefinedNormalizationError,
-    UnsupportedOrderError,
-    UnsupportedRegionError,
-    UsageError,
-)
+from .errors import DomainError, SingularSystemError, UsageError
 from .geometry import Sphere, Spheroid, Strip, Surface, make_surface
 from .method import (
     BoundaryCondition,
@@ -53,26 +41,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BornResult",
     "BoundaryCondition",
-    "DegenerateBasisError",
     "DomainError",
     "FarFieldPattern",
     "GramSystem",
     "IncidentField",
-    "InvalidBasisError",
-    "NotProlateError",
     "PlaneWaveBasis",
     "PointSourceBasis",
-    "SingularityError",
     "SingularSystemError",
     "Sphere",
     "SphericalModeBasis",
     "Spheroid",
     "Strip",
     "Surface",
-    "TooCoarseError",
-    "UndefinedNormalizationError",
-    "UnsupportedOrderError",
-    "UnsupportedRegionError",
     "UsageError",
     "assemble_gram",
     "beta_weight",

@@ -6,8 +6,10 @@ Scenarios: sphere, strip, slit, spheroid, born, kernel-profile, riemann-decay.
 Config values come from shipped defaults, then an optional flat key=value
 file, then command-line overrides (which win). Angles are radians in files;
 on the command line incidence may be given in degrees as incidence_deg.
-Exit code is 0 exactly when every check the scenario declares passes; check
-bounds are constants.
+Exit code is 0 exactly when every check the scenario declares passes (check
+bounds are constants), 1 when a check fails, 2 on bad input (a waveortho
+error or an out-of-memory error, with its reason) and 3 on any other
+exception, a fault of the program, with its traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +31,7 @@ from . import geometry as geo
 from . import method as mth
 from . import oracles as orc
 from . import specfun
-from .errors import SingularSystemError, UnsupportedOrderError, UsageError
+from .errors import DomainError, SingularSystemError, UsageError
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -91,16 +94,17 @@ def _jsonable(v):
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".waveortho-")
+    tmp = ""
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".waveortho-")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
+    except OSError as e:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 def _write_table(
@@ -211,11 +215,34 @@ for _d in DEFAULTS.values():
 # command line
 ANGLE_KEYS = ("incidence",)
 
-# smallest accepted value of integer keys, with the reason
-_INT_MINIMA: Dict[str, Tuple[int, str]] = {
-    "angles": (2, "a far-field table compares at least two directions"),
-    "ring_points": (1, "the ring field table needs at least one point"),
-    "n_sources": (1, "the spheroid basis needs at least one point source"),
+# key -> (test, reason): what a key's value must satisfy in every scenario
+# that has the key; build_config refuses a value that fails with
+# "<key> <reason>"
+RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "ka": (lambda v: v > 0, "must be positive"),
+    "kd": (lambda v: v > 0, "must be positive"),
+    "k": (lambda v: v > 0, "must be positive"),
+    "incidence": (lambda v: abs(v) < 0.5 * math.pi, "must lie strictly inside (-pi/2, pi/2)"),
+    "c_over_a": (lambda v: v > 1, "must exceed 1 (prolate)"),
+    "separation": (lambda v: 0 < v < 2, "must lie in (0, 2)"),
+    "amplitude": (lambda v: v != 0, "must not be 0: a zero disturbance leaves the Born "
+                  "checks only zero terms to compare"),
+    "ring_radius": (lambda v: v >= 0, "must be >= 0 (0 means 6 x half_extent)"),
+    "ring_points": (lambda v: v >= 1, "must be >= 1: the ring field table needs at least "
+                    "one point"),
+    "n_sources": (lambda v: v >= 1, "must be >= 1: the spheroid basis needs at least one "
+                  "point source"),
+    "angles": (lambda v: v >= 2, "must be >= 2: a far-field table compares at least two "
+               "directions"),
+    "basis_size": (lambda v: v >= 0, "must be >= 0 (0 sizes the basis automatically)"),
+    "quad_resolution": (lambda v: v == 0 or v >= geo.MIN_RESOLUTION,
+                        f"must be 0 (automatic) or >= {geo.MIN_RESOLUTION}"),
+    "anchor": (lambda v: v >= 0, "must be >= 0: it is a surface node index"),
+    "bem_nodes": (lambda v: v == 0 or v >= 8, "must be 0 (automatic) or >= 8: the "
+                  "boundary-element oracle needs at least 8 nodes"),
+    "basis": (lambda v: v in ("spherical-modes", "plane-waves"),
+              "must be spherical-modes or plane-waves"),
+    "format": (lambda v: v in ("csv", "json"), "must be csv or json"),
 }
 
 
@@ -291,11 +318,9 @@ def build_config(
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
-    for key, (least, reason) in _INT_MINIMA.items():
-        if key in cfg and cfg[key] < least:
-            raise UsageError(f"{key} must be >= {least}: {reason}")
-    if cfg["format"] not in ("csv", "json"):
-        raise UsageError(f"unknown output format {cfg['format']!r}; expected csv or json")
+    for key, value in cfg.items():
+        if key in RULES and not RULES[key][0](value):
+            raise UsageError(f"{key} {RULES[key][1]}")
     if "solver" in cfg:
         _parse_solver(str(cfg["solver"]))
     return cfg
@@ -471,14 +496,14 @@ def _sphere_modes(
     if not n_order:
         cap, start = specfun.MAX_ORDER, math.ceil(ka) + 8
         if start > cap:
-            raise UnsupportedOrderError(
+            raise DomainError(
                 f"the automatic mode order ceil(ka) + 8 = {start} at ka = {ka} "
                 f"is above the supported cap {cap}"
             )
         orders = np.arange(start, cap + 1)
         met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
         if not met.any():
-            raise UnsupportedOrderError(
+            raise DomainError(
                 f"no mode order up to the supported cap {cap} "
                 f"meets the far-field bound {tol:.1e} at ka = {ka}"
             )
@@ -502,8 +527,6 @@ def _im_ratios_decrease(ratios: Sequence[float]) -> bool:
 
 def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     ka = float(cfg["ka"])
-    if ka <= 0:
-        raise UsageError("ka must be positive")
     k = ka  # unit radius
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     # propagation along +z so the polar angle of the pattern is measured
@@ -513,8 +536,7 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
     polar_counts = _list_values(cfg, "pw_polar_list", int,
                                 "polar counts are integers >= 1", "grid sizes")
 
-    basis_kind = str(cfg["basis"])
-    if basis_kind == "spherical-modes":
+    if cfg["basis"] == "spherical-modes":
         basis, s = _sphere_modes(cfg, ka, FAR_TOL)
         angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         # the oracle first, so that a ka it refuses exits before the solve
@@ -535,7 +557,7 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
         )
         _write_table(cfg, report, "out", _pattern_columns(pattern))
         _write_table(cfg, report, "history_out", _history_columns(history))
-    elif basis_kind == "plane-waves":
+    else:  # plane-waves, the only other basis RULES accepts
         if bc is not mth.BoundaryCondition.HARD:
             report.warnings.append(
                 "imaginary-part diagnostic is reported for the hard condition"
@@ -565,10 +587,6 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
             report.warnings.append(
                 "plane-wave diagnostic writes no data table; use report_out"
             )
-    else:
-        raise UsageError(
-            "sphere scenario supports basis = spherical-modes or plane-waves"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +655,10 @@ def _run_strip_pipeline(
     cfg: Dict[str, object], report: RunReport, bc_solve: mth.BoundaryCondition
 ) -> None:
     kd = float(cfg["kd"])
-    if kd <= 0:
-        raise UsageError("kd must be positive")
     k = 2.0 * np.pi  # unit wavelength
     d = kd / k
 
     alpha = float(cfg["incidence"])
-    if not abs(alpha) < 0.5 * math.pi:
-        raise UsageError("incidence angle must lie strictly inside (-pi/2, pi/2)")
     n_angles = int(cfg["angles"])
     if bool(cfg["with_bem"]):
         if n_angles < 3:
@@ -785,10 +799,7 @@ RATIO_MAX = 3.0
 
 def run_spheroid(cfg: Dict[str, object], report: RunReport) -> None:
     ka = float(cfg["ka"])
-    c_over_a = float(cfg["c_over_a"])
-    if c_over_a <= 1.0:
-        raise UsageError("c_over_a must exceed 1 (prolate)")
-    a, c = 1.0, c_over_a
+    a, c = 1.0, float(cfg["c_over_a"])
     k = ka
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     n_src = int(cfg["n_sources"])
@@ -837,8 +848,6 @@ FIRST_TOL = 1e-12
 
 def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     k = float(cfg["k"])
-    if float(cfg["ring_radius"]) < 0:
-        raise UsageError("ring_radius must be >= 0 (0 means 6 x half_extent)")
     pot = orc.gaussian_potential(
         float(cfg["amplitude"]), float(cfg["width"]), float(cfg["half_extent"]),
         float(cfg["h"]), dim=2,
@@ -950,8 +959,6 @@ DECAY_RATIO_MIN = 2.0
 def run_riemann_decay(cfg: Dict[str, object], report: RunReport) -> None:
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
     sep = float(cfg["separation"])
-    if not 0.0 < sep < 2.0:
-        raise UsageError("separation must lie in (0, 2)")
     ka_values = _list_values(cfg, "ka_list", float, "ka must be finite and positive",
                              "values")
     sh = 0.5 * sep
@@ -1040,14 +1047,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         file_entries = parse_config_file(config_path) if config_path else None
         cfg = build_config(scenario, file_entries, overrides)
         report = run_scenario(scenario, cfg)
-    except ValueError as e:
-        # every package error derives from ValueError, and all of them here
-        # come from the scenario's configuration
+    except (DomainError, SingularSystemError, UsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:
         print(f"usage error: not enough memory for this configuration: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     print(report.render())
     return 0 if report.passed else 1
 

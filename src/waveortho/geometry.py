@@ -17,11 +17,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NotProlateError,
-    TooCoarseError,
-)
+from .errors import DomainError
 
 MIN_RESOLUTION = 4
 
@@ -57,7 +53,7 @@ class Spheroid:
         if self.equatorial_radius <= 0:
             raise DomainError("spheroid radii must be positive")
         if self.polar_radius <= self.equatorial_radius:
-            raise NotProlateError(
+            raise DomainError(
                 "spheroid must be prolate: polar radius c must exceed "
                 f"equatorial radius a (got a={self.equatorial_radius}, "
                 f"c={self.polar_radius})"
@@ -153,7 +149,7 @@ def make_surface(shape: Shape, resolution: int) -> Surface:
     twice that) and the node count for the 2D strip. Must be at least 4.
     """
     if resolution < MIN_RESOLUTION:
-        raise TooCoarseError(
+        raise DomainError(
             f"resolution {resolution} is below the minimum {MIN_RESOLUTION}"
         )
     if isinstance(shape, Sphere):

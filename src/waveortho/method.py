@@ -29,14 +29,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import specfun
-from .errors import (
-    DegenerateBasisError,
-    DomainError,
-    InvalidBasisError,
-    SingularityError,
-    SingularSystemError,
-    UndefinedNormalizationError,
-)
+from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 
 # Gram diagonal entries below this fraction of the largest diagonal entry
@@ -109,12 +102,12 @@ class PlaneWaveBasis:
         d = np.asarray(self.directions, dtype=float)
         object.__setattr__(self, "directions", d)
         if d.ndim != 2 or d.shape[1] not in (2, 3) or d.shape[0] < 1:
-            raise InvalidBasisError("directions must be a (M, 2) or (M, 3) array")
+            raise DomainError("directions must be a (M, 2) or (M, 3) array")
         if self.k <= 0:
-            raise InvalidBasisError("basis wavenumber must be positive")
+            raise DomainError("basis wavenumber must be positive")
         norms = np.linalg.norm(d, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise InvalidBasisError("plane-wave directions must be unit vectors")
+            raise DomainError("plane-wave directions must be unit vectors")
 
     @property
     def size(self) -> int:
@@ -143,9 +136,9 @@ class PointSourceBasis:
         loc = np.asarray(self.locations, dtype=float)
         object.__setattr__(self, "locations", loc)
         if loc.ndim != 2 or loc.shape[1] not in (2, 3) or loc.shape[0] < 1:
-            raise InvalidBasisError("locations must be a (M, 2) or (M, 3) array")
+            raise DomainError("locations must be a (M, 2) or (M, 3) array")
         if self.k <= 0:
-            raise InvalidBasisError("basis wavenumber must be positive")
+            raise DomainError("basis wavenumber must be positive")
 
     @property
     def size(self) -> int:
@@ -160,7 +153,7 @@ class PointSourceBasis:
         d = points[:, None, :] - self.locations[None, :, :]
         r = np.linalg.norm(d, axis=2)
         if np.any(r < 1e-12):
-            raise SingularityError("evaluation point coincides with a source location")
+            raise DomainError("evaluation point coincides with a source location")
         return d, r
 
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -190,14 +183,14 @@ class SphericalModeBasis:
 
     def __post_init__(self):
         if self.max_order < 0:
-            raise InvalidBasisError("max_order must be non-negative")
+            raise DomainError("max_order must be non-negative")
         if self.max_order > specfun.MAX_ORDER:
-            raise InvalidBasisError(
+            raise DomainError(
                 f"max_order {self.max_order} exceeds the supported cap "
                 f"{specfun.MAX_ORDER}"
             )
         if self.k <= 0:
-            raise InvalidBasisError("basis wavenumber must be positive")
+            raise DomainError("basis wavenumber must be positive")
 
     @property
     def size(self) -> int:
@@ -218,7 +211,7 @@ class SphericalModeBasis:
         points = np.asarray(points, dtype=float)
         r = np.linalg.norm(points, axis=1)
         if np.any(r < 1e-12):
-            raise SingularityError("spherical modes are singular at the origin")
+            raise DomainError("spherical modes are singular at the origin")
         mu = np.clip(points[:, 2] / r, -1.0, 1.0)
         orders = np.arange(self.size)[:, None]
         x, at_r = np.unique(self.k * r, return_inverse=True)
@@ -252,7 +245,7 @@ BasisFamily = Union[PlaneWaveBasis, PointSourceBasis, SphericalModeBasis]
 
 def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
     if not s.closed:
-        raise InvalidBasisError(
+        raise DomainError(
             "point-source bases require a closed surface with an interior"
         )
     for m in range(basis.size):
@@ -261,17 +254,17 @@ def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
         dist = np.linalg.norm(d, axis=1)
         j = int(np.argmin(dist))
         if dist[j] < 1e-9 * s.char_size:
-            raise InvalidBasisError(f"source {m} lies on the surface")
+            raise DomainError(f"source {m} lies on the surface")
         # For the convex bodies supported here, the nearest node's outward
         # normal separates inside from outside.
         if float(np.dot(loc - s.positions[j], s.normals[j])) >= 0.0:
-            raise InvalidBasisError(f"source {m} lies outside the surface")
+            raise DomainError(f"source {m} lies outside the surface")
 
 
 def eval_basis_trace(basis: BasisFamily, bc: BoundaryCondition, s: Surface) -> np.ndarray:
     """A D_i sampled at the surface quadrature nodes, as an (n_nodes, M) array."""
     if basis.dim != s.dim:
-        raise InvalidBasisError(
+        raise DomainError(
             f"basis dimension {basis.dim} does not match surface dimension {s.dim}"
         )
     if isinstance(basis, PointSourceBasis):
@@ -322,7 +315,7 @@ def assemble_gram(
     diag = np.real(np.diag(g)).copy()
     max_diag = float(np.max(diag)) if diag.size else 0.0
     if max_diag <= 0.0 or np.any(diag <= DEGENERATE_DIAG_FRACTION * max_diag):
-        raise DegenerateBasisError(
+        raise DomainError(
             "a basis function has (numerically) zero trace norm on this surface"
         )
     au0 = b = None
@@ -470,7 +463,7 @@ def far_field(basis: BasisFamily, v: np.ndarray, angles: np.ndarray) -> FarField
     radiate from a bounded region, so they are rejected.
     """
     if isinstance(basis, PlaneWaveBasis):
-        raise InvalidBasisError(
+        raise DomainError(
             "plane-wave bases do not radiate from a bounded region; they have no far field"
         )
     if v.size != basis.size:
@@ -508,7 +501,7 @@ def boundary_residual(sys: GramSystem, v: np.ndarray) -> float:
     s, au0 = sys.surface, sys.au0
     denom = np.sum(s.weights * np.abs(au0) ** 2)
     if denom <= 0.0:
-        raise UndefinedNormalizationError(
+        raise DomainError(
             "incident trace vanishes on the surface; residual is undefined"
         )
     r = au0 + sys.traces @ v
@@ -520,7 +513,7 @@ def kernel_values(sys: GramSystem, anchor: int) -> np.ndarray:
     """Kernel column Phi(r_j, r_anchor) = sum_i beta_i conj(A D_i(anchor)) A D_i(r_j)."""
     t = sys.traces
     if not 0 <= anchor < t.shape[0]:
-        raise ValueError(f"anchor index {anchor} out of range")
+        raise DomainError(f"anchor index {anchor} out of range")
     return t @ (sys.beta * np.conj(t[anchor, :]))
 
 

@@ -28,7 +28,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
 from . import geometry, specfun
-from .errors import DomainError, SingularSystemError, UnsupportedRegionError
+from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
 
@@ -645,7 +645,7 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
     """The grid Green operator of `pot` and its rows at exterior `points`.
 
     The support is the union of the grid cells, a half-cell margin around
-    the node lattice; a point inside it raises UnsupportedRegionError, which
+    the node lattice; a point inside it raises DomainError, which
     covers every point closer than h/2 to a node.
     """
     if k <= 0:
@@ -658,7 +658,7 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
     inside = np.all((points >= lo) & (points <= hi), axis=1)
     if np.any(inside):
         bad = points[np.argmax(inside)]
-        raise UnsupportedRegionError(
+        raise DomainError(
             f"evaluation point {bad.tolist()} lies inside the potential support"
         )
     kernel = _volume_green(pot, k, _lattice_offsets(pot))

@@ -19,7 +19,7 @@ from typing import Tuple, Union
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError
 
 MAX_ORDER = 200
 
@@ -35,7 +35,7 @@ def _check_order(n: Order) -> Order:
     if np.any(order < 0):
         raise DomainError(f"order must be non-negative, got {np.min(order)}")
     if np.any(order > MAX_ORDER):
-        raise UnsupportedOrderError(
+        raise DomainError(
             f"order {np.max(order)} exceeds the supported cap {MAX_ORDER}"
         )
     return int(order) if order.ndim == 0 else order.astype(int)

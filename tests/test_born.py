@@ -8,7 +8,7 @@ from waveortho import born as brn
 from waveortho import cli
 from waveortho import method as mth
 from waveortho import oracles as orc
-from waveortho.errors import DomainError, UnsupportedRegionError
+from waveortho.errors import DomainError
 
 K = 1.0
 
@@ -213,9 +213,9 @@ def test_second_order_error_scales_as_alpha_squared():
 
 def test_points_inside_support_rejected(setup):
     pot = setup[0]
-    with pytest.raises(UnsupportedRegionError, match="inside the potential support"):
+    with pytest.raises(DomainError, match="inside the potential support"):
         orc.volume_green(pot, K, np.array([[0.0, 0.0]]))
-    with pytest.raises(UnsupportedRegionError, match="inside the potential support"):
+    with pytest.raises(DomainError, match="inside the potential support"):
         orc.volume_green(pot, K, np.array([[0.89, 0.89]]))
 
 

@@ -103,6 +103,32 @@ def test_build_config_rejects_any_input_with_usage_error_only(
             assert key not in cfg
 
 
+# values around each rule's edge, and some that do not parse
+_RULE_VALUES = st.one_of(
+    st.integers(-3, 10).map(str),
+    st.floats(-4.0, 4.0).map(repr),
+    st.sampled_from(["csv", "json", "xml", "plane-waves", "spherical-modes", "nan", "x"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(cli.DEFAULTS)),
+    overrides=st.dictionaries(st.sampled_from(sorted(cli.RULES)), _RULE_VALUES, max_size=4),
+)
+def test_accepted_config_satisfies_every_rule(scenario, overrides):
+    overrides = {k: v for k, v in overrides.items() if k in cli.DEFAULTS[scenario]}
+    try:
+        cfg = cli.build_config(scenario, overrides=overrides)
+    except UsageError as e:
+        # a refusal names the key it refuses (as "<key> <reason>" or "'<key>'")
+        assert any(str(e).startswith(f"{key} ") or f"'{key}'" in str(e) for key in overrides)
+        return
+    for key, value in cfg.items():
+        if key in cli.RULES:
+            assert cli.RULES[key][0](value), (key, value)
+
+
 def test_argv_parsing():
     scen, cfgpath, over = cli._parse_argv(
         ["strip", "--kd", "12.0", "--config", "/tmp/x.cfg", "--bc", "soft"]
@@ -229,11 +255,11 @@ def test_main_exit_codes(tmp_path):
         (["born", "--half_extent", "0.05"], "2 grid node(s) per axis"),
         (["born", "--ring_points", "0"], "ring_points must be >= 1"),
         (["born", "--ls_mode", "auto"], "unknown config key 'ls_mode'"),
-        (["born", "--format", "bogus"], "unknown output format 'bogus'"),
-        (["riemann-decay", "--format", "bogus"], "unknown output format 'bogus'"),
-        (["strip", "--format", "bogus", "--out", "x.csv"], "unknown output format 'bogus'"),
+        (["born", "--format", "bogus"], "format must be csv or json"),
+        (["riemann-decay", "--format", "bogus"], "format must be csv or json"),
+        (["strip", "--format", "bogus", "--out", "x.csv"], "format must be csv or json"),
         # a BEM node count below 8, given or automatic, is bad input, not a failed check
-        (["strip", "--bem_nodes", "3"], "n_nodes must be an even integer >= 8"),
+        (["strip", "--bem_nodes", "3"], "bem_nodes must be 0 (automatic) or >= 8"),
         (["strip", "--kd", "0.05"], "n_nodes must be an even integer >= 8"),
         # check bounds are constants, not keys
         (["strip", "--kirchhoff_corr_min", "0"], "unknown config key 'kirchhoff_corr_min'"),
@@ -280,6 +306,19 @@ def test_main_exit_codes(tmp_path):
         # order that misses it
         (["sphere", "--ka", "12", "--bc", "hard", "--basis_size", "10", "--far_tol", "1"],
          "unknown config key 'far_tol'"),
+        # each of these was refused by a library guard that did not name the key
+        (["kernel-profile", "--ka", "-3"], "ka must be positive"),
+        (["spheroid", "--ka", "0"], "ka must be positive"),
+        (["born", "--k", "0"], "k must be positive"),
+        (["strip", "--basis_size", "-2"], "basis_size must be >= 0"),
+        (["sphere", "--basis_size", "-3"], "basis_size must be >= 0"),
+        (["sphere", "--quad_resolution", "-1"], "quad_resolution must be 0 (automatic) or >= 4"),
+        (["kernel-profile", "--anchor", "-1"], "anchor must be >= 0"),
+        (["strip", "--bem_nodes", "7", "--kd", "12.566370614359172"],
+         "bem_nodes must be 0 (automatic) or >= 8"),
+        # a zero disturbance leaves the second-order checks nothing to compare
+        (["born", "--amplitude", "0"], "amplitude must not be 0"),
+        (["riemann-decay", "--separation", "2"], "separation must lie in (0, 2)"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -289,6 +328,26 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     assert reason in err
     if argv[0] == "kernel-profile":  # which has no far_tol key
         assert "far_tol" not in err
+
+
+def test_program_fault_exits_3_with_traceback(monkeypatch, capsys):
+    def broken(cfg, report):
+        raise ValueError("a fault of the program, not of the input")
+
+    monkeypatch.setitem(cli._RUNNERS, "sphere", broken)
+    assert cli.main(["sphere"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "ValueError: a fault of the program, not of the input" in err
+    assert "usage error:" not in err
+
+
+def test_unwritable_output_exits_2_with_reason(tmp_path, capsys):
+    # the output path names an existing directory, which a file cannot replace
+    assert cli.main(["kernel-profile", "--ka", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {tmp_path}: ")
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".waveortho-")]
 
 
 def test_sphere_refuses_bad_pw_polar_list_at_default_basis(capsys):
@@ -375,9 +434,8 @@ def test_console_script_registered():
 
 
 def test_sphere_rejects_point_sources():
-    cfg = cli.build_config("sphere", overrides={"basis": "point-sources"})
-    with pytest.raises(UsageError):
-        cli.run_scenario("sphere", cfg)
+    with pytest.raises(UsageError, match="basis must be spherical-modes or plane-waves"):
+        cli.build_config("sphere", overrides={"basis": "point-sources"})
 
 
 def test_slit_uses_complementary_condition():
@@ -517,9 +575,10 @@ def test_selected_singular_galerkin_fails_solver_available(monkeypatch, capsys):
 
 
 def test_strip_incidence_domain():
-    cfg = cli.build_config("strip", overrides={"incidence": "1.6", "with_bem": "false"})
-    with pytest.raises(UsageError):
-        cli.run_scenario("strip", cfg)
+    for overrides in ({"incidence": "1.6"}, {"incidence_deg": "-90"}):
+        with pytest.raises(UsageError, match=r"incidence must lie strictly inside \(-pi/2, pi/2\)"):
+            cli.build_config("strip", overrides=overrides)
+    assert cli.build_config("slit", overrides={"incidence_deg": "89"})["incidence"] < math.pi / 2
 
 
 def test_born_strong_disturbance_passes_without_warning():

@@ -3,13 +3,7 @@ import pytest
 from scipy.special import hankel1
 
 from waveortho import geometry as geo
-from waveortho.errors import (
-    DomainError,
-    InvalidBasisError,
-    NotProlateError,
-    SingularityError,
-    TooCoarseError,
-)
+from waveortho.errors import DomainError
 from waveortho.method import PointSourceBasis
 
 
@@ -92,9 +86,9 @@ def test_shape_validation():
         geo.Sphere(radius=-1.0)
     with pytest.raises(DomainError):
         geo.Strip(width=0.0)
-    with pytest.raises(NotProlateError):
+    with pytest.raises(DomainError, match="spheroid must be prolate"):
         geo.make_surface(geo.Spheroid(equatorial_radius=2.0, polar_radius=1.0), 16)
-    with pytest.raises(TooCoarseError):
+    with pytest.raises(DomainError, match="resolution 2 is below the minimum 4"):
         geo.make_surface(geo.Sphere(radius=1.0), 2)
 
 
@@ -139,9 +133,9 @@ def test_greens_function_2d_value_and_gradient():
 
 def test_greens_function_singularity():
     p = np.array([0.3, 0.3, 0.3])
-    with pytest.raises(SingularityError):
+    with pytest.raises(DomainError, match="coincides with a source location"):
         _green_and_gradient(1.0, p, p)
-    with pytest.raises(InvalidBasisError):
+    with pytest.raises(DomainError, match="basis wavenumber must be positive"):
         _green_and_gradient(-1.0, p, p + 1.0)
 
 

@@ -8,7 +8,7 @@ from waveortho import method as mth
 from waveortho.geometry import Surface
 from waveortho import oracles as orc
 from waveortho import specfun
-from waveortho.errors import DomainError, SingularSystemError, UnsupportedRegionError
+from waveortho.errors import DomainError, SingularSystemError
 
 SOFT = mth.BoundaryCondition.SOFT
 HARD = mth.BoundaryCondition.HARD

@@ -78,6 +78,11 @@ RUNS = {
     # no key may relax the sphere's far-field bound: far_tol is refused
     "sphere-far-tol": ("sphere", {"ka": "12", "bc": "hard", "basis_size": "10", "far_tol": "1"},
                        ()),
+    # an anchor past the last surface node, which the library refuses
+    "kernel-profile-anchor": ("kernel-profile", {"anchor": "999999"}, ()),
+    "kernel-profile-negative-ka": ("kernel-profile", {"ka": "-3"}, ()),
+    # a zero disturbance, which leaves the Born checks only zero terms
+    "born-zero-amplitude": ("born", {"amplitude": "0"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
