@@ -215,6 +215,9 @@ for _d in DEFAULTS.values():
 # command line
 ANGLE_KEYS = ("incidence",)
 
+# the largest value an integer key (a count or an index) may take
+INDEX_MAX = int(np.iinfo(np.intp).max)
+
 # key -> (test, reason): what a key's value must satisfy in every scenario
 # that has the key; build_config refuses a value that fails with
 # "<key> <reason>"
@@ -238,8 +241,9 @@ RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "quad_resolution": (lambda v: v == 0 or v >= geo.MIN_RESOLUTION,
                         f"must be 0 (automatic) or >= {geo.MIN_RESOLUTION}"),
     "anchor": (lambda v: v >= 0, "must be >= 0: it is a surface node index"),
-    "bem_nodes": (lambda v: v == 0 or v >= 8, "must be 0 (automatic) or >= 8: the "
-                  "boundary-element oracle needs at least 8 nodes"),
+    "bem_nodes": (lambda v: v == 0 or (v >= 8 and v % 2 == 0), "must be 0 (automatic) or "
+                  ">= 8 and even: the boundary-element oracle needs at least 8 nodes, and "
+                  "nodes that t -> pi - t maps onto nodes"),
     "basis": (lambda v: v in ("spherical-modes", "plane-waves"),
               "must be spherical-modes or plane-waves"),
     "format": (lambda v: v in ("csv", "json"), "must be csv or json"),
@@ -319,6 +323,9 @@ def build_config(
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
     for key, value in cfg.items():
+        if type(defaults[key]) is int and value > INDEX_MAX:
+            raise UsageError(f"{key} = {value} is above {INDEX_MAX}, the largest size "
+                             "numpy can index")
         if key in RULES and not RULES[key][0](value):
             raise UsageError(f"{key} {RULES[key][1]}")
     if "solver" in cfg:

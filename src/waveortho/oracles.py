@@ -22,10 +22,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
+from numpy._core.multiarray import _set_madvise_hugepage
 
 from . import geometry, specfun
 from .errors import DomainError, SingularSystemError
@@ -64,7 +61,8 @@ def mie_series(
     k = ka  # a = 1
     orders = np.arange(int(np.ceil(ka)) + 13)
     j, jp = specfun.sph_bessel_j(orders, ka)
-    h, hp = specfun.sph_hankel1(orders, ka)
+    y, yp = specfun.sph_bessel_y(orders, ka)
+    h, hp = j + 1j * y, jp + 1j * yp  # as specfun.sph_hankel1 forms them
     a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
     terms = ((2 * orders + 1) * a_n)[:, None] * specfun.legendre_p(orders[:, None], np.cos(angles))
     # summed over axis 0, the orders are added in turn as a loop would
@@ -166,18 +164,24 @@ def bem_strip_contour(width: float, k: float, n_nodes: int) -> Surface:
     return bem_ellipse(0.5 * width, lam / 200.0, n_nodes)
 
 
-def _fft_derivative(values: np.ndarray, order: int = 1, axis: int = 0) -> np.ndarray:
-    """Spectral derivative along `axis` of periodic samples on the uniform 2 pi grid."""
+def _fft_derivative(
+    values: np.ndarray, order: int = 1, axis: int = 0, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Spectral derivative along `axis` of periodic samples on the uniform 2 pi grid.
+
+    With `out`, a complex array of values' shape (values itself, say), both
+    transforms run in its memory and it is returned.
+    """
     n = values.shape[axis]
     m = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         m[n // 2] = 0.0  # drop the unmatched Nyquist mode
     shape = [1] * values.ndim
     shape[axis] = n
-    spec = np.fft.fft(values, axis=axis)
+    spec = np.fft.fft(values, axis=axis, out=out)
     spec *= ((1j * m) ** order).reshape(shape)
-    out = np.fft.ifft(spec, axis=axis)
-    return out if np.iscomplexobj(values) else out.real
+    np.fft.ifft(spec, axis=axis, out=spec)
+    return spec if np.iscomplexobj(values) else spec.real
 
 
 def _log_split_column(n_nodes: int) -> np.ndarray:
@@ -249,24 +253,27 @@ class _CurveData:
 
 
 def _nystrom(
-    c: _CurveData, rows: np.ndarray, weights: np.ndarray, jn: np.ndarray, yn: np.ndarray,
-    kernel: np.ndarray, diag: np.ndarray, scale: complex,
+    c: _CurveData, rows: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray, jn: np.ndarray, yn: np.ndarray, kernel: np.ndarray,
+    diag: np.ndarray, scale: complex,
 ) -> np.ndarray:
-    """Rows `rows` of `scale` times the Nystrom matrix of (i/4) H_n(k r) kernel(x_i, x_j).
+    """`scale` times the Nystrom entries of (i/4) H_n(k r) kernel(x_i, x_j), shaped as `jn`.
 
     H_n = J_n + i Y_n. Kress's product rule splits off -(1/4 pi) J_n kernel,
     which multiplies ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by
     the trapezoidal rule; with `weights` from `_log_split_column` an entry is
-    -(kernel / 4 pi) (J_n (weights - i pi trap) + pi trap Y_n). The diagonal
-    is `diag`.
+    -(kernel / 4 pi) (J_n (weights - i pi trap) + pi trap Y_n). The entries
+    at `on_diag`, where the column node is the row node `rows[p]`, are
+    `scale * diag[rows[p]]`.
     """
     a = np.empty(jn.shape, dtype=complex)
     np.multiply(jn, weights, out=a.real)
-    a.real += (np.pi * c.trap) * yn
+    np.multiply(yn, np.pi * c.trap, out=a.imag)  # the imaginary part is scratch here
+    a.real += a.imag
     np.multiply(jn, -np.pi * c.trap, out=a.imag)
     a *= kernel
     a *= -scale / (4.0 * np.pi)
-    a[np.arange(len(rows)), rows] = scale * diag[rows]
+    a[on_diag] = scale * diag[rows[on_diag[0]]]
     return a
 
 
@@ -285,95 +292,188 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
     return lu_solve((lu, piv), rhs), float(rcond)
 
 
-def _left_derivative(c: _CurveData, rows: np.ndarray, a_rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` of D_t A, for A that commutes with the reflections, from A[rows].
+def _distances(
+    c: _CurveData, k: float, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """k |x_i - x_j| on rows x cols, with k where i = j, and the (p, q) where i = j."""
+    kr = np.hypot(*(np.subtract.outer(xd[rows], xd[cols]) for xd in c.x.T))
+    row_of = np.full(c.n, -1)
+    row_of[rows] = np.arange(len(rows))
+    q = np.flatnonzero(row_of[cols] >= 0)
+    on_diag = (row_of[cols[q]], q)
+    kr[on_diag] = 1.0  # placeholder, diagonals are handled analytically
+    kr *= k
+    return kr, on_diag
 
-    `rows` must meet every orbit. A's columns at `rows` are gathered through
-    A[g i, j] = A[i, g j] (with a node of `rows` taken as itself),
-    differentiated by FFT, and spread to every column through
-    (D_t A)[i, g j] = (dt'/dt)(g) (D_t A)[g i, j]. That takes |rows|
-    transforms of length n, where differentiating all of A takes n.
+
+def _single_layer_diag(c: _CurveData, k: float) -> np.ndarray:
+    """Diagonal of the single layer, kernel |x'_j|: the limits of both parts."""
+    return c.speed * (
+        -_log_split_column(c.n)[0] / (4.0 * np.pi)
+        + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
+    )
+
+
+def _maue_rows(c: _CurveData, k: float, rows: np.ndarray, col_sets: list) -> list:
+    """The d/ds S d/ds of Maue's identity on rows `rows`, and the J_0, Y_0 it takes.
+
+    `col_sets` must partition the nodes. Returns, for each set, J_0 and Y_0
+    of k|x_i - x_j| and d/ds S d/ds on rows x that set. S is the single
+    layer and d/ds = (1/|x'|) d/dt, with d/dt applied by FFT. The right d/dt
+    runs along the rows. The left one needs S's columns at `rows`, and
+    `rows` must meet every orbit of the reflections: S commutes with them,
+    so the columns are gathered from S[rows] through S[g i, j] = S[i, g j]
+    (with a node of `rows` taken as itself), differentiated, and spread back
+    through (D_t S)[i, g j] = (dt'/dt)(g) (D_t S)[g i, j]. That takes |rows|
+    transforms of length n, where differentiating all of S takes n. Both
+    transforms run in place, and S is dropped once gathered.
     """
+    s = np.empty((len(rows), c.n), dtype=complex)
+    s_diag = _single_layer_diag(c, k)
+    bessel = []
+    for cols in col_sets:
+        kr, on_diag = _distances(c, k, rows, cols)
+        j, y = sp.j0(kr), sp.y0(kr)
+        del kr
+        weights = _log_split_column(c.n)[(rows[:, None] - cols) % c.n]
+        s[:, cols] = _nystrom(c, rows, on_diag, weights, j, y, c.speed[cols], s_diag, 1.0)
+        bessel.append((j, y))
     g_of = np.empty(c.n, dtype=np.intp)  # node j = g_of[j] . rows[p_of[j]]
     p_of = np.empty(c.n, dtype=np.intp)
     for g in (3, 2, 1, 0):
         g_of[c.perms[g, rows]] = g
         p_of[c.perms[g, rows]] = np.arange(len(rows))
-    cols = a_rows[p_of[:, None], c.perms[g_of[:, None], rows]]  # A[:, rows]
-    d_cols = _fft_derivative(cols, axis=0)
-    del cols
-    out = d_cols[c.perms[g_of, rows[:, None]], p_of]
-    out *= _DT_SIGNS[g_of]
-    return out
+    orbit_nodes = [np.flatnonzero(g_of == g) for g in range(4)]
+    d = np.empty((c.n, len(rows)), dtype=complex)  # S[:, rows]
+    for g, nodes in enumerate(orbit_nodes):
+        d[nodes] = s[p_of[nodes, None], c.perms[g, rows]]
+    del s
+    _fft_derivative(d, axis=0, out=d)
+    dsd = np.empty((len(rows), c.n), dtype=complex)  # (D_t S)[rows]
+    for g, nodes in enumerate(orbit_nodes):
+        dsd[:, nodes] = d[c.perms[g, rows, None], p_of[nodes]] * _DT_SIGNS[g]
+    del d
+    dsd /= c.speed[rows, None]
+    dsd /= c.speed[None, :]
+    _fft_derivative(dsd, axis=1, out=dsd)  # (.) D = -(D (.)^T)^T
+    return [(j, y, dsd[:, cols]) for (j, y), cols in zip(bessel, col_sets)]
 
 
-def _bem_rows(c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` of I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
+def _bem_block(
+    c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray, cols: np.ndarray,
+    maue: Optional[tuple] = None,
+) -> np.ndarray:
+    """Entries [rows, cols] of I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
 
-    T is taken by Maue's identity. J_0, Y_0 and then J_1, Y_1 of
-    k|x_i - x_j| are evaluated once each, on these rows only, and shared by
-    every operator of that order. T = d/ds S d/ds + k^2 S_nn, where S_nn
-    weights the kernel by n(x_i) . n(x_j) and d/ds = (1/|x'|) d/dt is applied
-    by FFT: along the columns by `_left_derivative`, which needs `rows` to
-    meet every orbit of the reflections, and along the rows directly.
+    Every entry is a function of its two nodes, save Maue's d/ds S d/ds in
+    T = d/ds S d/ds + k^2 S_nn, where S_nn weights the kernel by
+    n(x_i) . n(x_j). A hard block takes that term, and the J_0, Y_0 of
+    k|x_i - x_j| that S_nn shares, for its own entries from `_maue_rows`,
+    as `maue` = (J_0, Y_0, d/ds S d/ds). Every other Bessel order is evaluated
+    here, once, and shared by every operator of that order. The node
+    products x . n and n . n are formed on all columns and then cut to
+    `cols`: BLAS rounds a column alike only within one product shape.
     """
     hard = bc is BoundaryCondition.HARD
-    col = _log_split_column(c.n)
-    weights = col[(rows[:, None] - np.arange(c.n)) % c.n]
-    kr = np.hypot(*(np.subtract.outer(xd[rows], xd) for xd in c.x.T))
-    kr[np.arange(len(rows)), rows] = 1.0  # placeholder, diagonals are handled analytically
-    kr *= k
-    # single layer: kernel |x'_j|; the diagonal takes the limits of both parts
-    s_diag = c.speed * (
-        -col[0] / (4.0 * np.pi)
-        + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
-    )
-    j, y = sp.j0(kr), sp.y0(kr)
-    a = _nystrom(c, rows, weights, j, y, c.speed, s_diag, 1.0 if hard else -1j * k)
-    if hard:
-        ds_s = _left_derivative(c, rows, a)  # D S
-        del a
-        ds_s /= c.speed[rows, None]
-        ds_s /= c.speed[None, :]
-        nn = c.normals[rows] @ c.normals.T
-        nn *= c.speed
-        a = _nystrom(c, rows, weights, j, y, nn, s_diag, k**2)
-        del nn
-        a -= _fft_derivative(ds_s, axis=1)  # (.) D = -(D (.)^T)^T
-        del ds_s
-    del j, y
     # double layer, kernel k (x_i - x_j) . n / r |x'_j| with n = n(x_j) for K
     # and -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|)
     xn = np.sum(c.x * c.normals, axis=1)
-    if hard:  # (x_j - x_i) . n(x_i)
-        dot = c.normals[rows] @ c.x.T
+    if hard:  # (x_j - x_i) . n(x_i), and n(x_i) . n(x_j) |x'_j| for S_nn
+        nn = (c.normals[rows] @ c.normals.T)[:, cols]
+        nn *= c.speed[cols]
+        dot = (c.normals[rows] @ c.x.T)[:, cols]
         dot -= xn[rows, None]
     else:  # (x_i - x_j) . n(x_j)
-        dot = c.x[rows] @ c.normals.T
-        dot -= xn
-    dot *= k * k * c.speed
+        dot = (c.x[rows] @ c.normals.T)[:, cols]
+        dot -= xn[cols]
+    dot *= k * k * c.speed[cols]
+    kr, on_diag = _distances(c, k, rows, cols)
     dot /= kr
+    weights = _log_split_column(c.n)[(rows[:, None] - cols) % c.n]
     j, y = sp.j1(kr), sp.y1(kr)
+    if hard:  # S_nn takes its J_0, Y_0 from `maue`
+        del kr
     k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
-    a += _nystrom(c, rows, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
-    a[np.arange(len(rows)), rows] += 0.5j * k if hard else 0.5
+    double = _nystrom(c, rows, on_diag, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
+    del dot, j, y
+    # single layer, kernel |x'_j| (S) or n(x_i) . n(x_j) |x'_j| (S_nn)
+    s_diag = _single_layer_diag(c, k)
+    if hard:
+        a = _nystrom(c, rows, on_diag, weights, maue[0], maue[1], nn, s_diag, k**2)
+        del nn
+        a -= maue[2]
+    else:
+        j, y = sp.j0(kr), sp.y0(kr)
+        del kr
+        a = _nystrom(c, rows, on_diag, weights, j, y, c.speed[cols], s_diag, -1j * k)
+        del j, y
+    a += double
+    a[on_diag] += 0.5j * k if hard else 0.5
     return a
 
 
-def _solve_blocks(c: _CurveData, a_reps: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Solve A psi = rhs from the rows of A at `c.reps`, one LU per character block.
+def _bem_rows(c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of the BEM matrix (see `_bem_block`); `rows` must meet every orbit."""
+    cols = np.arange(c.n)
+    maue = _maue_rows(c, k, rows, [cols])[0] if bc is BoundaryCondition.HARD else None
+    return _bem_block(c, bc, k, rows, cols, maue)
+
+
+def _folded_blocks(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
+    """The four character blocks of the BEM matrix A, built one reflection slab at a time.
 
     A commutes with the reflections, so it maps each character chi's
     subspace {v : v[g j] = chi(g) v[j]} into itself. On the representatives
-    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|, over
-    the orbits whose stabilizer chi is trivial on; rhs is projected as
-    (1/4) sum_g chi(g) rhs[g q], and psi[g q] = sum_chi chi(g) psi_chi[q].
+    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|. Slab
+    g, A[q, g q'], is built by `_bem_block` and added to every block as soon
+    as it is built, in g order. A column g q' that an earlier slab holds
+    (q' fixed by a reflection) is copied from it, so each entry of A's rows
+    at the representatives is evaluated once, and a traced solve counts
+    exactly the (n/4 + 1) n Bessel values per order of the whole-row assembly.
+    """
+    hard = bc is BoundaryCondition.HARD
+    reps = c.reps
+    orbit = c.perms[:, reps]  # (4, r): g . q
+    first = np.argmax(orbit[:, None, :] == orbit[None, :, :], axis=1)  # least g' with g' q = g q
+    fresh = first == np.arange(4)[:, None]
+    shared_q = np.flatnonzero(~np.all(fresh, axis=0))
+    shared = {}
+    col_sets = [orbit[g, fresh[g]] for g in range(4)]
+    maue = _maue_rows(c, k, reps, col_sets) if hard else None
+    for g, cols in enumerate(col_sets):
+        # each slab's share of the Maue term is dropped once the slab is built
+        block = _bem_block(c, bc, k, reps, cols, maue.pop(0) if hard else None)
+        slab = np.empty((len(reps), len(reps)), dtype=complex)
+        slab[:, fresh[g]] = block
+        del block
+        for q in shared_q:
+            if fresh[g, q]:
+                shared[orbit[g, q]] = slab[:, q].copy()
+            else:
+                slab[:, q] = shared[orbit[g, q]]
+        if g == 0:  # every character is 1 on the identity
+            folded = np.repeat(slab[None], 4, axis=0)
+        else:
+            for b, chi in zip(folded, _CHARACTERS[:, g]):
+                if chi > 0:
+                    b += slab
+                else:
+                    b -= slab
+        del slab
+    folded /= np.sum(orbit == reps, axis=0)
+    return folded
+
+
+def _solve_blocks(c: _CurveData, folded: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Solve A psi = rhs from A's character blocks `folded`, one LU per block.
+
+    See `_folded_blocks`. Orbits whose stabilizer chi is not trivial on
+    carry no chi component and are left out of chi's block; rhs is projected
+    as (1/4) sum_g chi(g) rhs[g q], and psi[g q] = sum_chi chi(g) psi_chi[q].
     Returns psi and the least 1-norm rcond of the four blocks.
     """
     orbit = c.perms[:, c.reps]  # (4, r): g . q
     fixed = orbit == c.reps  # g in Stab(q)
-    folded = np.einsum("cg,pgq->cpq", _CHARACTERS, a_reps[:, orbit])
-    folded /= np.sum(fixed, axis=0)
     rhs_chi = _CHARACTERS @ rhs[orbit] / 4.0
     psi_chi = np.zeros(rhs_chi.shape, dtype=complex)
     rcond = np.inf
@@ -387,16 +487,32 @@ def _solve_blocks(c: _CurveData, a_reps: np.ndarray, rhs: np.ndarray) -> Tuple[n
 
 
 def _bem_far_field(c: _CurveData, k: float, psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Far-field amplitude of the combined layer (D - i k S) psi at `angles`."""
+    """Far-field amplitude of the combined layer (D - i k S) psi at `angles`.
+
+    Taken 32 to 63 angles at a time, so that no (angles x nodes) array is
+    formed; BLAS would round a part of one angle apart from the others.
+    """
     rhat = np.column_stack((np.sin(angles), np.cos(angles)))
-    arg = (-k * rhat) @ c.x.T  # (n_angles, n_nodes)
-    phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
-    phase.real = np.cos(arg)
-    phase.imag = np.sin(arg)
     ds_w = c.speed * c.trap
-    obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
     pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    return pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
+    out = np.empty(len(angles), dtype=complex)
+    for part in np.array_split(np.arange(len(angles)), max(1, len(angles) // 32)):
+        arg = (-k * rhat[part]) @ c.x.T  # (angles, nodes)
+        phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
+        phase.real = np.cos(arg)
+        phase.imag = np.sin(arg)
+        del arg
+        obliq = -1j * k * (rhat[part] @ c.normals.T)  # far-field kernel of the double layer
+        out[part] = pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
+    return out
+
+
+def _bem_rhs(c: _CurveData, bc: BoundaryCondition, u0: IncidentField) -> np.ndarray:
+    """Right side of the BEM equation at the nodes: -u0 (soft) or -du0/dn (hard)."""
+    if bc is BoundaryCondition.SOFT:
+        return -u0.values(c.x)
+    grad = 1j * u0.k * u0.values(c.x)[:, None] * u0.direction
+    return -np.einsum("pd,pd->p", grad, c.normals)
 
 
 def bem_dense_solve(
@@ -421,28 +537,26 @@ def bem_dense_solve(
     (Allgower, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the matrix
     commutes with them, so only the rows of one node per orbit are assembled
     (about n/4 + 1), and the system is solved in its four Z2 x Z2 character
-    blocks. If `info` is given it receives `rcond`, the least of the blocks'
-    LAPACK estimates of the reciprocal 1-norm condition number.
+    blocks, each built one reflection slab at a time (`_folded_blocks`). If
+    `info` is given it receives `rcond`, the least of the blocks' LAPACK
+    estimates of the reciprocal 1-norm condition number.
 
-    Assembly and solve peak at about six complex (n/4 + 1) x n arrays; a node
-    count n whose peak exceeds physical memory raises MemoryError first.
+    Assembly and solve peak at under four complex (n/4 + 1) x n arrays (3.5
+    for a hard curve and 2.0 for a soft one, traced at 960 nodes); a node
+    count n for which four such arrays exceed physical memory raises
+    MemoryError first.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     if u0.dim != 2:
         raise DomainError("boundary-element oracle is 2D")
     c = _CurveData(s)
-    need = 6 * 16 * len(c.reps) * c.n
+    need = 4 * 16 * len(c.reps) * c.n
     have = geometry.physical_memory()
     if need > have:
         raise MemoryError(f"the BEM oracle at {c.n} nodes needs about {need} bytes, "
                           f"more than the {have} bytes of physical memory")
-    if bc is BoundaryCondition.SOFT:
-        rhs = -u0.values(c.x)
-    else:
-        grad = 1j * u0.k * u0.values(c.x)[:, None] * u0.direction
-        rhs = -np.einsum("pd,pd->p", grad, c.normals)
-    psi, rcond = _solve_blocks(c, _bem_rows(c, bc, k, c.reps), rhs)
+    psi, rcond = _solve_blocks(c, _folded_blocks(c, bc, k), _bem_rhs(c, bc, u0))
     if info is not None:
         info["rcond"] = rcond
 

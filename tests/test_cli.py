@@ -319,6 +319,15 @@ def test_main_exit_codes(tmp_path):
         # a zero disturbance leaves the second-order checks nothing to compare
         (["born", "--amplitude", "0"], "amplitude must not be 0"),
         (["riemann-decay", "--separation", "2"], "separation must lie in (0, 2)"),
+        # an odd count is not rounded up to the next even one
+        (["strip", "--kd", "12.566370614359172", "--bem_nodes", "961"],
+         "bem_nodes must be 0 (automatic) or >= 8 and even"),
+        # integers numpy cannot index are refused before any array is built
+        (["sphere", "--ka", "2", "--angles", "100000000000000000000"],
+         "angles = 100000000000000000000 is above 9223372036854775807"),
+        (["strip", "--kd", "12.566370614359172", "--with_bem", "false",
+          "--basis_size", "100000000000000000000"],
+         "basis_size = 100000000000000000000 is above 9223372036854775807"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -387,14 +396,16 @@ def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, caps
 
 def test_oversized_bem_node_count_exits_2_before_assembling(monkeypatch, capsys):
     def unreachable(*args):
-        pytest.fail("the BEM rows were assembled")
+        pytest.fail("the BEM matrix was assembled")
 
     monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 30)
-    monkeypatch.setattr(orc, "_bem_rows", unreachable)
+    # every way into the BEM assembly
+    for name in ("_folded_blocks", "_bem_rows", "_maue_rows", "_bem_block", "_nystrom"):
+        monkeypatch.setattr(orc, name, unreachable)
     assert cli.main(["strip", "--kd", "12.566370614359172", "--bem_nodes", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"at 20000 nodes needs about {96 * 5001 * 20000} bytes" in err
+    assert f"at 20000 nodes needs about {64 * 5001 * 20000} bytes" in err
 
 
 def test_main_prints_report(capsys):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,29 +213,27 @@ def test_fft_derivative_along_either_axis_matches_cot_matrix(n, dtype):
 
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_bem_evaluates_each_bessel_order_once(bc, monkeypatch):
-    calls = []
-    sizes = []
+    evaluated = {}
 
     class Counting:
         def __getattr__(self, name):
             fn = getattr(special, name)
 
             def counted(*args):
-                calls.append(name)
                 out = fn(*args)
-                sizes.append(np.size(out))
+                evaluated[name] = evaluated.get(name, 0) + np.size(out)
                 return out
 
             return counted
 
     monkeypatch.setattr(orc, "sp", Counting())
     k = 4.0
-    n = 32
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-    orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, n), bc, k, u0)
-    assert sorted(calls) == ["j0", "j1", "y0", "y1"]
-    # only the rows of one node per orbit of the two reflections
-    assert max(sizes) <= (n // 4 + 1) * n
+    for n in (32, 34):  # n/2 even and odd: t -> pi - t fixes two nodes, or none
+        evaluated.clear()
+        orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, n), bc, k, u0)
+        # each order on the rows of one node per orbit of the two reflections, once
+        assert evaluated == {name: (n // 4 + 1) * n for name in ("j0", "y0", "j1", "y1")}
 
 
 def _bem_case(bc, n):
@@ -270,6 +271,53 @@ def test_bem_block_solve_matches_full_matrix_solve(bc, n):
     assert np.linalg.norm(psi - psi_ref) <= 1e-12 * np.linalg.norm(psi_ref)
     assert np.linalg.norm(ff.amplitude - ff_ref) <= 1e-12 * np.linalg.norm(ff_ref)
     assert 0.0 < info["rcond"] < 1.0
+
+
+@pytest.mark.parametrize("n", [64, 66])
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_slab_fold_equals_whole_row_fold_bitwise(bc, n):
+    k, s, c, u0, _ = _bem_case(bc, n)
+    # the fold of the whole rows at the representatives, as one einsum
+    orbit = c.perms[:, c.reps]
+    ref = np.einsum("cg,pgq->cpq", orc._CHARACTERS, orc._bem_rows(c, bc, k, c.reps)[:, orbit])
+    ref /= np.sum(orbit == c.reps, axis=0)
+    assert orc._folded_blocks(c, bc, k).tobytes() == ref.tobytes()
+    psi_ref, rcond_ref = orc._solve_blocks(c, ref, orc._bem_rhs(c, bc, u0))
+    info = {}
+    psi, _ = orc.bem_dense_solve(s, bc, k, u0, info=info)
+    assert psi.tobytes() == psi_ref.tobytes()
+    assert info["rcond"] == rcond_ref
+    # the far field, taken in parts of angles, equals the product over all angles at once
+    pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
+    for angles in (np.linspace(-np.pi, np.pi, 181), np.linspace(-np.pi, np.pi, 721)):
+        rhat = np.column_stack((np.sin(angles), np.cos(angles)))
+        arg = (-k * rhat) @ c.x.T
+        phase = np.empty(arg.shape, dtype=complex)
+        phase.real, phase.imag = np.cos(arg), np.sin(arg)
+        obliq = -1j * k * (rhat @ c.normals.T)
+        ff_ref = pref * ((obliq - 1j * k) * phase) @ (psi * (c.speed * c.trap))
+        assert orc._bem_far_field(c, k, psi, angles).tobytes() == ff_ref.tobytes()
+
+
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_peak_memory_within_guard(bc, monkeypatch):
+    n, k = 960, 4.0 * np.pi
+    s = orc.bem_strip_contour(1.0, k, n)
+    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
+    with monkeypatch.context() as m:  # no memory at all: the refusal names its estimate
+        m.setattr(orc.geometry, "physical_memory", lambda: 0)
+        with pytest.raises(MemoryError) as refused:
+            orc.bem_dense_solve(s, bc, k, u0)
+    need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        orc.bem_dense_solve(s, bc, k, u0)  # with the default 721 far-field angles
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 16 * (n // 4 + 1) * n  # one complex (n/4 + 1) x n array
+    assert peak <= need
+    assert peak <= (4.0 if bc is HARD else 3.0) * unit
 
 
 def _closed_curve(t, pos, dx):

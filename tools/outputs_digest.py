@@ -57,6 +57,11 @@ RUNS = {
     "strip-4pi-soft-10deg": ("strip", {"kd": KD_4PI, "bc": "soft", "incidence_deg": "10"},
                              ("out", "history_out")),
     "strip-8pi-no-bem": ("strip", {"kd": KD_8PI, "with_bem": "false"}, ("out", "history_out")),
+    # a larger BEM, 1,920 nodes; the run fails its Galerkin-limit probe (exit 1),
+    # and its tables and report are digested all the same
+    "strip-8pi-bem": ("strip", {"kd": KD_8PI}, ("out", "history_out")),
+    # n/2 odd: no node lies on t = pi/2, so t -> pi - t fixes no node
+    "strip-4pi-962-nodes": ("strip", {"kd": KD_4PI, "bem_nodes": "962"}, ("out", "history_out")),
     "slit-4pi": ("slit", {"kd": KD_4PI}, ("out", "history_out")),
     "spheroid": ("spheroid", {}, ("out", "history_out")),
     "born-default": ("born", {}, ("out",)),
