@@ -218,6 +218,13 @@ ANGLE_KEYS = ("incidence",)
 # the largest value an integer key (a count or an index) may take
 INDEX_MAX = int(np.iinfo(np.intp).max)
 
+
+def _count(test: Callable[[object], bool], reason: str) -> Tuple[Callable[[object], bool], str]:
+    """The rule of a count key: `test`, and room in physical memory for 16 bytes per entry."""
+    return (lambda v: test(v) and 16 * v <= geo.physical_memory(),
+            reason + "; and an array of that many 16-byte entries must fit in physical memory")
+
+
 # key -> (test, reason): what a key's value must satisfy in every scenario
 # that has the key; build_config refuses a value that fails with
 # "<key> <reason>"
@@ -231,19 +238,19 @@ RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "amplitude": (lambda v: v != 0, "must not be 0: a zero disturbance leaves the Born "
                   "checks only zero terms to compare"),
     "ring_radius": (lambda v: v >= 0, "must be >= 0 (0 means 6 x half_extent)"),
-    "ring_points": (lambda v: v >= 1, "must be >= 1: the ring field table needs at least "
-                    "one point"),
-    "n_sources": (lambda v: v >= 1, "must be >= 1: the spheroid basis needs at least one "
-                  "point source"),
-    "angles": (lambda v: v >= 2, "must be >= 2: a far-field table compares at least two "
-               "directions"),
-    "basis_size": (lambda v: v >= 0, "must be >= 0 (0 sizes the basis automatically)"),
-    "quad_resolution": (lambda v: v == 0 or v >= geo.MIN_RESOLUTION,
-                        f"must be 0 (automatic) or >= {geo.MIN_RESOLUTION}"),
+    "ring_points": _count(lambda v: v >= 1, "must be >= 1: the ring field table needs at "
+                          "least one point"),
+    "n_sources": _count(lambda v: v >= 1, "must be >= 1: the spheroid basis needs at least "
+                        "one point source"),
+    "angles": _count(lambda v: v >= 2, "must be >= 2: a far-field table compares at least two "
+                     "directions"),
+    "basis_size": _count(lambda v: v >= 0, "must be >= 0 (0 sizes the basis automatically)"),
+    "quad_resolution": _count(lambda v: v == 0 or v >= geo.MIN_RESOLUTION,
+                              f"must be 0 (automatic) or >= {geo.MIN_RESOLUTION}"),
     "anchor": (lambda v: v >= 0, "must be >= 0: it is a surface node index"),
-    "bem_nodes": (lambda v: v == 0 or (v >= 8 and v % 2 == 0), "must be 0 (automatic) or "
-                  ">= 8 and even: the boundary-element oracle needs at least 8 nodes, and "
-                  "nodes that t -> pi - t maps onto nodes"),
+    "bem_nodes": _count(lambda v: v == 0 or (v >= 8 and v % 2 == 0), "must be 0 (automatic) "
+                        "or >= 8 and even: the boundary-element oracle needs at least 8 nodes, "
+                        "and nodes that t -> pi - t maps onto nodes"),
     "basis": (lambda v: v in ("spherical-modes", "plane-waves"),
               "must be spherical-modes or plane-waves"),
     "format": (lambda v: v in ("csv", "json"), "must be csv or json"),

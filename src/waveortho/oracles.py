@@ -211,6 +211,9 @@ _COORD_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 _DT_SIGNS = np.array([1, -1, -1, 1])
 _CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 
+# columns of the single layer that `_hard_rows` gathers and differentiates at a time
+_GATHER_COLUMNS = 32
+
 
 class _CurveData:
     """Geometry derived from an ordered, uniformly parametrized closed Surface.
@@ -249,32 +252,37 @@ class _CurveData:
         if np.mean(np.sum(self.normals * s.normals, axis=1)) < 0:
             self.normals = -self.normals
         self.trap = 2.0 * np.pi / n
+        self.log_col = _log_split_column(n)
         self.curv_dot = np.sum(_fft_derivative(s.positions, 2) * self.normals, axis=1)  # x'' . n
 
 
-def _nystrom(
-    c: _CurveData, rows: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray],
-    weights: np.ndarray, jn: np.ndarray, yn: np.ndarray, kernel: np.ndarray,
-    diag: np.ndarray, scale: complex,
-) -> np.ndarray:
-    """`scale` times the Nystrom entries of (i/4) H_n(k r) kernel(x_i, x_j), shaped as `jn`.
-
-    H_n = J_n + i Y_n. Kress's product rule splits off -(1/4 pi) J_n kernel,
-    which multiplies ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by
-    the trapezoidal rule; with `weights` from `_log_split_column` an entry is
-    -(kernel / 4 pi) (J_n (weights - i pi trap) + pi trap Y_n). The entries
-    at `on_diag`, where the column node is the row node `rows[p]`, are
-    `scale * diag[rows[p]]`.
-    """
+def _nystrom_base(c: _CurveData, weights: np.ndarray, jn: np.ndarray, yn: np.ndarray) -> np.ndarray:
+    """J_n (weights - i pi trap) + pi trap Y_n: a `_nystrom` entry before its kernel and scale."""
     a = np.empty(jn.shape, dtype=complex)
     np.multiply(jn, weights, out=a.real)
     np.multiply(yn, np.pi * c.trap, out=a.imag)  # the imaginary part is scratch here
     a.real += a.imag
     np.multiply(jn, -np.pi * c.trap, out=a.imag)
-    a *= kernel
-    a *= -scale / (4.0 * np.pi)
-    a[on_diag] = scale * diag[rows[on_diag[0]]]
     return a
+
+
+def _nystrom(
+    c: _CurveData, rows: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray],
+    base: np.ndarray, kernel: np.ndarray, diag: np.ndarray, scale: complex,
+) -> np.ndarray:
+    """`scale` times the Nystrom entries of (i/4) H_n(k r) kernel(x_i, x_j), in `base`'s memory.
+
+    H_n = J_n + i Y_n. Kress's product rule splits off -(1/4 pi) J_n kernel,
+    which multiplies ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by
+    the trapezoidal rule; with `base` from `_nystrom_base`, and its weights
+    from `_log_split_column`, an entry is -(kernel / 4 pi) base. The entries
+    at `on_diag`, where the column node is the row node `rows[p]`, are
+    `scale * diag[rows[p]]`.
+    """
+    base *= kernel
+    base *= -scale / (4.0 * np.pi)
+    base[on_diag] = scale * diag[rows[on_diag[0]]]
+    return base
 
 
 def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -309,127 +317,138 @@ def _distances(
 def _single_layer_diag(c: _CurveData, k: float) -> np.ndarray:
     """Diagonal of the single layer, kernel |x'_j|: the limits of both parts."""
     return c.speed * (
-        -_log_split_column(c.n)[0] / (4.0 * np.pi)
+        -c.log_col[0] / (4.0 * np.pi)
         + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
     )
 
 
-def _maue_rows(c: _CurveData, k: float, rows: np.ndarray, col_sets: list) -> list:
-    """The d/ds S d/ds of Maue's identity on rows `rows`, and the J_0, Y_0 it takes.
-
-    `col_sets` must partition the nodes. Returns, for each set, J_0 and Y_0
-    of k|x_i - x_j| and d/ds S d/ds on rows x that set. S is the single
-    layer and d/ds = (1/|x'|) d/dt, with d/dt applied by FFT. The right d/dt
-    runs along the rows. The left one needs S's columns at `rows`, and
-    `rows` must meet every orbit of the reflections: S commutes with them,
-    so the columns are gathered from S[rows] through S[g i, j] = S[i, g j]
-    (with a node of `rows` taken as itself), differentiated, and spread back
-    through (D_t S)[i, g j] = (dt'/dt)(g) (D_t S)[g i, j]. That takes |rows|
-    transforms of length n, where differentiating all of S takes n. Both
-    transforms run in place, and S is dropped once gathered.
-    """
-    s = np.empty((len(rows), c.n), dtype=complex)
-    s_diag = _single_layer_diag(c, k)
-    bessel = []
-    for cols in col_sets:
-        kr, on_diag = _distances(c, k, rows, cols)
-        j, y = sp.j0(kr), sp.y0(kr)
-        del kr
-        weights = _log_split_column(c.n)[(rows[:, None] - cols) % c.n]
-        s[:, cols] = _nystrom(c, rows, on_diag, weights, j, y, c.speed[cols], s_diag, 1.0)
-        bessel.append((j, y))
-    g_of = np.empty(c.n, dtype=np.intp)  # node j = g_of[j] . rows[p_of[j]]
-    p_of = np.empty(c.n, dtype=np.intp)
-    for g in (3, 2, 1, 0):
-        g_of[c.perms[g, rows]] = g
-        p_of[c.perms[g, rows]] = np.arange(len(rows))
-    orbit_nodes = [np.flatnonzero(g_of == g) for g in range(4)]
-    d = np.empty((c.n, len(rows)), dtype=complex)  # S[:, rows]
-    for g, nodes in enumerate(orbit_nodes):
-        d[nodes] = s[p_of[nodes, None], c.perms[g, rows]]
-    del s
-    _fft_derivative(d, axis=0, out=d)
-    dsd = np.empty((len(rows), c.n), dtype=complex)  # (D_t S)[rows]
-    for g, nodes in enumerate(orbit_nodes):
-        dsd[:, nodes] = d[c.perms[g, rows, None], p_of[nodes]] * _DT_SIGNS[g]
-    del d
-    dsd /= c.speed[rows, None]
-    dsd /= c.speed[None, :]
-    _fft_derivative(dsd, axis=1, out=dsd)  # (.) D = -(D (.)^T)^T
-    return [(j, y, dsd[:, cols]) for (j, y), cols in zip(bessel, col_sets)]
-
-
-def _bem_block(
-    c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray, cols: np.ndarray,
-    maue: Optional[tuple] = None,
+def _double_layer(
+    c: _CurveData, hard: bool, k: float, rows: np.ndarray, cols: np.ndarray,
+    kr: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray], weights: np.ndarray,
 ) -> np.ndarray:
-    """Entries [rows, cols] of I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
+    """K (soft) or -i k K' (hard) on rows x cols, from their `_distances` and product-rule weights.
 
-    Every entry is a function of its two nodes, save Maue's d/ds S d/ds in
-    T = d/ds S d/ds + k^2 S_nn, where S_nn weights the kernel by
-    n(x_i) . n(x_j). A hard block takes that term, and the J_0, Y_0 of
-    k|x_i - x_j| that S_nn shares, for its own entries from `_maue_rows`,
-    as `maue` = (J_0, Y_0, d/ds S d/ds). Every other Bessel order is evaluated
-    here, once, and shared by every operator of that order. The node
-    products x . n and n . n are formed on all columns and then cut to
+    The kernel is k (x_i - x_j) . n / r |x'_j|, with n = n(x_j) for K and
+    -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|).
+    The node products x . n are formed on all columns and then cut to
     `cols`: BLAS rounds a column alike only within one product shape.
     """
-    hard = bc is BoundaryCondition.HARD
-    # double layer, kernel k (x_i - x_j) . n / r |x'_j| with n = n(x_j) for K
-    # and -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|)
     xn = np.sum(c.x * c.normals, axis=1)
-    if hard:  # (x_j - x_i) . n(x_i), and n(x_i) . n(x_j) |x'_j| for S_nn
-        nn = (c.normals[rows] @ c.normals.T)[:, cols]
-        nn *= c.speed[cols]
+    if hard:  # (x_j - x_i) . n(x_i)
         dot = (c.normals[rows] @ c.x.T)[:, cols]
         dot -= xn[rows, None]
     else:  # (x_i - x_j) . n(x_j)
         dot = (c.x[rows] @ c.normals.T)[:, cols]
         dot -= xn[cols]
     dot *= k * k * c.speed[cols]
-    kr, on_diag = _distances(c, k, rows, cols)
     dot /= kr
-    weights = _log_split_column(c.n)[(rows[:, None] - cols) % c.n]
-    j, y = sp.j1(kr), sp.y1(kr)
-    if hard:  # S_nn takes its J_0, Y_0 from `maue`
-        del kr
     k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
-    double = _nystrom(c, rows, on_diag, weights, j, y, dot, k_diag, -1j * k if hard else 1.0)
-    del dot, j, y
-    # single layer, kernel |x'_j| (S) or n(x_i) . n(x_j) |x'_j| (S_nn)
-    s_diag = _single_layer_diag(c, k)
-    if hard:
-        a = _nystrom(c, rows, on_diag, weights, maue[0], maue[1], nn, s_diag, k**2)
-        del nn
-        a -= maue[2]
-    else:
-        j, y = sp.j0(kr), sp.y0(kr)
-        del kr
-        a = _nystrom(c, rows, on_diag, weights, j, y, c.speed[cols], s_diag, -1j * k)
-        del j, y
+    base = _nystrom_base(c, weights, sp.j1(kr), sp.y1(kr))
+    return _nystrom(c, rows, on_diag, base, dot, k_diag, -1j * k if hard else 1.0)
+
+
+def _soft_block(
+    c: _CurveData, k: float, rows: np.ndarray, cols: np.ndarray, s_diag: np.ndarray
+) -> np.ndarray:
+    """Entries [rows, cols] of I/2 + K - i k S, with S's diagonal `s_diag`."""
+    kr, on_diag = _distances(c, k, rows, cols)
+    weights = c.log_col[(rows[:, None] - cols) % c.n]
+    double = _double_layer(c, False, k, rows, cols, kr, on_diag, weights)
+    j, y = sp.j0(kr), sp.y0(kr)
+    del kr
+    a = _nystrom(c, rows, on_diag, _nystrom_base(c, weights, j, y), c.speed[cols], s_diag, -1j * k)
+    del j, y
     a += double
-    a[on_diag] += 0.5j * k if hard else 0.5
+    a[on_diag] += 0.5
+    return a
+
+
+def _hard_rows(
+    c: _CurveData, k: float, rows: np.ndarray, col_sets: list, s_diag: np.ndarray
+) -> np.ndarray:
+    """Rows `rows` of T - i k (K' - I/2), with the single layer's diagonal `s_diag`.
+
+    Maue's identity gives T = d/ds S d/ds + k^2 S_nn, where S is the single
+    layer, S_nn weights its kernel by n(x_i) . n(x_j), and d/ds = (1/|x'|)
+    d/dt with d/dt applied by FFT. S and S_nn share the J_0 Nystrom base B
+    (`_nystrom_base`), the one (rows x n) array kept besides the result. The
+    right d/dt runs along the rows. The left one needs S's columns at
+    `rows`, and `rows` must meet every orbit of the reflections: S commutes
+    with them, so `_GATHER_COLUMNS` of those columns at a time are formed
+    from B through S[g i, j] = S[i, g j] (with a node of `rows` taken as
+    itself), differentiated, and spread back through (D_t S)[i, g j] =
+    (dt'/dt)(g) (D_t S)[g i, j]. That takes |rows| transforms of length n,
+    where differentiating all of S takes n. `col_sets` must partition the
+    nodes; set by set, the other terms are built on a set's columns and the
+    finished entries overwrite the Maue term's there.
+    """
+    base = np.empty((len(rows), c.n), dtype=complex)
+    for cols in col_sets:
+        kr, _ = _distances(c, k, rows, cols)
+        weights = c.log_col[(rows[:, None] - cols) % c.n]
+        base[:, cols] = _nystrom_base(c, weights, sp.j0(kr), sp.y0(kr))
+        del kr, weights
+    g_of = np.empty(c.n, dtype=np.intp)  # node j = g_of[j] . rows[p_of[j]]
+    p_of = np.empty(c.n, dtype=np.intp)
+    for g in (3, 2, 1, 0):
+        g_of[c.perms[g, rows]] = g
+        p_of[c.perms[g, rows]] = np.arange(len(rows))
+    a = np.empty((len(rows), c.n), dtype=complex)  # (D_t S)[rows], then the rows
+    for q in range(0, len(rows), _GATHER_COLUMNS):
+        qs = rows[q:q + _GATHER_COLUMNS]
+        cols = c.perms[g_of[:, None], qs]  # S[j, qs] = S[rows[p_of[j]], cols[j]]
+        d = _nystrom(c, np.arange(c.n), (qs, np.arange(len(qs))), base[p_of[:, None], cols],
+                     c.speed[cols], s_diag, 1.0)
+        del cols
+        _fft_derivative(d, axis=0, out=d)
+        for g in range(4):
+            nodes = np.flatnonzero((g_of == g) & (p_of >= q) & (p_of < q + len(qs)))
+            a[:, nodes] = d[c.perms[g, rows, None], p_of[nodes] - q] * _DT_SIGNS[g]
+        del d
+    a /= c.speed[rows, None]
+    a /= c.speed[None, :]
+    _fft_derivative(a, axis=1, out=a)  # (.) D = -(D (.)^T)^T
+    for cols in col_sets:
+        kr, on_diag = _distances(c, k, rows, cols)
+        double = _double_layer(c, True, k, rows, cols, kr, on_diag,
+                               c.log_col[(rows[:, None] - cols) % c.n])
+        del kr
+        nn = (c.normals[rows] @ c.normals.T)[:, cols]  # n(x_i) . n(x_j) |x'_j|
+        nn *= c.speed[cols]
+        block = _nystrom(c, rows, on_diag, base[:, cols], nn, s_diag, k**2)
+        del nn
+        block -= a[:, cols]
+        block += double
+        del double
+        block[on_diag] += 0.5j * k
+        a[:, cols] = block
+        del block
     return a
 
 
 def _bem_rows(c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` of the BEM matrix (see `_bem_block`); `rows` must meet every orbit."""
+    """Rows `rows` of the BEM matrix (see `_folded_blocks`); `rows` must meet every orbit."""
     cols = np.arange(c.n)
-    maue = _maue_rows(c, k, rows, [cols])[0] if bc is BoundaryCondition.HARD else None
-    return _bem_block(c, bc, k, rows, cols, maue)
+    s_diag = _single_layer_diag(c, k)
+    if bc is BoundaryCondition.HARD:
+        return _hard_rows(c, k, rows, [cols], s_diag)
+    return _soft_block(c, k, rows, cols, s_diag)
 
 
 def _folded_blocks(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
-    """The four character blocks of the BEM matrix A, built one reflection slab at a time.
+    """The four character blocks of A = I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
 
     A commutes with the reflections, so it maps each character chi's
     subspace {v : v[g j] = chi(g) v[j]} into itself. On the representatives
-    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|. Slab
-    g, A[q, g q'], is built by `_bem_block` and added to every block as soon
-    as it is built, in g order. A column g q' that an earlier slab holds
-    (q' fixed by a reflection) is copied from it, so each entry of A's rows
-    at the representatives is evaluated once, and a traced solve counts
-    exactly the (n/4 + 1) n Bessel values per order of the whole-row assembly.
+    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|, and
+    slab g, A[q, g q'], is added to every block in g order. A column g q'
+    that an earlier slab holds (q' fixed by a reflection) is evaluated only
+    there, so each entry of A's rows at the representatives is evaluated
+    once, and a traced solve counts exactly the (n/4 + 1) n Bessel values
+    per order of the whole-row assembly. A soft slab is built by
+    `_soft_block` just before it is added. A hard block needs Maue's term on
+    whole rows, so `_hard_rows` builds A's rows at the representatives on
+    the same column sets, and the slabs are cut from them.
     """
     hard = bc is BoundaryCondition.HARD
     reps = c.reps
@@ -439,18 +458,21 @@ def _folded_blocks(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray
     shared_q = np.flatnonzero(~np.all(fresh, axis=0))
     shared = {}
     col_sets = [orbit[g, fresh[g]] for g in range(4)]
-    maue = _maue_rows(c, k, reps, col_sets) if hard else None
+    s_diag = _single_layer_diag(c, k)
+    a = _hard_rows(c, k, reps, col_sets, s_diag) if hard else None
     for g, cols in enumerate(col_sets):
-        # each slab's share of the Maue term is dropped once the slab is built
-        block = _bem_block(c, bc, k, reps, cols, maue.pop(0) if hard else None)
-        slab = np.empty((len(reps), len(reps)), dtype=complex)
-        slab[:, fresh[g]] = block
-        del block
-        for q in shared_q:
-            if fresh[g, q]:
-                shared[orbit[g, q]] = slab[:, q].copy()
-            else:
-                slab[:, q] = shared[orbit[g, q]]
+        if hard:
+            slab = a[:, orbit[g]]
+        else:
+            block = _soft_block(c, k, reps, cols, s_diag)
+            slab = np.empty((len(reps), len(reps)), dtype=complex)
+            slab[:, fresh[g]] = block
+            del block
+            for q in shared_q:
+                if fresh[g, q]:
+                    shared[orbit[g, q]] = slab[:, q].copy()
+                else:
+                    slab[:, q] = shared[orbit[g, q]]
         if g == 0:  # every character is 1 on the identity
             folded = np.repeat(slab[None], 4, axis=0)
         else:
@@ -537,13 +559,16 @@ def bem_dense_solve(
     (Allgower, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the matrix
     commutes with them, so only the rows of one node per orbit are assembled
     (about n/4 + 1), and the system is solved in its four Z2 x Z2 character
-    blocks, each built one reflection slab at a time (`_folded_blocks`). If
-    `info` is given it receives `rcond`, the least of the blocks' LAPACK
-    estimates of the reciprocal 1-norm condition number.
+    blocks (`_folded_blocks`). A soft curve's blocks are built one reflection
+    slab at a time; a hard curve's are folded from its rows, which keep one
+    Nystrom base for both of Maue's single layers and differentiate S's
+    columns a block at a time (`_hard_rows`). If `info` is given it receives
+    `rcond`, the least of the blocks' LAPACK estimates of the reciprocal
+    1-norm condition number.
 
-    Assembly and solve peak at under four complex (n/4 + 1) x n arrays (3.5
-    for a hard curve and 2.0 for a soft one, traced at 960 nodes); a node
-    count n for which four such arrays exceed physical memory raises
+    Assembly and solve peak at under three complex (n/4 + 1) x n arrays
+    (2.92 for a hard curve and 1.95 for a soft one, traced at 960 nodes); a
+    node count n for which three such arrays exceed physical memory raises
     MemoryError first.
     """
     if k <= 0:
@@ -551,7 +576,7 @@ def bem_dense_solve(
     if u0.dim != 2:
         raise DomainError("boundary-element oracle is 2D")
     c = _CurveData(s)
-    need = 4 * 16 * len(c.reps) * c.n
+    need = 3 * 16 * len(c.reps) * c.n
     have = geometry.physical_memory()
     if need > have:
         raise MemoryError(f"the BEM oracle at {c.n} nodes needs about {need} bytes, "

@@ -394,18 +394,41 @@ def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, caps
     assert f"degree 1000000024 needs a {8 * (10**9 + 24) ** 2}-byte companion matrix" in err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sphere", "--ka", "2", "--angles", "4611686018427387904"], "angles"),
+        (["strip", "--kd", "12.566370614359172", "--with_bem", "false",
+          "--basis_size", "4611686018427387904"], "basis_size"),
+        (["sphere", "--ka", "2", "--angles", "9223372036854775806"], "angles"),
+        (["strip", "--kd", "12.566370614359172", "--with_bem", "false",
+          "--basis_size", "9223372036854775807"], "basis_size"),
+    ],
+)
+def test_count_beyond_physical_memory_exits_2_naming_the_key(argv, key, monkeypatch, capsys):
+    def unreachable(*args):
+        pytest.fail("the scenario ran")
+
+    monkeypatch.setitem(cli._RUNNERS, argv[0], unreachable)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {key} must be ")
+    assert err.endswith("and an array of that many 16-byte entries must fit in physical memory\n")
+
+
 def test_oversized_bem_node_count_exits_2_before_assembling(monkeypatch, capsys):
     def unreachable(*args):
         pytest.fail("the BEM matrix was assembled")
 
     monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 30)
     # every way into the BEM assembly
-    for name in ("_folded_blocks", "_bem_rows", "_maue_rows", "_bem_block", "_nystrom"):
+    for name in ("_folded_blocks", "_bem_rows", "_hard_rows", "_soft_block", "_double_layer",
+                 "_nystrom_base", "_nystrom"):
         monkeypatch.setattr(orc, name, unreachable)
     assert cli.main(["strip", "--kd", "12.566370614359172", "--bem_nodes", "20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"at 20000 nodes needs about {64 * 5001 * 20000} bytes" in err
+    assert f"at 20000 nodes needs about {48 * 5001 * 20000} bytes" in err
 
 
 def test_main_prints_report(capsys):
