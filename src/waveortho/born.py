@@ -1,4 +1,4 @@
-"""First- and second-order weak-scattering approximations on volume grids.
+"""First- and second-order weak-scattering approximations on 2D volume grids.
 
 One call returns three variants: the weighted first order, the conventional
 second order (iterated kernel), and a modified second order whose double
@@ -50,29 +50,26 @@ class BornResult:
             raise DomainError("non-finite values in approximation result")
 
 
-def _self_cell_green_sq(dim: int, k: float, h: float) -> float:
-    """Integral of |G|^2 over the equal-measure disk/ball centered at a node.
+def _self_cell_green_sq(k: float, h: float) -> float:
+    """Integral of |G|^2 over the equal-area disk centered at a node.
 
-    2D uses the small-argument form of |H0|^2, which is the consistent
-    regularization at the cell scale; 3D is exact since |G| = 1/(4 pi r).
+    It uses the small-argument form of |H0|^2, which is the consistent
+    regularization at the cell scale.
     """
-    if dim == 2:
-        r0 = h / np.sqrt(np.pi)
-        la = np.log(0.5 * k * np.exp(EULER_GAMMA) * r0)
-        return (np.pi * r0**2 / 16.0) * (1.0 + (4.0 / np.pi**2) * (la * la - la + 0.5))
-    r0 = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-    return r0 / (4.0 * np.pi)
+    r0 = h / np.sqrt(np.pi)
+    la = np.log(0.5 * k * np.exp(EULER_GAMMA) * r0)
+    return (np.pi * r0**2 / 16.0) * (1.0 + (4.0 / np.pi**2) * (la * la - la + 0.5))
 
 
 def _green_sq_kernel(pot: VolumePotential, green: VolumeGreen) -> np.ndarray:
     """Cell-integrated |G|^2 on the lattice offsets, self-cell value at offset 0.
 
-    Off the self cell it is |h^d G|^2 / h^d, read from the grid Green kernel
+    Off the self cell it is |h^2 G|^2 / h^2, read from the grid Green kernel
     of `green`; no Bessel function is evaluated again.
     """
     kernel = green.operator.kernel
-    g2 = (kernel.real**2 + kernel.imag**2) / pot.h**pot.dim
-    g2[(0,) * pot.dim] = _self_cell_green_sq(pot.dim, green.k, pot.h)
+    g2 = (kernel.real**2 + kernel.imag**2) / pot.h**2
+    g2[0, 0] = _self_cell_green_sq(green.k, pot.h)
     return g2
 
 

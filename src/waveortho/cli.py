@@ -254,6 +254,10 @@ RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "basis": (lambda v: v in ("spherical-modes", "plane-waves"),
               "must be spherical-modes or plane-waves"),
     "format": (lambda v: v in ("csv", "json"), "must be csv or json"),
+    # spelled as BoundaryCondition.from_string reads it: any case, padded
+    "bc": (lambda v: v.strip().lower() in ("soft", "hard"), "must be soft or hard"),
+    "solver": (lambda v: _parse_solver(v) is not None,
+               "must be diagonal, galerkin, or iterate:N with an integer N >= 1"),
 }
 
 
@@ -335,8 +339,6 @@ def build_config(
                              "numpy can index")
         if key in RULES and not RULES[key][0](value):
             raise UsageError(f"{key} {RULES[key][1]}")
-    if "solver" in cfg:
-        _parse_solver(str(cfg["solver"]))
     return cfg
 
 
@@ -355,18 +357,16 @@ def _normalized_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(b, a)) / (na * nb))
 
 
-def _parse_solver(text: str) -> Tuple[str, int]:
+def _parse_solver(text: str) -> Optional[Tuple[str, int]]:
+    """(name, iterate steps) of a solver spec; None when it is not one."""
     if text == "diagonal" or text == "galerkin":
         return text, 0
-    if text.startswith("iterate:"):
-        try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad solver spec {text!r}") from None
-        if n < 1:
-            raise UsageError("iterate step count must be >= 1")
-        return "iterate", n
-    raise UsageError(f"unknown solver {text!r}; expected diagonal, galerkin, or iterate:N")
+    head, _, count = text.partition(":")
+    try:
+        n = int(count) if head == "iterate" else 0
+    except ValueError:
+        return None
+    return ("iterate", n) if n >= 1 else None
 
 
 def _list_values(
@@ -675,6 +675,13 @@ def _run_strip_pipeline(
     alpha = float(cfg["incidence"])
     n_angles = int(cfg["angles"])
     if bool(cfg["with_bem"]):
+        nb = int(cfg["bem_nodes"]) or int(round(240.0 * kd / np.pi))
+        nb += nb % 2
+        if nb < 8:
+            raise UsageError(
+                f"bem_nodes = 0 (automatic) gives {nb} BEM nodes at kd = {kd:g}, below the 8 "
+                "the boundary-element oracle needs: set bem_nodes >= 8 or raise kd"
+            )
         if n_angles < 3:
             raise UsageError(
                 "angles must be >= 3 when with_bem is on: the BEM comparison needs a "
@@ -725,8 +732,6 @@ def _run_strip_pipeline(
     pattern = mth.FarFieldPattern(angles=th_grid, amplitude=pattern_amp)
 
     if bool(cfg["with_bem"]):
-        nb = int(cfg["bem_nodes"]) or int(round(240.0 * kd / np.pi))
-        nb += nb % 2
         try:
             contour = orc.bem_strip_contour(d, k, nb)
             bem_info: Dict[str, float] = {}
@@ -864,7 +869,7 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
     k = float(cfg["k"])
     pot = orc.gaussian_potential(
         float(cfg["amplitude"]), float(cfg["width"]), float(cfg["half_extent"]),
-        float(cfg["h"]), dim=2,
+        float(cfg["h"]),
     )
     if min(pot.values.shape) < 3:
         raise UsageError(

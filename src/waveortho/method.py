@@ -127,7 +127,7 @@ class PlaneWaveBasis:
 
 @dataclass(frozen=True, eq=False)
 class PointSourceBasis:
-    """Free-space Green's functions centered at points inside the body."""
+    """Free-space Green's functions exp(ikr) / (4 pi r) centered at points inside a 3D body."""
 
     locations: np.ndarray
     k: float
@@ -135,8 +135,8 @@ class PointSourceBasis:
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
         object.__setattr__(self, "locations", loc)
-        if loc.ndim != 2 or loc.shape[1] not in (2, 3) or loc.shape[0] < 1:
-            raise DomainError("locations must be a (M, 2) or (M, 3) array")
+        if loc.ndim != 2 or loc.shape[1] != 3 or loc.shape[0] < 1:
+            raise DomainError("locations must be a (M, 3) array: point sources are 3D only")
         if self.k <= 0:
             raise DomainError("basis wavenumber must be positive")
 
@@ -146,7 +146,7 @@ class PointSourceBasis:
 
     @property
     def dim(self) -> int:
-        return self.locations.shape[1]
+        return 3
 
     def _displacements(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
@@ -157,20 +157,12 @@ class PointSourceBasis:
         return d, r
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        d, r = self._displacements(points)
-        if self.dim == 3:
-            return np.exp(1j * self.k * r) / (4.0 * np.pi * r)
-        h0, _ = specfun.cyl_hankel1_0(self.k * r)
-        return 0.25j * h0
+        _, r = self._displacements(points)
+        return np.exp(1j * self.k * r) / (4.0 * np.pi * r)
 
     def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         d, r = self._displacements(points)
-        if self.dim == 3:
-            vals = np.exp(1j * self.k * r) / (4.0 * np.pi * r)
-            radial = (1j * self.k - 1.0 / r) * vals
-        else:
-            _, dh0 = specfun.cyl_hankel1_0(self.k * r)
-            radial = 0.25j * self.k * dh0
+        radial = (1j * self.k - 1.0 / r) * (np.exp(1j * self.k * r) / (4.0 * np.pi * r))
         return radial * (np.einsum("pmd,pd->pm", d, normals) / r)
 
 
@@ -244,10 +236,6 @@ BasisFamily = Union[PlaneWaveBasis, PointSourceBasis, SphericalModeBasis]
 
 
 def _check_point_sources_inside(basis: PointSourceBasis, s: Surface) -> None:
-    if not s.closed:
-        raise DomainError(
-            "point-source bases require a closed surface with an interior"
-        )
     for m in range(basis.size):
         loc = basis.locations[m]
         d = s.positions - loc[None, :]
@@ -336,24 +324,21 @@ def solve_diagonal(sys: GramSystem) -> np.ndarray:
     return sys.beta * (-_incident_projection(sys))
 
 
-def solve_galerkin(sys: GramSystem, lam: float = 0.0) -> np.ndarray:
-    """Full Galerkin solve (G + lam I) v = -b.
+def solve_galerkin(sys: GramSystem) -> np.ndarray:
+    """Full Galerkin solve G v = -b.
 
-    lam = 0 requires a well-conditioned G; a tiny positive lam regularizes
-    oversampled (frame-like) bases. A solve whose algebraic residual exceeds
-    1e-8 relative raises SingularSystemError; retry such a system with lam > 0.
+    It needs a well-conditioned G: a singular system, or a solve whose
+    algebraic residual exceeds 1e-8 relative (as an oversampled, frame-like
+    basis gives), raises SingularSystemError.
     """
-    if lam < 0:
-        raise DomainError("regularization parameter lam must be >= 0")
     b = _incident_projection(sys)
-    a = sys.g + lam * np.eye(sys.size)
     try:
-        v = np.linalg.solve(a, -b)
+        v = np.linalg.solve(sys.g, -b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Gram system is singular ({exc})") from None
     scale = float(np.linalg.norm(b))
     if scale > 0.0:
-        resid = float(np.linalg.norm(a @ v + b)) / scale
+        resid = float(np.linalg.norm(sys.g @ v + b)) / scale
         if resid > 1e-8:
             raise SingularSystemError(
                 f"Gram solve is unreliable (relative residual {resid:.3e})"
@@ -458,9 +443,9 @@ class FarFieldPattern:
 def far_field(basis: BasisFamily, v: np.ndarray, angles: np.ndarray) -> FarFieldPattern:
     """Radiated far-field pattern of sum_i v_i D_i.
 
-    3D sources and spherical modes use u ~ f(theta) exp(ikr)/r; 2D point
-    sources use u ~ f(theta) exp(ikr)/sqrt(r). Plane-wave bases do not
-    radiate from a bounded region, so they are rejected.
+    Point sources and spherical modes radiate in 3D, u ~ f(theta) exp(ikr)/r
+    with theta the polar angle from +z. Plane-wave bases do not radiate from
+    a bounded region, so they are rejected.
     """
     if isinstance(basis, PlaneWaveBasis):
         raise DomainError(
@@ -478,18 +463,9 @@ def far_field(basis: BasisFamily, v: np.ndarray, angles: np.ndarray) -> FarField
         amp = (coef[:, None] * specfun.legendre_p(n[:, None], np.cos(angles))).sum(axis=0)
         return FarFieldPattern(angles=angles, amplitude=amp / basis.k)
     # Point sources: f from the large-distance phase of each source.
-    if basis.dim == 3:
-        rhat = np.column_stack(
-            (np.sin(angles), np.zeros_like(angles), np.cos(angles))
-        )
-        phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
-        amp = phases @ v / (4.0 * np.pi)
-    else:
-        rhat = np.column_stack((np.sin(angles), np.cos(angles)))
-        phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
-        amp = 0.25j * np.sqrt(2.0 / (np.pi * basis.k)) * np.exp(-0.25j * np.pi) * (
-            phases @ v
-        )
+    rhat = np.column_stack((np.sin(angles), np.zeros_like(angles), np.cos(angles)))
+    phases = np.exp(1j * (-basis.k * rhat @ basis.locations.T))
+    amp = phases @ v / (4.0 * np.pi)
     return FarFieldPattern(angles=angles, amplitude=amp)
 
 

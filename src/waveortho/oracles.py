@@ -10,7 +10,7 @@ Four oracle families, none of which share numerics with the method module:
   Brakhage-Werner and Burton-Miller type, with the hypersingular operator
   handled through Maue's identity), solved in the symmetry blocks.
 * A Lippmann-Schwinger volume-integral solver for scattering by a compact
-  inhomogeneity on a uniform grid.
+  inhomogeneity on a uniform 2D grid.
 """
 
 from __future__ import annotations
@@ -597,11 +597,11 @@ def bem_dense_solve(
 
 @dataclass(frozen=True, eq=False)
 class VolumePotential:
-    """Compactly supported disturbance Xi sampled on a uniform grid.
+    """Compactly supported disturbance Xi sampled on a uniform 2D grid.
 
-    2D: values indexed [ix, iy] with node (origin + h*(ix, iy)). 3D: values
-    indexed [ix, iy, iz]. The outermost index layer must vanish so that the
-    support is strictly inside the grid.
+    Values are indexed [ix, iy] with node (origin + h*(ix, iy)). The
+    outermost index layer must vanish so that the support is strictly inside
+    the grid.
     """
 
     origin: np.ndarray
@@ -615,23 +615,20 @@ class VolumePotential:
         object.__setattr__(self, "values", values)
         if self.h <= 0:
             raise DomainError("grid spacing must be positive")
-        if values.ndim not in (2, 3) or origin.shape != (values.ndim,):
-            raise DomainError("values must be a 2D or 3D grid with a matching origin")
+        if values.ndim != 2 or origin.shape != (2,):
+            raise DomainError("values must be a 2D grid with a 2-vector origin: volume "
+                              "grids are 2D only")
         if not np.all(np.isfinite(values)):
             raise DomainError("potential samples must be finite")
         vmax = float(np.max(np.abs(values)))
         if vmax > 0:
-            edge = np.max(
-                [np.max(np.abs(values[tuple(
-                    slice(None) if d != ax else idx for d in range(values.ndim)
-                )])) for ax in range(values.ndim) for idx in (0, -1)]
-            )
+            edge = max(np.max(np.abs(values[[0, -1]])), np.max(np.abs(values[:, [0, -1]])))
             if edge > 1e-10 * vmax:
                 raise DomainError("potential must vanish on the grid boundary layer")
 
     @property
     def dim(self) -> int:
-        return self.values.ndim
+        return 2
 
     @property
     def n_cells(self) -> int:
@@ -649,38 +646,30 @@ class VolumePotential:
 
 
 def gaussian_potential(
-    amplitude: complex, width: float, half_extent: float, h: float, dim: int = 2
+    amplitude: complex, width: float, half_extent: float, h: float
 ) -> VolumePotential:
-    """Gaussian disturbance A exp(-|r|^2 / width^2) centered on the grid.
+    """Gaussian disturbance A exp(-|r|^2 / width^2) centered on a square 2D grid.
 
     The outermost node layer is zeroed explicitly; choose half_extent of a
     few widths so the truncation there is negligible.
     """
     if width <= 0 or half_extent <= 0 or h <= 0:
         raise DomainError("width, half_extent, and h must be positive")
-    if dim not in (2, 3):
-        raise DomainError("dim must be 2 or 3")
     n = int(np.floor(2 * half_extent / h)) + 1
     axis = -half_extent + h * np.arange(n)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    mesh = np.meshgrid(axis, axis, indexing="ij")
     r2 = sum(m**2 for m in mesh)
     vals = amplitude * np.exp(-r2 / width**2)
-    for ax in range(dim):
-        sl = [slice(None)] * dim
-        for idx in (0, -1):
-            sl[ax] = idx
-            vals[tuple(sl)] = 0.0
-    return VolumePotential(origin=np.full(dim, -half_extent), h=h, values=vals)
+    vals[[0, -1], :] = 0.0
+    vals[:, [0, -1]] = 0.0
+    return VolumePotential(origin=np.full(2, -half_extent), h=h, values=vals)
 
 
-def _self_cell_green(dim: int, k: float, h: float) -> complex:
-    """Integral of G over the equal-measure disk/ball centered at the node."""
-    if dim == 2:
-        r0 = h / np.sqrt(np.pi)
-        x = k * r0
-        return 0.5j * np.pi * (r0 / k) * (sp.j1(x) + 1j * sp.y1(x)) - 1.0 / k**2
-    r0 = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-    return (1.0 - np.exp(1j * k * r0) * (1.0 - 1j * k * r0)) / k**2
+def _self_cell_green(k: float, h: float) -> complex:
+    """Integral of G over the equal-area disk centered at the node."""
+    r0 = h / np.sqrt(np.pi)
+    x = k * r0
+    return 0.5j * np.pi * (r0 / k) * (sp.j1(x) + 1j * sp.y1(x)) - 1.0 / k**2
 
 
 def _grid_distances(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
@@ -691,34 +680,32 @@ def _grid_distances(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
 def _lattice_offsets(pot: VolumePotential) -> np.ndarray:
     """Lengths h|m| of the lattice offsets m between grid nodes, with 1 at m = 0.
 
-    The offsets fill a (2n - 1)^d grid in FFT order: along an axis with n
+    The offsets fill a (2n - 1)^2 grid in FFT order: along an axis with n
     nodes, index i holds offset i for i < n and i - (2n - 1) above. The 1 at
     m = 0 is a placeholder for the self-cell terms that replace it.
     """
     axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1)) * pot.h for n in pot.values.shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     r = np.sqrt(sum(m**2 for m in mesh))
-    r[(0,) * pot.dim] = 1.0
+    r[0, 0] = 1.0
     return r
 
 
 def _volume_green(pot: VolumePotential, k: float, r: np.ndarray) -> np.ndarray:
-    """Green's kernel h^d G(r) of one grid cell: (i/4) H0(kr) h^2 or e^(ikr)/(4 pi r) h^3.
+    """Green's kernel h^2 G(r) = (i/4) H0(kr) h^2 of one grid cell.
 
-    In 2D H0 = J0 + i Y0 from the cephes j0 and y0, written straight into
-    the real and imaginary parts of the result: within 5e-15 of |H0| for
-    kr <= 60; beyond that the error grows like eps kr, the phase error
-    that rounding kr itself already carries.
+    H0 = J0 + i Y0 from the cephes j0 and y0, written straight into the real
+    and imaginary parts of the result: within 5e-15 of |H0| for kr <= 60;
+    beyond that the error grows like eps kr, the phase error that rounding
+    kr itself already carries.
     """
-    if pot.dim == 2:
-        kr = k * r
-        out = np.empty(r.shape, dtype=complex)
-        sp.y0(kr, out=out.real)
-        sp.j0(kr, out=out.imag)
-        out.real *= -0.25 * pot.h**2
-        out.imag *= 0.25 * pot.h**2
-        return out
-    return np.exp(1j * k * r) / (4.0 * np.pi * r) * pot.h**3
+    kr = k * r
+    out = np.empty(r.shape, dtype=complex)
+    sp.y0(kr, out=out.real)
+    sp.j0(kr, out=out.imag)
+    out.real *= -0.25 * pot.h**2
+    out.imag *= 0.25 * pot.h**2
+    return out
 
 
 class LatticeOperator:
@@ -757,9 +744,9 @@ class VolumeGreen:
     """The cell-integrated Green's tables of one grid at one wavenumber.
 
     `operator` applies the grid's Green matrix by FFT: offset m carries
-    h^d G(h|m|), and offset 0 the analytic integral of G over the
-    equal-measure disk (2D) or ball (3D), which regularizes the singular
-    self-interaction. `rows` holds h^d G(p, r_j) from each evaluation point p
+    h^2 G(h|m|), and offset 0 the analytic integral of G over the
+    equal-area disk, which regularizes the singular self-interaction.
+    `rows` holds h^2 G(p, r_j) from each evaluation point p
     (one row per point, off the support) to every node r_j. Built once by
     `volume_green`, it serves every volume sum of a run, for any potential on
     the same grid.
@@ -801,7 +788,7 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
             f"evaluation point {bad.tolist()} lies inside the potential support"
         )
     kernel = _volume_green(pot, k, _lattice_offsets(pot))
-    kernel[(0,) * pot.dim] = _self_cell_green(pot.dim, k, pot.h)
+    kernel[0, 0] = _self_cell_green(k, pot.h)
     return VolumeGreen(
         origin=pot.origin,
         h=pot.h,
@@ -814,7 +801,7 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
 
 
 def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
-    """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^d G(r_i, r_j).
+    """Dense matrix of cell-integrated Green's kernels: entry (i, j) ~ h^2 G(r_i, r_j).
 
     Gathered from the offset kernel of `volume_green`'s operator; the diagonal
     carries the self-cell integral. No solve uses it: it is the dense
@@ -881,7 +868,7 @@ def scattered_field_at(
 ) -> np.ndarray:
     """Total field at the evaluation points of `green` from a grid solution.
 
-    u(p) = u0(p) - sum_j G(p, r_j) Xi_j u_j h^d, valid for points off the
+    u(p) = u0(p) - sum_j G(p, r_j) Xi_j u_j h^2, valid for points off the
     support (no self-cell needed).
     """
     green.require_grid(pot)

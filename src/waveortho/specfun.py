@@ -1,9 +1,8 @@
 """Special functions shared by every solver module.
 
-Spherical Bessel/Hankel functions with derivatives, Legendre polynomials,
-and the order-zero cylindrical Hankel function, evaluated by scipy.special with
-the domain checks and analytic origin limits the rest of the package relies
-on, behind a stable local interface.
+Spherical Bessel/Hankel functions with derivatives and Legendre polynomials,
+evaluated by scipy.special with the domain checks and analytic origin limits
+the rest of the package relies on, behind a stable local interface.
 
 An order n may be an integer or an integer array that broadcasts against the
 argument x, so every order of a mode expansion comes from one call; the
@@ -102,17 +101,3 @@ def legendre_p_deriv(n: Order, x: ArrayLike) -> np.ndarray:
         body = n * (pnm1 - safe * pn) / (1.0 - safe * safe)
     pole_val = np.sign(x) ** (n + 1) * n * (n + 1) / 2.0
     return np.where(n == 0, 0.0, np.where(near_pole, pole_val, body))
-
-
-def cyl_hankel1_0(x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-    """H_0^(1)(x) and its derivative -H_1^(1)(x), for x > 0.
-
-    This is the radial kernel of the two-dimensional free-space Green's
-    function, so the derivative is provided for normal-derivative evaluations.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise DomainError("cyl_hankel1_0 requires finite x > 0")
-    h0 = _sp.j0(x) + 1j * _sp.y0(x)
-    h1 = _sp.j1(x) + 1j * _sp.y1(x)
-    return h0, -h1

@@ -147,12 +147,9 @@ def test_argv_parsing():
 def test_solver_spec_parsing():
     assert cli._parse_solver("diagonal") == ("diagonal", 0)
     assert cli._parse_solver("iterate:25") == ("iterate", 25)
-    with pytest.raises(UsageError):
-        cli._parse_solver("iterate:zero")
-    with pytest.raises(UsageError):
-        cli._parse_solver("iterate:0")
-    with pytest.raises(UsageError):
-        cli._parse_solver("cholesky")
+    assert cli._parse_solver("iterate:zero") is None
+    assert cli._parse_solver("iterate:0") is None
+    assert cli._parse_solver("cholesky") is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,8 @@ def test_main_exit_codes(tmp_path):
         (["strip", "--format", "bogus", "--out", "x.csv"], "format must be csv or json"),
         # a BEM node count below 8, given or automatic, is bad input, not a failed check
         (["strip", "--bem_nodes", "3"], "bem_nodes must be 0 (automatic) or >= 8"),
-        (["strip", "--kd", "0.05"], "n_nodes must be an even integer >= 8"),
+        (["strip", "--kd", "0.05"],
+         "bem_nodes = 0 (automatic) gives 4 BEM nodes at kd = 0.05, below the 8"),
         # check bounds are constants, not keys
         (["strip", "--kirchhoff_corr_min", "0"], "unknown config key 'kirchhoff_corr_min'"),
         (["slit", "--null_step_tol", "100"], "unknown config key 'null_step_tol'"),
@@ -328,6 +326,10 @@ def test_main_exit_codes(tmp_path):
         (["strip", "--kd", "12.566370614359172", "--with_bem", "false",
           "--basis_size", "100000000000000000000"],
          "basis_size = 100000000000000000000 is above 9223372036854775807"),
+        # bc and solver refusals name their key
+        (["slit", "--bc", "rigid"], "bc must be soft or hard"),
+        (["sphere", "--solver", "bogus"], "solver must be diagonal, galerkin, or iterate:N"),
+        (["sphere", "--solver", "iterate:0"], "with an integer N >= 1"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -453,6 +455,13 @@ def test_readme_keys_match_defaults():
     assert set(documented) == set(cli.DEFAULTS)
     for name, defaults in cli.DEFAULTS.items():
         assert documented[name] == set(defaults) - set(cli._COMMON_DEFAULTS), name
+
+
+def test_readme_library_block_runs():
+    """The first python block under README's Library heading runs as written."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_console_script_registered():

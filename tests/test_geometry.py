@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import hankel1
 
 from waveortho import geometry as geo
 from waveortho.errors import DomainError
@@ -118,16 +117,6 @@ def test_greens_function_3d_value_and_gradient():
     r = np.linalg.norm(tgt - src)
     value, grad = _green_and_gradient(k, src, tgt)
     assert value == pytest.approx(np.exp(1j * k * r) / (4 * np.pi * r), rel=1e-13)
-    _check_gradient_by_central_differences(k, src, tgt, grad)
-
-
-def test_greens_function_2d_value_and_gradient():
-    k = 1.7
-    src = np.array([0.1, 0.2])
-    tgt = np.array([-0.8, 0.5])
-    r = np.linalg.norm(tgt - src)
-    value, grad = _green_and_gradient(k, src, tgt)
-    assert value == pytest.approx(0.25j * hankel1(0, k * r), rel=1e-13)
     _check_gradient_by_central_differences(k, src, tgt, grad)
 
 

@@ -91,12 +91,8 @@ def test_system_without_incident_refuses_residual_and_diagonal_solve(strip_syste
 
 def test_galerkin_matches_dense_solve(strip_system):
     *_, sys = strip_system
-    for lam in (0.0, 1e-3):
-        v = mth.solve_galerkin(sys, lam=lam)
-        ref = np.linalg.solve(sys.g + lam * np.eye(sys.size), -sys.b)
-        assert np.allclose(v, ref, rtol=1e-12)
-    with pytest.raises(DomainError):
-        mth.solve_galerkin(sys, lam=-1.0)
+    v = mth.solve_galerkin(sys)
+    assert np.allclose(v, np.linalg.solve(sys.g, -sys.b), rtol=1e-12)
 
 
 def test_galerkin_singular_frame():
@@ -110,8 +106,6 @@ def test_galerkin_singular_frame():
     sys = mth.assemble_gram(basis, bc, s, u0)
     with pytest.raises(SingularSystemError):
         mth.solve_galerkin(sys)
-    v = mth.solve_galerkin(sys, lam=1e-8)
-    assert np.all(np.isfinite(v))
     mth.solve_diagonal(sys)
 
 
@@ -269,10 +263,9 @@ def test_kernel_values_manual(strip_system):
 
 
 def test_far_field_point_sources_matches_large_radius():
-    """Far pattern against direct evaluation at kr >> 1 (3D and 2D)."""
+    """Far pattern against direct evaluation at kr >> 1."""
     k = 2.0
     r_eval = 4.0e3
-    # 3D
     locs = np.array([[0.0, 0.0, 0.4], [0.1, 0.0, -0.3]])
     basis = mth.PointSourceBasis(locations=locs, k=k)
     v = np.array([1.0 + 0.5j, -0.7j])
@@ -282,15 +275,6 @@ def test_far_field_point_sources_matches_large_radius():
     direct = basis.values(pts) @ v
     ref = direct * r_eval * np.exp(-1j * k * r_eval)
     assert np.allclose(ff.amplitude, ref, rtol=2e-3)
-    # 2D
-    locs2 = np.array([[0.2, 0.0], [-0.1, 0.3]])
-    basis2 = mth.PointSourceBasis(locations=locs2, k=k)
-    v2 = np.array([1.0, 0.3 + 0.2j])
-    ff2 = mth.far_field(basis2, v2, th)
-    pts2 = r_eval * np.column_stack([np.sin(th), np.cos(th)])
-    direct2 = basis2.values(pts2) @ v2
-    ref2 = direct2 * np.sqrt(r_eval) * np.exp(-1j * k * r_eval)
-    assert np.allclose(ff2.amplitude, ref2, rtol=2e-3)
 
 
 def test_far_field_spherical_modes_matches_large_radius():
@@ -378,12 +362,11 @@ def test_spherical_modes_equal_per_order_evaluation(points):
     [
         mth.PlaneWaveBasis(directions=_unit_vectors(5, 1, dim=2), k=3.1),
         mth.PlaneWaveBasis(directions=_unit_vectors(5, 2), k=3.1),
-        mth.PointSourceBasis(locations=0.3 * _unit_vectors(4, 3, dim=2), k=1.7),
         mth.PointSourceBasis(locations=0.3 * _unit_vectors(4, 4), k=2.3),
         mth.SphericalModeBasis(max_order=14, k=7.5),
         mth.IncidentField(direction=_unit_vectors(1, 5)[0], k=3.1),
     ],
-    ids=["plane-waves-2d", "plane-waves-3d", "point-sources-2d", "point-sources-3d",
+    ids=["plane-waves-2d", "plane-waves-3d", "point-sources-3d",
          "spherical-modes", "incident"],
 )
 def test_normal_derivatives_match_central_differences(field):
@@ -444,10 +427,8 @@ def test_point_sources_must_be_inside():
     outside = mth.PointSourceBasis(locations=np.array([[0.0, 0.0, 1.5]]), k=k)
     with pytest.raises(DomainError, match="source 0 lies outside the surface"):
         mth.eval_basis_trace(outside, mth.BoundaryCondition.SOFT, s)
-    open_surface = geo.make_surface(geo.Strip(width=1.0), 16)
-    inside_2d = mth.PointSourceBasis(locations=np.array([[0.0, -0.1]]), k=k)
-    with pytest.raises(DomainError, match="require a closed surface with an interior"):
-        mth.eval_basis_trace(inside_2d, mth.BoundaryCondition.SOFT, open_surface)
+    with pytest.raises(DomainError, match=r"\(M, 3\) array: point sources are 3D only"):
+        mth.PointSourceBasis(locations=np.array([[0.0, -0.1]]), k=k)
 
 
 def test_basis_dimension_mismatch():

@@ -86,15 +86,6 @@ def test_legendre_deriv_pole_limit():
         )
 
 
-def test_cylindrical_wronskian():
-    # J_0(x) Y_0'(x) - J_0'(x) Y_0(x) = 2 / (pi x), with J_0' = -J_1 etc.
-    x = np.linspace(0.2, 30.0, 73)
-    h0, h0p = specfun.cyl_hankel1_0(x)
-    # imag(conj(H0) * H0') = J0 Y0' - J0' Y0
-    w = (np.conj(h0) * h0p).imag
-    assert np.allclose(w, 2.0 / (np.pi * x), rtol=1e-10)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         specfun.sph_bessel_j(2, -1.0)
@@ -102,8 +93,6 @@ def test_domain_errors():
         specfun.sph_bessel_y(0, 0.0)
     with pytest.raises(DomainError):
         specfun.legendre_p(3, 1.5)
-    with pytest.raises(DomainError):
-        specfun.cyl_hankel1_0(np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         specfun.sph_bessel_j(-1, 1.0)
     with pytest.raises(DomainError):

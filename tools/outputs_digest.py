@@ -74,6 +74,8 @@ RUNS = {
     "sphere-ka-deg": ("sphere", {"ka_deg": "180"}, ()),
     "strip-4pi-3-angles": ("strip", {"kd": KD_4PI, "angles": "3"}, ()),
     "strip-16pi-31-angles": ("strip", {"kd": KD_16PI, "angles": "31"}, ()),
+    # an automatic BEM count of 4 nodes, below the oracle's 8
+    "strip-tiny-kd": ("strip", {"kd": "0.05"}, ()),
     # a ring inside the disturbance's support
     "born-ring-inside": ("born", {"ring_radius": "0.3"}, ()),
     # no key may switch off criterion 5's Galerkin-limit probe: lambda is refused
