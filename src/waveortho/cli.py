@@ -125,8 +125,10 @@ def _write_table(
     else:
         arrays = {name: np.asarray(a, dtype=float) for name, a in columns.items()}
         if cfg["format"] == "csv":
-            rows = zip(*arrays.values())
-            text = "\n".join([",".join(arrays)] + [",".join(f"{x:.17g}" for x in r) for r in rows])
+            # one % call for every row: the same text as f"{x:.17g}" per value
+            table = np.column_stack(list(arrays.values()))
+            row = "\n" + ",".join(["%.17g"] * table.shape[1])
+            text = ",".join(arrays) + (row * table.shape[0]) % tuple(table.ravel().tolist())
         else:  # json, the only other format build_config accepts
             text = json.dumps({name: a.tolist() for name, a in arrays.items()}, indent=1)
     _atomic_write(str(cfg[key]), text + "\n")
@@ -219,6 +221,17 @@ ANGLE_KEYS = ("incidence",)
 INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
+# bytes per entry of refine_iterate's residual history: a Python float (24)
+# and its list slot (8)
+HISTORY_ENTRY_BYTES = 32
+
+
+def _solver_fits(text: str) -> bool:
+    """A solver spec, with room in physical memory for its residual history."""
+    spec = _parse_solver(text)
+    return spec is not None and (spec[1] + 1) * HISTORY_ENTRY_BYTES <= geo.physical_memory()
+
+
 def _count(test: Callable[[object], bool], reason: str) -> Tuple[Callable[[object], bool], str]:
     """The rule of a count key: `test`, and room in physical memory for 16 bytes per entry."""
     return (lambda v: test(v) and 16 * v <= geo.physical_memory(),
@@ -256,8 +269,10 @@ RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "format": (lambda v: v in ("csv", "json"), "must be csv or json"),
     # spelled as BoundaryCondition.from_string reads it: any case, padded
     "bc": (lambda v: v.strip().lower() in ("soft", "hard"), "must be soft or hard"),
-    "solver": (lambda v: _parse_solver(v) is not None,
-               "must be diagonal, galerkin, or iterate:N with an integer N >= 1"),
+    "solver": (_solver_fits,
+               "must be diagonal, galerkin, or iterate:N with an integer N >= 1; and the "
+               f"N + 1 entries of its residual history, {HISTORY_ENTRY_BYTES} bytes each, "
+               "must fit in physical memory"),
 }
 
 

@@ -11,6 +11,7 @@ cosine map, matching how the field varies fastest near the screen edges.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -20,6 +21,10 @@ import numpy as np
 from .errors import DomainError
 
 MIN_RESOLUTION = 4
+
+# entries of the per-process memos of Gauss-Legendre rules and of surfaces
+RULE_MEMO_SIZE = 32
+SURFACE_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,10 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1].
 
     numpy solves an n x n companion matrix; a degree whose 8 n^2 bytes exceed
-    physical memory raises MemoryError before numpy allocates anything.
+    physical memory raises MemoryError before numpy allocates anything. Past
+    that guard the rule comes from a per-process memo of the most recent
+    RULE_MEMO_SIZE degrees, so a ka sweep solves each degree's eigenproblem
+    once; the two arrays are shared between callers and read-only.
     """
     need = 8 * int(n) ** 2
     have = physical_memory()
@@ -124,7 +132,19 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
             f"Gauss-Legendre degree {n} needs a {need}-byte companion matrix, "
             f"more than the {have} bytes of physical memory"
         )
-    return np.polynomial.legendre.leggauss(n)
+    return _gauss_legendre_rule(n)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=RULE_MEMO_SIZE)
+def _gauss_legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    _read_only(x, w)
+    return x, w
 
 
 def _axisymmetric_grid(resolution: int, n_phi: int = 0, shift: float = 0.0):
@@ -147,18 +167,29 @@ def make_surface(shape: Shape, resolution: int) -> Surface:
 
     resolution controls the polar node count for 3D bodies (azimuth gets
     twice that) and the node count for the 2D strip. Must be at least 4.
+    Surfaces come from a per-process memo of the SURFACE_MEMO_SIZE most recent
+    (shape, resolution) pairs: shapes are frozen dataclasses, so equal shapes
+    share one Surface, whose positions, normals and weights are read-only.
     """
     if resolution < MIN_RESOLUTION:
         raise DomainError(
             f"resolution {resolution} is below the minimum {MIN_RESOLUTION}"
         )
+    return _shape_surface(shape, resolution)
+
+
+@functools.lru_cache(maxsize=SURFACE_MEMO_SIZE)
+def _shape_surface(shape: Shape, resolution: int) -> Surface:
     if isinstance(shape, Sphere):
-        return _sphere_surface(shape.radius, resolution)
-    if isinstance(shape, Spheroid):
-        return _spheroid_surface(shape.equatorial_radius, shape.polar_radius, resolution)
-    if isinstance(shape, Strip):
-        return _strip_surface(shape.width, resolution)
-    raise ValueError(f"unsupported shape {shape!r}")
+        s = _sphere_surface(shape.radius, resolution)
+    elif isinstance(shape, Spheroid):
+        s = _spheroid_surface(shape.equatorial_radius, shape.polar_radius, resolution)
+    elif isinstance(shape, Strip):
+        s = _strip_surface(shape.width, resolution)
+    else:
+        raise ValueError(f"unsupported shape {shape!r}")
+    _read_only(s.positions, s.normals, s.weights)
+    return s
 
 
 def _sphere_surface(radius: float, resolution: int, n_phi: int = 0, shift: float = 0.0) -> Surface:

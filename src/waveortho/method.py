@@ -297,8 +297,8 @@ def assemble_gram(
     the basis is degenerate on this surface. b_i = <A D_i, A u0>.
     """
     t = eval_basis_trace(basis, bc, s)
-    weighted = s.weights[:, None] * t
-    g = t.conj().T @ weighted
+    t_h = t.conj().T
+    g = t_h @ (s.weights[:, None] * t)
     g = 0.5 * (g + g.conj().T)
     diag = np.real(np.diag(g)).copy()
     max_diag = float(np.max(diag)) if diag.size else 0.0
@@ -311,7 +311,7 @@ def assemble_gram(
         if u0.dim != s.dim:
             raise DomainError("incident field dimension does not match surface")
         au0 = bc.trace(u0, s)
-        b = t.conj().T @ (s.weights * au0)
+        b = t_h @ (s.weights * au0)
     return GramSystem(g=g, beta=1.0 / diag, surface=s, traces=t, au0=au0, b=b)
 
 

@@ -223,6 +223,66 @@ def test_history_emission(tmp_path):
     assert steps == list(range(51))
 
 
+_CSV_EDGE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                    2.2250738585072009e-308, 1e-308, 1e308, -1e308, 1.7976931348623157e308,
+                    0.1, 1.0 / 3.0, 2.0**53 + 2.0, -123456.789]
+
+
+def _written_csv(tmp_path, columns):
+    out = str(tmp_path / "table.csv")
+    cfg = {"out": out, "format": "csv"}
+    cli._write_table(cfg, cli.RunReport("test", cfg), "out", columns)
+    return open(out).read()
+
+
+@pytest.mark.parametrize("n_rows", [len(_CSV_EDGE_VALUES), 1])
+def test_csv_writer_matches_per_value_format(n_rows, tmp_path):
+    rng = np.random.default_rng(7)
+    a = np.array(_CSV_EDGE_VALUES[:n_rows])
+    columns = {"a": a, "b": rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+               "c": a[::-1]}
+    expected = "\n".join(["a,b,c"] + [",".join(f"{x:.17g}" for x in row)
+                                      for row in zip(*columns.values())]) + "\n"
+    assert _written_csv(tmp_path, columns) == expected
+
+
+def test_csv_writer_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _written_csv(tmp_path, {"a": np.zeros(3), "b": np.zeros(2)})
+
+
+def test_sphere_table_is_the_same_with_and_without_the_memos(tmp_path):
+    out = [str(tmp_path / f"{i}.csv") for i in range(3)]
+    for i, path in enumerate(out):
+        if i == 2:
+            geo._gauss_legendre_rule.cache_clear()
+            geo._shape_surface.cache_clear()
+        cfg = cli.build_config("sphere", overrides={"ka": "3", "bc": "hard", "out": path})
+        assert cli.run_scenario("sphere", cfg).passed
+    first, memoized, fresh = (open(path, "rb").read() for path in out)
+    assert first == memoized == fresh
+
+
+def test_sphere_sweep_solves_each_quadrature_degree_once(monkeypatch):
+    real = np.polynomial.legendre.leggauss
+    degrees = []
+
+    def counted(n):
+        degrees.append(n)
+        return real(n)
+
+    geo._gauss_legendre_rule.cache_clear()
+    geo._shape_surface.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for ka in range(1, 7):
+        for bc in ("soft", "hard"):
+            cli.run_scenario("sphere", cli.build_config("sphere", overrides={
+                "ka": str(ka), "bc": bc}))
+    cli.run_scenario("sphere", cli.build_config("sphere", overrides={
+        "basis": "plane-waves", "bc": "hard"}))
+    assert degrees and len(degrees) == len(set(degrees))
+
+
 # ---------------------------------------------------------------------------
 # Entry point behavior
 
@@ -330,6 +390,9 @@ def test_main_exit_codes(tmp_path):
         (["slit", "--bc", "rigid"], "bc must be soft or hard"),
         (["sphere", "--solver", "bogus"], "solver must be diagonal, galerkin, or iterate:N"),
         (["sphere", "--solver", "iterate:0"], "with an integer N >= 1"),
+        # a residual history that cannot fit in memory is refused before any step
+        (["sphere", "--ka", "1", "--solver", "iterate:1000000000000"],
+         "must fit in physical memory"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):

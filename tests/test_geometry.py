@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,31 @@ def test_gauss_legendre_exactness():
     for p in range(12):
         exact = (1.0 - (-1.0) ** (p + 1)) / (p + 1)
         assert np.sum(w * x**p) == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 6, 32, 65])
+def test_gauss_legendre_is_leggauss_and_read_only(n):
+    x, w = geo.gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert geo.gauss_legendre(n)[0] is x
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("shape, resolution", [
+    (geo.Sphere(radius=1.5), 12),
+    (geo.Spheroid(equatorial_radius=1.0, polar_radius=2.0), 10),
+    (geo.Strip(width=2.0), 16),
+])
+def test_equal_surface_keys_share_one_read_only_surface(shape, resolution):
+    s = geo.make_surface(shape, resolution)
+    assert geo.make_surface(dataclasses.replace(shape), resolution) is s
+    assert geo.make_surface(shape, resolution + 1) is not s
+    for a in (s.positions, s.normals, s.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_sphere_surface_area_and_normals():
