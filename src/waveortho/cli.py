@@ -172,7 +172,6 @@ DEFAULTS: Dict[str, Dict[str, object]] = {
         "angles": 181,
         "incidence": 0.0,
         "with_bem": True,
-        "bem_nodes": 0,
         "history_out": "",
     },
     "spheroid": {
@@ -261,9 +260,6 @@ RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
     "quad_resolution": _count(lambda v: v == 0 or v >= geo.MIN_RESOLUTION,
                               f"must be 0 (automatic) or >= {geo.MIN_RESOLUTION}"),
     "anchor": (lambda v: v >= 0, "must be >= 0: it is a surface node index"),
-    "bem_nodes": _count(lambda v: v == 0 or (v >= 8 and v % 2 == 0), "must be 0 (automatic) "
-                        "or >= 8 and even: the boundary-element oracle needs at least 8 nodes, "
-                        "and nodes that t -> pi - t maps onto nodes"),
     "basis": (lambda v: v in ("spherical-modes", "plane-waves"),
               "must be spherical-modes or plane-waves"),
     "format": (lambda v: v in ("csv", "json"), "must be csv or json"),
@@ -673,7 +669,7 @@ def _half_power_steps(a: np.ndarray) -> int:
 
 
 # least aperture-density correlation with the Kirchhoff sinc, and the most
-# grid steps a first null or the main-lobe width may sit from the BEM one
+# grid steps a first null or the main-lobe width may sit from the oracle's
 KIRCHHOFF_CORR_MIN = 0.999
 # largest relative L2 distance of the sphere's far field from the series
 FAR_TOL = 1e-8
@@ -690,16 +686,9 @@ def _run_strip_pipeline(
     alpha = float(cfg["incidence"])
     n_angles = int(cfg["angles"])
     if bool(cfg["with_bem"]):
-        nb = int(cfg["bem_nodes"]) or int(round(240.0 * kd / np.pi))
-        nb += nb % 2
-        if nb < 8:
-            raise UsageError(
-                f"bem_nodes = 0 (automatic) gives {nb} BEM nodes at kd = {kd:g}, below the 8 "
-                "the boundary-element oracle needs: set bem_nodes >= 8 or raise kd"
-            )
         if n_angles < 3:
             raise UsageError(
-                "angles must be >= 3 when with_bem is on: the BEM comparison needs a "
+                "angles must be >= 3 when with_bem is on: the oracle comparison needs a "
                 "pattern direction with |theta| < pi/2, and 2 angles give only -pi and pi"
             )
         # The null and lobe checks see a lobe only when each Kirchhoff first
@@ -748,18 +737,17 @@ def _run_strip_pipeline(
 
     if bool(cfg["with_bem"]):
         try:
-            contour = orc.bem_strip_contour(d, k, nb)
             bem_info: Dict[str, float] = {}
-            _, ff = orc.bem_dense_solve(contour, bc_solve, k, u0, far_angles=th_grid,
-                                        info=bem_info)
+            ff, self_error = orc.strip_arc_solve(bc_solve, kd, alpha, th_grid, info=bem_info)
             upper = np.abs(th_grid) < 0.5 * np.pi - 1e-9
             th_up = th_grid[upper]
             a_m = np.abs(pattern_amp[upper])
             a_b = np.abs(ff.amplitude[upper])
             rel = math.sqrt(max(0.0, 1.0 - _normalized_corr(a_m, a_b) ** 2))
             report.metrics["bem_pattern_rel_l2"] = rel
-            report.metrics["bem_nodes_used"] = nb
+            report.metrics["bem_nodes_used"] = bem_info["nodes"]
             report.metrics["bem_rcond"] = bem_info["rcond"]
+            report.metrics["oracle_self_error"] = self_error
             for side, tag in ((1, "pos"), (-1, "neg")):
                 im = _first_null_index(a_m, th_up, side)
                 ib = _first_null_index(a_b, th_up, side)

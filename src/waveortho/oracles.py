@@ -1,10 +1,11 @@
 """Independent reference solutions used to validate the solver.
 
-Four oracle families, none of which share numerics with the method module:
+Five oracle families, none of which share numerics with the method module:
 
 * Partial-wave series for the sphere (Mie-type) and the circular cylinder,
   with closed-form coefficients.
 * Kirchhoff aperture patterns for a flat strip.
+* A spectral open-arc solver for the zero-thickness strip.
 * A dense spectral Nystrom boundary-element solver for smooth closed 2D
   curves symmetric about both axes (combined-field integral equations of
   Brakhage-Werner and Burton-Miller type, with the hypersingular operator
@@ -49,7 +50,8 @@ def mie_series(
 ) -> Tuple[MieCoefficients, FarFieldPattern]:
     """Exact sphere scattering for an axially incident unit plane wave.
 
-    Truncates at N = ceil(ka) + 12. Returns the coefficients and the
+    Truncates at N = max(ceil(ka) + 12, ceil(ka + 4 ka^(1/3) + 10)) (after
+    Wiscombe, Appl. Opt. 19, 1505, 1980). Returns the coefficients and the
     far-field pattern f(theta) with u_scat ~ f e^{ikr}/r (k in units of 1/a
     via ka and a = 1). Each special function takes one call for all orders.
     """
@@ -59,7 +61,7 @@ def mie_series(
         raise DomainError("series oracle supports ka <= 100")
     angles = np.asarray(angles, dtype=float)
     k = ka  # a = 1
-    orders = np.arange(int(np.ceil(ka)) + 13)
+    orders = np.arange(int(max(np.ceil(ka) + 12, np.ceil(ka + 4.0 * np.cbrt(ka) + 10))) + 1)
     j, jp = specfun.sph_bessel_j(orders, ka)
     y, yp = specfun.sph_bessel_y(orders, ka)
     h, hp = j + 1j * y, jp + 1j * yp  # as specfun.sph_hankel1 forms them
@@ -146,22 +148,6 @@ def bem_ellipse(a_semi: float, b_semi: float, n_nodes: int) -> Surface:
         closed=True,
         char_size=2.0 * max(a_semi, b_semi),
     )
-
-
-def bem_strip_contour(width: float, k: float, n_nodes: int) -> Surface:
-    """Thin closed contour standing in for a zero-thickness strip.
-
-    An ellipse with semi-axes (width/2, lambda/200), i.e. total thickness
-    lambda/100. The cos-parametrization concentrates nodes at the tips in
-    proportion to the curvature there, which is what the tip transition and
-    the opposite-face interaction across the thin gap both require; the node
-    count for a converged pattern grows like 100 kd (see the convergence
-    test), so wide strips are genuinely expensive.
-    """
-    if width <= 0 or k <= 0:
-        raise DomainError("width and k must be positive")
-    lam = 2.0 * np.pi / k
-    return bem_ellipse(0.5 * width, lam / 200.0, n_nodes)
 
 
 def _fft_derivative(
@@ -589,6 +575,91 @@ def bem_dense_solve(
         far_angles = np.linspace(-np.pi, np.pi, 721)
     far_angles = np.asarray(far_angles, dtype=float)
     return psi, FarFieldPattern(angles=far_angles, amplitude=_bem_far_field(c, k, psi, far_angles))
+
+
+# ---------------------------------------------------------------------------
+# Zero-thickness strip: spectral open-arc solver (2D)
+
+# the arc oracle's half-period nodes beyond kd, the extra nodes of its check
+# order, and the complex 2n x 2n arrays a solve with 181 angles stays below
+ARC_EXTRA_NODES, ARC_CHECK_NODES, ARC_ARRAYS = 32, 32, 3
+
+
+def _arc_far_field(bc: BoundaryCondition, kd: float, incidence: float, angles: np.ndarray,
+                   n: int) -> Tuple[np.ndarray, float]:
+    """`strip_arc_solve`'s far field at n half-period nodes, and its system's rcond.
+
+    On the grid tau_j = pi j / n, node -j lies on node j, so the single layer
+    (1/2) int (i/4) H_0 over the period is assembled on the n + 1 nodes of
+    [0, pi], its columns counted twice inside. Its logarithms at tau - s and
+    tau + s both take Kress's product weights.
+    """
+    k = 2.0 * np.pi
+    big, trap = 2 * n, np.pi / n
+    nodes = np.arange(n + 1)
+    tau = trap * nodes
+    x, speed = 0.25 * kd / np.pi * np.cos(tau), 0.25 * kd / np.pi * np.sin(tau)
+    # a circulant c on the period, folded onto [0, pi]: c[i - j] + c[i + j]
+    minus, plus = np.subtract.outer(nodes, nodes) % big, np.add.outer(nodes, nodes) % big
+    col = _log_split_column(big)
+    weights = col[minus] + col[plus]
+    kr = k * np.abs(np.subtract.outer(x, x))
+    kr[nodes, nodes] = 1.0  # placeholder, the diagonal is set below
+    j0 = sp.j0(kr)
+    s = (trap / 8.0) * (1j * j0 - sp.y0(kr)) - weights * j0 / (8.0 * np.pi)
+    # the limit of the smooth part, with Kress's weights in full where tau = s or tau = -s
+    ends = nodes % n == 0
+    log_speed = np.log(kd / 8.0 * np.where(ends, 1.0, 2.0 * np.abs(np.sin(tau))))
+    s[nodes, nodes] = trap * (0.125j - (EULER_GAMMA + log_speed) / (4.0 * np.pi))
+    s[nodes, nodes] -= weights[nodes, nodes] / (8.0 * np.pi)
+    mult = np.where(ends, 1.0, 2.0)
+    s *= mult
+    u0 = np.exp(1j * k * np.sin(incidence) * x)
+    pref = 0.125j * trap * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
+    phase = np.exp(-1j * k * np.outer(np.sin(angles), x))
+    if bc is BoundaryCondition.SOFT:  # S psi = -u0, psi = (d/2) |sin tau| sigma
+        psi, rcond = _solve_dense(s, -u0)
+        return pref * (phase @ (mult * psi)), rcond
+    # Maue's identity times the speed (d/2) sin tau, as d/dx = -d/dtau / speed:
+    # d/dtau S[dmu/dtau] + k^2 speed S[speed mu] = -speed du0/dn, mu odd in tau
+    dcol = _fft_derivative(np.eye(1, big)[0])  # d/dtau on the period: the circulant of dcol
+    d_odd = (dcol[minus] - dcol[plus])[:, 1:-1]
+    d_even = 0.5 * (dcol[minus] + dcol[plus])[1:-1] * mult
+    a = d_even @ s @ d_odd
+    a += k**2 * speed[1:-1, None] * s[1:-1, 1:-1] * speed[1:-1]
+    mu, rcond = _solve_dense(a, 1j * k * np.cos(incidence) * speed[1:-1] * u0[1:-1])
+    return pref * (-1j * k * np.cos(angles)) * (phase[:, 1:-1] @ (2.0 * speed[1:-1] * mu)), rcond
+
+
+def strip_arc_solve(bc: BoundaryCondition, kd: float, incidence: float, angles: np.ndarray,
+                    info: Optional[dict] = None) -> Tuple[FarFieldPattern, float]:
+    """Exact scattering by the zero-thickness strip |x| <= d/2, y = 0 (unit wavelength).
+
+    kd = 2 pi d; the unit plane wave travels along (sin alpha, -cos alpha),
+    alpha = `incidence`, and u_s ~ f(theta) e^{ikr} / sqrt(r) toward (sin
+    theta, cos theta). With t = (d/2) cos tau (Kress, Math. Methods Appl. Sci.
+    18, 267, 1995): soft, S sigma = -u0 for psi = (d/2) |sin tau| sigma, even;
+    hard, Maue's T mu = d/dx S[mu'] + k^2 S[mu] for the jump mu, odd (Moench,
+    J. Comput. Appl. Math. 71, 343, 1996). n = ceil(kd) + ARC_EXTRA_NODES:
+    Kress's weights integrate kernel times density, kd/2 modes each, exactly
+    below n. Returns f and its relative L2 gap to f at ARC_CHECK_NODES more;
+    `info` gets `rcond` and `nodes` (n). MemoryError if the check order's
+    ARC_ARRAYS arrays exceed physical memory.
+    """
+    if kd <= 0:
+        raise DomainError("kd must be positive")
+    n = int(np.ceil(kd)) + ARC_EXTRA_NODES
+    need = ARC_ARRAYS * 16 * (2 * (n + ARC_CHECK_NODES)) ** 2
+    have = geometry.physical_memory()
+    if need > have:
+        raise MemoryError(f"the strip oracle at {n} half-period nodes needs about {need} bytes, "
+                          f"more than the {have} bytes of physical memory")
+    angles = np.asarray(angles, dtype=float)
+    amp, rcond = _arc_far_field(bc, kd, incidence, angles, n)
+    check, _ = _arc_far_field(bc, kd, incidence, angles, n + ARC_CHECK_NODES)
+    if info is not None:
+        info.update(rcond=rcond, nodes=n)
+    return FarFieldPattern(angles, amp), float(np.linalg.norm(amp - check) / np.linalg.norm(check))
 
 
 # ---------------------------------------------------------------------------

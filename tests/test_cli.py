@@ -315,10 +315,10 @@ def test_main_exit_codes(tmp_path):
         (["born", "--format", "bogus"], "format must be csv or json"),
         (["riemann-decay", "--format", "bogus"], "format must be csv or json"),
         (["strip", "--format", "bogus", "--out", "x.csv"], "format must be csv or json"),
-        # a BEM node count below 8, given or automatic, is bad input, not a failed check
-        (["strip", "--bem_nodes", "3"], "bem_nodes must be 0 (automatic) or >= 8"),
-        (["strip", "--kd", "0.05"],
-         "bem_nodes = 0 (automatic) gives 4 BEM nodes at kd = 0.05, below the 8"),
+        # the strip oracle sizes itself, so no key sets its node count
+        (["strip", "--bem_nodes", "3"], "unknown config key 'bem_nodes'"),
+        # a tiny strip meets only the angle rule of the oracle comparison
+        (["strip", "--kd", "0.05", "--angles", "2"], "angles must be >= 3"),
         # check bounds are constants, not keys
         (["strip", "--kirchhoff_corr_min", "0"], "unknown config key 'kirchhoff_corr_min'"),
         (["slit", "--null_step_tol", "100"], "unknown config key 'null_step_tol'"),
@@ -372,14 +372,12 @@ def test_main_exit_codes(tmp_path):
         (["sphere", "--basis_size", "-3"], "basis_size must be >= 0"),
         (["sphere", "--quad_resolution", "-1"], "quad_resolution must be 0 (automatic) or >= 4"),
         (["kernel-profile", "--anchor", "-1"], "anchor must be >= 0"),
-        (["strip", "--bem_nodes", "7", "--kd", "12.566370614359172"],
-         "bem_nodes must be 0 (automatic) or >= 8"),
+        (["strip", "--with_bem", "maybe"], "bad value 'maybe' for config key 'with_bem'"),
         # a zero disturbance leaves the second-order checks nothing to compare
         (["born", "--amplitude", "0"], "amplitude must not be 0"),
         (["riemann-decay", "--separation", "2"], "separation must lie in (0, 2)"),
-        # an odd count is not rounded up to the next even one
-        (["strip", "--kd", "12.566370614359172", "--bem_nodes", "961"],
-         "bem_nodes must be 0 (automatic) or >= 8 and even"),
+        (["slit", "--kd", "12.566370614359172", "--bem_nodes", "962"],
+         "unknown config key 'bem_nodes'"),
         # integers numpy cannot index are refused before any array is built
         (["sphere", "--ka", "2", "--angles", "100000000000000000000"],
          "angles = 100000000000000000000 is above 9223372036854775807"),
@@ -481,19 +479,17 @@ def test_count_beyond_physical_memory_exits_2_naming_the_key(argv, key, monkeypa
     assert err.endswith("and an array of that many 16-byte entries must fit in physical memory\n")
 
 
-def test_oversized_bem_node_count_exits_2_before_assembling(monkeypatch, capsys):
+def test_oversized_strip_oracle_exits_2_before_assembling(monkeypatch, capsys):
     def unreachable(*args):
-        pytest.fail("the BEM matrix was assembled")
+        pytest.fail("the strip oracle was assembled")
 
-    monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 30)
-    # every way into the BEM assembly
-    for name in ("_folded_blocks", "_bem_rows", "_hard_rows", "_soft_block", "_double_layer",
-                 "_nystrom_base", "_nystrom"):
-        monkeypatch.setattr(orc, name, unreachable)
-    assert cli.main(["strip", "--kd", "12.566370614359172", "--bem_nodes", "20000"]) == 2
+    # room for the method's arrays at kd = 4 pi, not for the oracle's 3 (2 x 77)^2 entries
+    monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(orc, "_arc_far_field", unreachable)
+    assert cli.main(["strip", "--kd", "12.566370614359172"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"at 20000 nodes needs about {48 * 5001 * 20000} bytes" in err
+    assert f"at 45 half-period nodes needs about {3 * 16 * 154**2} bytes" in err
 
 
 def test_main_prints_report(capsys):
@@ -699,3 +695,13 @@ def test_strip_reports_bem_rcond(overrides):
     cfg = cli.build_config("strip", overrides={"kd": repr(4 * math.pi), **overrides})
     rep = cli.run_scenario("strip", cfg)
     assert 0.0 < rep.metrics["bem_rcond"] < 1.0
+    # the arc oracle's half-period nodes at kd = 4 pi, and its gap to a larger order
+    assert rep.metrics["bem_nodes_used"] == 45
+    assert rep.metrics["oracle_self_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["soft", "hard"])
+@pytest.mark.parametrize("ka", ["32", "40", "50", "70", "100"])
+def test_sphere_passes_against_the_series_up_to_its_cap(ka, bc, capsys):
+    # at ceil(ka) + 12 orders the series' own truncation failed ka = 32 hard (1.156e-8)
+    assert cli.main(["sphere", "--ka", ka, "--bc", bc]) == 0

@@ -47,12 +47,17 @@ def test_mie_cross_sections_frozen():
     assert c_hard.sigma_total == pytest.approx(4.094637, rel=1e-5)
 
 
+def _mie_order(ka):
+    """The series' last order: Wiscombe's ka + 4 ka^(1/3) + 10, and at least ceil(ka) + 12."""
+    return max(int(np.ceil(ka)) + 12, int(np.ceil(ka + 4.0 * ka ** (1.0 / 3.0) + 10)))
+
+
 def test_mie_hard_coefficient_wronskian_identity():
     """For the hard sphere, j_n + a_n h_n collapses to i/((ka)^2 h_n') order
     by order, by the Wronskian, fixing each a_n independently."""
     ka = 5.0
     coeffs, _ = orc.mie_series(HARD, ka, np.array([0.0]))
-    n = np.arange(int(np.ceil(ka)) + 13)
+    n = np.arange(_mie_order(ka) + 1)
     assert coeffs.a_n.shape == n.shape
     j, _ = specfun.sph_bessel_j(n, ka)
     h, hp = specfun.sph_hankel1(n, ka)
@@ -61,7 +66,7 @@ def test_mie_hard_coefficient_wronskian_identity():
 
 def _mie_per_order(bc, ka, angles):
     """a_n and the far-field amplitude with one special-function call per order."""
-    n_max = int(np.ceil(ka)) + 12
+    n_max = _mie_order(ka)
     mu = np.cos(angles)
     a_n = np.empty(n_max + 1, dtype=complex)
     amp = np.zeros_like(angles, dtype=complex)
@@ -76,12 +81,25 @@ def _mie_per_order(bc, ka, angles):
 
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_mie_series_equals_per_order_evaluation(bc):
-    ka, angles = 12.0, np.linspace(0.0, np.pi, 181)  # 25 orders
+    ka, angles = 12.0, np.linspace(0.0, np.pi, 181)  # 32 orders
     a_n, amp = _mie_per_order(bc, ka, angles)
     coeffs, ff = orc.mie_series(bc, ka, angles)
     assert a_n.size >= 20
     assert np.array_equal(coeffs.a_n, a_n)
     assert np.array_equal(ff.amplitude, amp)
+
+
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_mie_series_is_converged_at_its_cap(bc):
+    # the 130 orders at ka = 100 against 80 more, summed here from scipy
+    ka, angles = 100.0, np.linspace(0.0, np.pi, 181)
+    _, ff = orc.mie_series(bc, ka, angles)
+    n = np.arange(_mie_order(ka) + 81)
+    deriv = bc is HARD
+    j = special.spherical_jn(n, ka, derivative=deriv)
+    a = -j / (j + 1j * special.spherical_yn(n, ka, derivative=deriv))
+    ref = ((2 * n + 1) * a) @ special.eval_legendre(n[:, None], np.cos(angles)) / (1j * ka)
+    assert np.linalg.norm(ff.amplitude - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_mie_domain():
@@ -159,17 +177,6 @@ def test_bem_ellipse_validation():
     assert np.allclose(np.linalg.norm(s.normals, axis=1), 1.0)
 
 
-def test_bem_strip_contour_geometry():
-    k = 2.0 * np.pi
-    width = 2.0
-    s = orc.bem_strip_contour(width, k, 240)
-    assert s.char_size == pytest.approx(width)
-    assert np.max(np.abs(s.positions[:, 1])) == pytest.approx(1.0 / 200.0, rel=1e-12)
-    assert np.max(s.positions[:, 0]) == pytest.approx(width / 2, rel=1e-6)
-    with pytest.raises(DomainError):
-        orc.bem_strip_contour(-1.0, k, 240)
-
-
 def test_bem_strip_contour_pattern_converges():
     # node refinement changes the far pattern less and less
     k = 2.0 * np.pi
@@ -179,7 +186,7 @@ def test_bem_strip_contour_pattern_converges():
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     ffs = []
     for n in (320, 640, 960):
-        s = orc.bem_strip_contour(width, k, n)
+        s = orc.bem_ellipse(width / 2, 1.0 / 200.0, n)  # lambda/100 thick
         _, ff = orc.bem_dense_solve(s, HARD, k, u0, far_angles=angles)
         ffs.append(ff.amplitude)
     d1 = np.linalg.norm(ffs[1] - ffs[0]) / np.linalg.norm(ffs[1])
@@ -211,22 +218,27 @@ def test_fft_derivative_along_either_axis_matches_cot_matrix(n, dtype):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class _CountingSpecial:
+    """Stands in for scipy.special, adding the values each function returns to `evaluated`."""
+
+    def __init__(self, evaluated):
+        self.evaluated = evaluated
+
+    def __getattr__(self, name):
+        fn = getattr(special, name)
+
+        def counted(*args):
+            out = fn(*args)
+            self.evaluated[name] = self.evaluated.get(name, 0) + np.size(out)
+            return out
+
+        return counted
+
+
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_bem_evaluates_each_bessel_order_once(bc, monkeypatch):
     evaluated = {}
-
-    class Counting:
-        def __getattr__(self, name):
-            fn = getattr(special, name)
-
-            def counted(*args):
-                out = fn(*args)
-                evaluated[name] = evaluated.get(name, 0) + np.size(out)
-                return out
-
-            return counted
-
-    monkeypatch.setattr(orc, "sp", Counting())
+    monkeypatch.setattr(orc, "sp", _CountingSpecial(evaluated))
     k = 4.0
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     for n in (32, 34):  # n/2 even and odd: t -> pi - t fixes two nodes, or none
@@ -239,7 +251,7 @@ def test_bem_evaluates_each_bessel_order_once(bc, monkeypatch):
 def _bem_case(bc, n):
     """A thin strip contour, its curve data, an oblique incident wave and the BEM right side."""
     k = 2.0 * np.pi
-    s = orc.bem_strip_contour(1.0, k, n)
+    s = orc.bem_ellipse(0.5, 1.0 / 200.0, n)
     c = orc._CurveData(s)
     u0 = mth.IncidentField(direction=np.array([np.sin(0.4), -np.cos(0.4)]), k=k)
     if bc is SOFT:
@@ -314,7 +326,7 @@ def test_bem_gather_in_column_blocks_equals_one_block_bitwise(n, monkeypatch):
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_bem_peak_memory_within_guard(bc, monkeypatch):
     n, k = 960, 4.0 * np.pi
-    s = orc.bem_strip_contour(1.0, k, n)
+    s = orc.bem_ellipse(0.5, 0.5 / 200.0, n)
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     with monkeypatch.context() as m:  # no memory at all: the refusal names its estimate
         m.setattr(orc.geometry, "physical_memory", lambda: 0)
@@ -363,6 +375,98 @@ def test_bem_refuses_curve_without_node_symmetry():
     for curve in (egg, shifted):
         with pytest.raises(DomainError, match="under both axis reflections"):
             orc.bem_dense_solve(curve, SOFT, 3.0, u0)
+
+
+# ---------------------------------------------------------------------------
+# Open-arc strip oracle (unit wavelength, k = 2 pi)
+
+ARC_KDS = [4.0 * np.pi, 16.0 * np.pi]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("kd", ARC_KDS)
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_strip_arc_oracle_satisfies_the_optical_theorem(bc, kd, alpha):
+    # int |f|^2 dtheta = -sqrt(8 pi / k) Re(e^{i pi/4} f(pi - alpha)); f is periodic
+    # and band-limited, so the trapezoidal rule on 512 angles takes the integral
+    m, k = 512, 2.0 * np.pi
+    ff, _ = orc.strip_arc_solve(bc, kd, alpha, -np.pi + 2.0 * np.pi * np.arange(m) / m)
+    fwd, _ = orc.strip_arc_solve(bc, kd, alpha, np.array([np.pi - alpha]))
+    width = 2.0 * np.pi / m * np.sum(np.abs(ff.amplitude) ** 2)
+    extinction = -np.sqrt(8.0 * np.pi / k) * np.real(np.exp(0.25j * np.pi) * fwd.amplitude[0])
+    assert abs(width - extinction) <= 1e-12 * width
+
+
+@pytest.mark.parametrize("kd", ARC_KDS)
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_strip_arc_oracle_agrees_with_larger_orders(bc, kd):
+    angles = np.linspace(-np.pi, np.pi, 181)
+    info = {}
+    ff, self_error = orc.strip_arc_solve(bc, kd, 0.3, angles, info=info)
+    far, _ = orc._arc_far_field(bc, kd, 0.3, angles, info["nodes"] + 128)
+    assert info["nodes"] == int(np.ceil(kd)) + 32
+    assert self_error <= 1e-12
+    assert np.linalg.norm(ff.amplitude - far) <= 1e-12 * np.linalg.norm(far)
+    assert 0.0 < info["rcond"] < 1.0
+
+
+@pytest.mark.parametrize("kd", ARC_KDS)
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_strip_arc_pattern_is_mirror_symmetric_at_normal_incidence(bc, kd):
+    ff, _ = orc.strip_arc_solve(bc, kd, 0.0, np.linspace(-np.pi, np.pi, 181))
+    f = ff.amplitude
+    assert np.max(np.abs(f - f[::-1])) <= 1e-12 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_thin_ellipse_bem_is_off_the_strip_by_a_phase(bc):
+    # the lambda/100-thick ellipse that stood in for the strip, against the arc
+    k, kd = 2.0 * np.pi, 4.0 * np.pi
+    angles = np.linspace(-np.pi, np.pi, 181)
+    upper = np.abs(angles) < 0.5 * np.pi - 1e-9
+    arc, _ = orc.strip_arc_solve(bc, kd, 0.0, angles)
+    u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
+    _, bem = orc.bem_dense_solve(orc.bem_ellipse(kd / k / 2.0, 1.0 / 200.0, 960), bc, k, u0,
+                                 far_angles=angles)
+    a, b = arc.amplitude[upper], bem.amplitude[upper]
+    assert 0.04 <= np.linalg.norm(a - b) / np.linalg.norm(a) <= 0.06
+    ratio = np.vdot(b, a) / np.vdot(b, b)  # least squares: a ~ ratio b
+    assert abs(ratio - (0.9986 + 0.048j)) <= 0.005 * abs(0.9986 + 0.048j)
+
+
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_strip_arc_oracle_evaluates_bessel_functions_through_sp(bc, monkeypatch):
+    evaluated = {}
+    monkeypatch.setattr(orc, "sp", _CountingSpecial(evaluated))
+    info = {}
+    orc.strip_arc_solve(bc, 4.0 * np.pi, 0.0, np.linspace(-np.pi, np.pi, 181), info=info)
+    n = info["nodes"]
+    per_order = (n + 1) ** 2 + (n + orc.ARC_CHECK_NODES + 1) ** 2  # the half period's node pairs
+    assert evaluated == {"j0": per_order, "y0": per_order}
+
+
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_strip_arc_oracle_peak_memory_within_guard(bc, monkeypatch):
+    angles = np.linspace(-np.pi, np.pi, 181)
+    for kd in (4.0 * np.pi, 64.0 * np.pi):
+        with monkeypatch.context() as m:  # no memory at all: refused before any array
+            m.setattr(orc.geometry, "physical_memory", lambda: 0)
+            m.setattr(orc, "_arc_far_field", lambda *args: pytest.fail("the oracle ran"))
+            with pytest.raises(MemoryError) as refused:
+                orc.strip_arc_solve(bc, kd, 0.0, angles)
+        need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+        tracemalloc.start()
+        try:
+            orc.strip_arc_solve(bc, kd, 0.0, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+
+
+def test_strip_arc_oracle_domain():
+    with pytest.raises(DomainError):
+        orc.strip_arc_solve(SOFT, 0.0, 0.0, np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
