@@ -644,7 +644,8 @@ def strip_arc_solve(bc: BoundaryCondition, kd: float, incidence: float, angles: 
     Kress's weights integrate kernel times density, kd/2 modes each, exactly
     below n. Returns f and its relative L2 gap to f at ARC_CHECK_NODES more;
     `info` gets `rcond` and `nodes` (n). MemoryError if the check order's
-    ARC_ARRAYS arrays exceed physical memory.
+    ARC_ARRAYS arrays exceed physical memory; DomainError if the check
+    pattern is zero or not finite, which leaves no relative gap.
     """
     if kd <= 0:
         raise DomainError("kd must be positive")
@@ -657,9 +658,13 @@ def strip_arc_solve(bc: BoundaryCondition, kd: float, incidence: float, angles: 
     angles = np.asarray(angles, dtype=float)
     amp, rcond = _arc_far_field(bc, kd, incidence, angles, n)
     check, _ = _arc_far_field(bc, kd, incidence, angles, n + ARC_CHECK_NODES)
+    scale = float(np.linalg.norm(check))
+    if not 0.0 < scale < np.inf:
+        raise DomainError(f"kd = {kd!r} gives the strip oracle a far field of norm {scale}, "
+                          "so its self-error is undefined")
     if info is not None:
         info.update(rcond=rcond, nodes=n)
-    return FarFieldPattern(angles, amp), float(np.linalg.norm(amp - check) / np.linalg.norm(check))
+    return FarFieldPattern(angles, amp), float(np.linalg.norm(amp - check) / scale)
 
 
 # ---------------------------------------------------------------------------

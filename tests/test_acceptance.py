@@ -82,7 +82,7 @@ def test_criterion_2_kirchhoff_coincidence(strip_reports):
 def test_criterion_3_strip_vs_bem(strip_reports):
     ok, parts = True, []
     for bc in ("hard", "soft"):
-        l2 = [strip_reports[(bc, m)].metrics["bem_pattern_rel_l2"] for m in KD_FACTORS]
+        l2 = [strip_reports[(bc, m)].metrics["oracle_pattern_rel_l2"] for m in KD_FACTORS]
         mono = all(b <= a for a, b in zip(l2, l2[1:]))
         feats = all(
             _check(strip_reports[(bc, m)], nm).passed
@@ -140,7 +140,7 @@ def test_criterion_5_iteration_stability(sphere_reports, strip_reports):
         elif lim is not None and lim.passed:
             limit_pass.append(label)
         else:
-            why = lim.detail if lim is not None else "limit check missing"
+            why = f"gap {lim.value:.3e} {lim.note}" if lim is not None else "limit check missing"
             limit_fail.append(f"{label} at rho 1-{1 - rho:.1e} ({why})")
     ok = basics and not limit_fail
     detail = (

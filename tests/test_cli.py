@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import re
 
@@ -287,6 +288,38 @@ def test_sphere_sweep_solves_each_quadrature_degree_once(monkeypatch):
 # Entry point behavior
 
 
+# the relation a check's detail prints, and what it asserts of value and bound
+SHOWN_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+                   "==": operator.eq, "!=": operator.ne}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sphere"], ["spheroid"], ["born"], ["kernel-profile"], ["riemann-decay"],
+     ["strip", "--kd", repr(4 * math.pi)]],
+    ids=lambda argv: argv[0],
+)
+def test_report_checks_derive_verdict_and_detail_from_value_and_bound(argv, tmp_path):
+    path = tmp_path / "report.json"
+    cli.main(argv + ["--report_out", str(path)])
+    checks = json.loads(path.read_text())["checks"]
+    assert checks
+    for c in checks:
+        assert {"name", "value", "relation", "bound", "passed", "detail"} <= set(c), c
+        assert c["passed"] == SHOWN_RELATIONS[c["relation"]](c["value"], c["bound"]), c
+        # the detail states the relation that holds: the check's own on a pass,
+        # its negation on a failure
+        shown = c["detail"].split(";")[0].split()[1]
+        assert SHOWN_RELATIONS[shown](c["value"], c["bound"]), c
+        assert (shown == c["relation"]) == c["passed"], c
+    if argv == ["spheroid"]:
+        diag = {c["name"]: c for c in checks}["diagonal_residual_small"]
+        assert not diag["passed"]
+        assert (diag["value"], diag["relation"], diag["bound"]) == (
+            pytest.approx(0.7004, abs=1e-4), "<=", cli.RESIDUAL_MAX)
+        assert diag["detail"] == "0.7004 > 0.2"
+
+
 def test_main_exit_codes(tmp_path):
     assert cli.main(["riemann-decay"]) == 0
     assert cli.main(["spheroid", "--quad_resolution", "32"]) == 1  # thresholds fail
@@ -391,6 +424,8 @@ def test_main_exit_codes(tmp_path):
         # a residual history that cannot fit in memory is refused before any step
         (["sphere", "--ka", "1", "--solver", "iterate:1000000000000"],
          "must fit in physical memory"),
+        # a strip so narrow that the oracle's far field underflows to 0
+        (["strip", "--kd", "1e-300"], "kd = 1e-300"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -569,7 +604,7 @@ def test_strip_limit_probe_fails_at_8pi_after_capped_steps():
     rep = cli.run_scenario("strip", cfg)
     lim = {c.name: c for c in rep.checks}["iterate_limit_matches_galerkin"]
     assert not lim.passed
-    assert "after 2000000 steps" in lim.detail
+    assert "after 2000000 steps" in lim.note
     assert 0.0 < rep.metrics["iteration_contraction_margin"] < 1e-9
 
 
@@ -616,8 +651,9 @@ def test_sphere_ka_beyond_series_oracle_is_refused_before_the_solve(monkeypatch,
 def test_plane_wave_ratios_at_rounding_level_pass(capsys):
     assert cli.main(["sphere", "--basis", "plane-waves", "--ka", "3"]) == 0
     out = capsys.readouterr().out
-    assert "check im_ratio_decreases_under_refinement: PASS" in out
-    assert "100 eps = 2.2e-14" in out
+    # the last refinement rises, from 1.29e-16 to 1.43e-16, both under the floor
+    assert "metric im_ratio_npolar_8 = 1.428714e-16" in out
+    assert "check im_ratio_decreases_under_refinement: PASS (0 == 0)" in out
 
 
 @pytest.mark.parametrize(
@@ -631,7 +667,7 @@ def test_plane_wave_ratios_at_rounding_level_pass(capsys):
     ],
 )
 def test_im_ratio_rule_passes_only_rises_below_the_floor(ratios, ok):
-    assert cli._im_ratios_decrease(ratios) is ok
+    assert (cli._im_ratio_rises(ratios) == 0) is ok
 
 
 def test_criterion_7_run_keeps_its_ratios():
@@ -671,7 +707,8 @@ def test_selected_singular_galerkin_fails_solver_available(monkeypatch, capsys):
     monkeypatch.setattr(cli.mth, "solve_galerkin", singular)
     assert cli.main(["sphere", "--ka", "2", "--solver", "galerkin"]) == 1
     out = capsys.readouterr().out
-    assert "check solver_available: FAIL (galerkin selected but unavailable" in out
+    assert ("check solver_available: FAIL (no value to compare < inf; "
+            "galerkin selected but unavailable") in out
     assert "metric solver_used = diagonal" in out
     assert cli.main(["sphere", "--ka", "2"]) == 0  # unselected, it stays a warning
 
@@ -691,12 +728,12 @@ def test_born_strong_disturbance_passes_without_warning():
 
 
 @pytest.mark.parametrize("overrides", [{"bc": "hard"}, {"bc": "soft", "incidence_deg": "10"}])
-def test_strip_reports_bem_rcond(overrides):
+def test_strip_reports_oracle_rcond(overrides):
     cfg = cli.build_config("strip", overrides={"kd": repr(4 * math.pi), **overrides})
     rep = cli.run_scenario("strip", cfg)
-    assert 0.0 < rep.metrics["bem_rcond"] < 1.0
+    assert 0.0 < rep.metrics["oracle_rcond"] < 1.0
     # the arc oracle's half-period nodes at kd = 4 pi, and its gap to a larger order
-    assert rep.metrics["bem_nodes_used"] == 45
+    assert rep.metrics["oracle_nodes_used"] == 45
     assert rep.metrics["oracle_self_error"] <= 1e-12
 
 

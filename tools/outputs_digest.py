@@ -15,8 +15,10 @@ keeps every output byte-identical leaves them equal.
 ``--compare DIR_A DIR_B`` reads two such output directories and, for each run
 whose digest differs, prints the largest difference of each table column
 relative to that column's largest |value| in DIR_A, the relative difference
-of each report metric that changed, and whether every check verdict and the
-exit code are equal. It exits 0 when every digest is equal and 1 otherwise.
+of each report metric that changed, each check's value and signed margin in
+both (a report from before checks carried values shows "unrecorded"), the
+checks whose verdict changed, and whether the exit codes are equal. It exits
+0 when every digest is equal and 1 otherwise.
 """
 
 import os
@@ -181,10 +183,31 @@ def _compare_run(run: str, dir_a: str, dir_b: str, entry_a: dict, entry_b: dict)
                 print(f"  {key} metric {metric}: {a!r} -> {b!r} (relative {rel:.2e})")
             else:
                 print(f"  {key} metric {metric}: {a!r} -> {b!r}")
-        verdicts_a = [(c["name"], c["passed"]) for c in rep_a.get("checks", [])]
-        verdicts_b = [(c["name"], c["passed"]) for c in rep_b.get("checks", [])]
-        print(f"  {key} check verdicts: "
-              f"{'equal' if verdicts_a == verdicts_b else 'DIFFER'} ({len(verdicts_a)} checks)")
+        checks_a = {c["name"]: c for c in rep_a.get("checks", [])}
+        checks_b = {c["name"]: c for c in rep_b.get("checks", [])}
+        changed = []
+        for name in {**checks_a, **checks_b}:
+            a, b = checks_a.get(name), checks_b.get(name)
+            print(f"  {key} check {name}: value {_check_value(a)} -> {_check_value(b)}, "
+                  f"margin {_check_margin(a)} -> {_check_margin(b)}")
+            if (a or {}).get("passed") != (b or {}).get("passed"):
+                changed.append(name)
+        print(f"  {key} check verdicts: {len(checks_a)} -> {len(checks_b)} checks, "
+              + (f"CHANGED for {', '.join(changed)}" if changed else "all equal"))
+
+
+def _check_value(c) -> str:
+    """A report check's value, or why there is none to show."""
+    if c is None:
+        return "absent"
+    return repr(c["value"]) if "value" in c else "unrecorded"
+
+
+def _check_margin(c) -> str:
+    """A report check's signed margin, positive on the side its relation allows."""
+    if c is None or "value" not in c:
+        return "-"
+    return f"{cli.Check(c['name'], c['value'], c['relation'], c['bound']).margin:+.3g}"
 
 
 def compare(dir_a: str, dir_b: str) -> bool:
