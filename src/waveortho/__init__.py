@@ -6,8 +6,9 @@ The package has three layers:
 * ``method``: the solver itself (basis traces, Gram system, diagonal and
   Galerkin solves, iterative refinement, far fields, diagnostics).
 * ``oracles`` and ``born``: independent reference solutions (separation of
-  variables, Kirchhoff, dense boundary elements, volume integral equations)
-  and Born-type expansions used to validate the method.
+  variables, Kirchhoff, a spectral open-arc solver for the strip, dense
+  boundary elements, volume integral equations) and Born-type expansions
+  used to validate the method.
 """
 
 from .born import BornResult, beta_weight, born_approximation

@@ -7,9 +7,9 @@ Five oracle families, none of which share numerics with the method module:
 * Kirchhoff aperture patterns for a flat strip.
 * A spectral open-arc solver for the zero-thickness strip.
 * A dense spectral Nystrom boundary-element solver for smooth closed 2D
-  curves symmetric about both axes (combined-field integral equations of
-  Brakhage-Werner and Burton-Miller type, with the hypersingular operator
-  handled through Maue's identity), solved in the symmetry blocks.
+  curves (combined-field integral equations of Brakhage-Werner and
+  Burton-Miller type, with the hypersingular operator handled through
+  Maue's identity), solved by one LU of the whole matrix.
 * A Lippmann-Schwinger volume-integral solver for scattering by a compact
   inhomogeneity on a uniform 2D grid.
 """
@@ -190,25 +190,13 @@ def _log_split_column(n_nodes: int) -> np.ndarray:
     return col
 
 
-# The Z2 x Z2 group of the two axis reflections, in the order identity,
-# t -> -t, t -> pi - t, t -> t + pi: the signs they give to (x, y), the sign
-# of dt'/dt, and the four characters (one row each, chi(g) by column).
-_COORD_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-_DT_SIGNS = np.array([1, -1, -1, 1])
-_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
-
-# columns of the single layer that `_hard_rows` gathers and differentiates at a time
-_GATHER_COLUMNS = 32
+# a BEM solve at n nodes stays below BEM_ARRAYS complex n x n arrays plus as many complex
+# (angles x n) arrays of its far field (traced at 960 nodes: 4.0 of each)
+BEM_ARRAYS = 5
 
 
 class _CurveData:
-    """Geometry derived from an ordered, uniformly parametrized closed Surface.
-
-    The node set must map onto itself under both reflections about the
-    curve's axes, t -> -t (node j to -j mod n) and t -> pi - t (node j to
-    n/2 - j mod n), as every `bem_ellipse` does. `perms[g]` maps node j to
-    g . j; `reps` holds one node per orbit, the quarter arc t in [0, pi/2].
-    """
+    """Geometry derived from an ordered, uniformly parametrized closed Surface."""
 
     def __init__(self, s: Surface):
         if s.dim != 2 or not s.closed:
@@ -218,17 +206,6 @@ class _CurveData:
             raise DomainError("curve node count must be even")
         self.n = n
         self.x = s.positions
-        j = np.arange(n)
-        self.perms = np.stack((j, -j % n, (n // 2 - j) % n, (j + n // 2) % n))
-        self.reps = np.arange(n // 4 + 1)
-        centred = self.x - np.mean(self.x, axis=0)
-        if np.max(np.abs(centred[self.perms] - centred * _COORD_SIGNS[:, None, :])) > (
-            1e-12 * np.max(np.abs(centred))
-        ):
-            raise DomainError(
-                "boundary-element oracle requires a curve whose nodes map onto nodes "
-                "under both axis reflections (t -> -t and t -> pi - t), as bem_ellipse's do"
-            )
         dx = _fft_derivative(s.positions)
         self.speed = np.linalg.norm(dx, axis=1)
         if np.min(self.speed) <= 0:
@@ -252,22 +229,18 @@ def _nystrom_base(c: _CurveData, weights: np.ndarray, jn: np.ndarray, yn: np.nda
     return a
 
 
-def _nystrom(
-    c: _CurveData, rows: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray],
-    base: np.ndarray, kernel: np.ndarray, diag: np.ndarray, scale: complex,
-) -> np.ndarray:
-    """`scale` times the Nystrom entries of (i/4) H_n(k r) kernel(x_i, x_j), in `base`'s memory.
+def _nystrom(base: np.ndarray, kernel: np.ndarray, diag: np.ndarray, scale: complex) -> np.ndarray:
+    """`scale` times the Nystrom matrix of (i/4) H_n(k r) kernel(x_i, x_j), in `base`'s memory.
 
     H_n = J_n + i Y_n. Kress's product rule splits off -(1/4 pi) J_n kernel,
     which multiplies ln(4 sin^2((t_i - t_j)/2)), and integrates the rest by
     the trapezoidal rule; with `base` from `_nystrom_base`, and its weights
-    from `_log_split_column`, an entry is -(kernel / 4 pi) base. The entries
-    at `on_diag`, where the column node is the row node `rows[p]`, are
-    `scale * diag[rows[p]]`.
+    from `_log_split_column`, an entry is -(kernel / 4 pi) base. The
+    diagonal is `scale * diag`.
     """
     base *= kernel
     base *= -scale / (4.0 * np.pi)
-    base[on_diag] = scale * diag[rows[on_diag[0]]]
+    np.fill_diagonal(base, scale * diag)
     return base
 
 
@@ -286,233 +259,67 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
     return lu_solve((lu, piv), rhs), float(rcond)
 
 
-def _distances(
-    c: _CurveData, k: float, rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-    """k |x_i - x_j| on rows x cols, with k where i = j, and the (p, q) where i = j."""
-    kr = np.hypot(*(np.subtract.outer(xd[rows], xd[cols]) for xd in c.x.T))
-    row_of = np.full(c.n, -1)
-    row_of[rows] = np.arange(len(rows))
-    q = np.flatnonzero(row_of[cols] >= 0)
-    on_diag = (row_of[cols[q]], q)
-    kr[on_diag] = 1.0  # placeholder, diagonals are handled analytically
+def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
+    """A = I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard), on all node pairs.
+
+    S is the single layer, K the double layer, kernel k (x_i - x_j) . n / r
+    |x'_j| with n = n(x_j), and K' its adjoint, with n = -n(x_i); K and K'
+    share the curvature diagonal (x'' . n) / (4 pi |x'|). Maue's identity
+    gives T = d/ds S d/ds + k^2 S_nn, where S_nn weights S's kernel by
+    n(x_i) . n(x_j), and d/ds = (1/|x'|) d/dt with d/dt applied by FFT along
+    each axis. S and S_nn share one J_0 Nystrom base (`_nystrom_base`).
+    """
+    hard = bc is BoundaryCondition.HARD
+    n = c.n
+    kr = np.hypot(*(np.subtract.outer(xd, xd) for xd in c.x.T))
+    np.fill_diagonal(kr, 1.0)  # placeholder, diagonals are handled analytically
     kr *= k
-    return kr, on_diag
-
-
-def _single_layer_diag(c: _CurveData, k: float) -> np.ndarray:
-    """Diagonal of the single layer, kernel |x'_j|: the limits of both parts."""
-    return c.speed * (
+    weights = c.log_col[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    xn = np.sum(c.x * c.normals, axis=1)
+    if hard:  # (x_j - x_i) . n(x_i)
+        dot = c.normals @ c.x.T
+        dot -= xn[:, None]
+    else:  # (x_i - x_j) . n(x_j)
+        dot = c.x @ c.normals.T
+        dot -= xn
+    dot *= k * k * c.speed
+    dot /= kr
+    k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
+    a = _nystrom(_nystrom_base(c, weights, sp.j1(kr), sp.y1(kr)), dot, k_diag,
+                 -1j * k if hard else 1.0)
+    del dot
+    base = _nystrom_base(c, weights, sp.j0(kr), sp.y0(kr))
+    del kr, weights
+    s_diag = c.speed * (
         -c.log_col[0] / (4.0 * np.pi)
         + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
     )
-
-
-def _double_layer(
-    c: _CurveData, hard: bool, k: float, rows: np.ndarray, cols: np.ndarray,
-    kr: np.ndarray, on_diag: Tuple[np.ndarray, np.ndarray], weights: np.ndarray,
-) -> np.ndarray:
-    """K (soft) or -i k K' (hard) on rows x cols, from their `_distances` and product-rule weights.
-
-    The kernel is k (x_i - x_j) . n / r |x'_j|, with n = n(x_j) for K and
-    -n(x_i) for K'; both share the curvature diagonal (x'' . n) / (4 pi |x'|).
-    The node products x . n are formed on all columns and then cut to
-    `cols`: BLAS rounds a column alike only within one product shape.
-    """
-    xn = np.sum(c.x * c.normals, axis=1)
-    if hard:  # (x_j - x_i) . n(x_i)
-        dot = (c.normals[rows] @ c.x.T)[:, cols]
-        dot -= xn[rows, None]
-    else:  # (x_i - x_j) . n(x_j)
-        dot = (c.x[rows] @ c.normals.T)[:, cols]
-        dot -= xn[cols]
-    dot *= k * k * c.speed[cols]
-    dot /= kr
-    k_diag = c.trap * c.curv_dot / (4.0 * np.pi * c.speed)
-    base = _nystrom_base(c, weights, sp.j1(kr), sp.y1(kr))
-    return _nystrom(c, rows, on_diag, base, dot, k_diag, -1j * k if hard else 1.0)
-
-
-def _soft_block(
-    c: _CurveData, k: float, rows: np.ndarray, cols: np.ndarray, s_diag: np.ndarray
-) -> np.ndarray:
-    """Entries [rows, cols] of I/2 + K - i k S, with S's diagonal `s_diag`."""
-    kr, on_diag = _distances(c, k, rows, cols)
-    weights = c.log_col[(rows[:, None] - cols) % c.n]
-    double = _double_layer(c, False, k, rows, cols, kr, on_diag, weights)
-    j, y = sp.j0(kr), sp.y0(kr)
-    del kr
-    a = _nystrom(c, rows, on_diag, _nystrom_base(c, weights, j, y), c.speed[cols], s_diag, -1j * k)
-    del j, y
-    a += double
-    a[on_diag] += 0.5
+    if not hard:
+        a += _nystrom(base, c.speed, s_diag, -1j * k)
+        a[np.diag_indices(n)] += 0.5
+        return a
+    a[np.diag_indices(n)] += 0.5j * k
+    nn = c.normals @ c.normals.T  # n(x_i) . n(x_j) |x'_j|
+    nn *= c.speed
+    a += _nystrom(base.copy(), nn, s_diag, k**2)
+    del nn
+    ds = _fft_derivative(_nystrom(base, c.speed, s_diag, 1.0), axis=0, out=base)  # D_t S
+    ds /= c.speed[:, None]
+    ds /= c.speed
+    a -= _fft_derivative(ds, axis=1, out=ds)  # (.) D = -(D (.)^T)^T
     return a
-
-
-def _hard_rows(
-    c: _CurveData, k: float, rows: np.ndarray, col_sets: list, s_diag: np.ndarray
-) -> np.ndarray:
-    """Rows `rows` of T - i k (K' - I/2), with the single layer's diagonal `s_diag`.
-
-    Maue's identity gives T = d/ds S d/ds + k^2 S_nn, where S is the single
-    layer, S_nn weights its kernel by n(x_i) . n(x_j), and d/ds = (1/|x'|)
-    d/dt with d/dt applied by FFT. S and S_nn share the J_0 Nystrom base B
-    (`_nystrom_base`), the one (rows x n) array kept besides the result. The
-    right d/dt runs along the rows. The left one needs S's columns at
-    `rows`, and `rows` must meet every orbit of the reflections: S commutes
-    with them, so `_GATHER_COLUMNS` of those columns at a time are formed
-    from B through S[g i, j] = S[i, g j] (with a node of `rows` taken as
-    itself), differentiated, and spread back through (D_t S)[i, g j] =
-    (dt'/dt)(g) (D_t S)[g i, j]. That takes |rows| transforms of length n,
-    where differentiating all of S takes n. `col_sets` must partition the
-    nodes; set by set, the other terms are built on a set's columns and the
-    finished entries overwrite the Maue term's there.
-    """
-    base = np.empty((len(rows), c.n), dtype=complex)
-    for cols in col_sets:
-        kr, _ = _distances(c, k, rows, cols)
-        weights = c.log_col[(rows[:, None] - cols) % c.n]
-        base[:, cols] = _nystrom_base(c, weights, sp.j0(kr), sp.y0(kr))
-        del kr, weights
-    g_of = np.empty(c.n, dtype=np.intp)  # node j = g_of[j] . rows[p_of[j]]
-    p_of = np.empty(c.n, dtype=np.intp)
-    for g in (3, 2, 1, 0):
-        g_of[c.perms[g, rows]] = g
-        p_of[c.perms[g, rows]] = np.arange(len(rows))
-    a = np.empty((len(rows), c.n), dtype=complex)  # (D_t S)[rows], then the rows
-    for q in range(0, len(rows), _GATHER_COLUMNS):
-        qs = rows[q:q + _GATHER_COLUMNS]
-        cols = c.perms[g_of[:, None], qs]  # S[j, qs] = S[rows[p_of[j]], cols[j]]
-        d = _nystrom(c, np.arange(c.n), (qs, np.arange(len(qs))), base[p_of[:, None], cols],
-                     c.speed[cols], s_diag, 1.0)
-        del cols
-        _fft_derivative(d, axis=0, out=d)
-        for g in range(4):
-            nodes = np.flatnonzero((g_of == g) & (p_of >= q) & (p_of < q + len(qs)))
-            a[:, nodes] = d[c.perms[g, rows, None], p_of[nodes] - q] * _DT_SIGNS[g]
-        del d
-    a /= c.speed[rows, None]
-    a /= c.speed[None, :]
-    _fft_derivative(a, axis=1, out=a)  # (.) D = -(D (.)^T)^T
-    for cols in col_sets:
-        kr, on_diag = _distances(c, k, rows, cols)
-        double = _double_layer(c, True, k, rows, cols, kr, on_diag,
-                               c.log_col[(rows[:, None] - cols) % c.n])
-        del kr
-        nn = (c.normals[rows] @ c.normals.T)[:, cols]  # n(x_i) . n(x_j) |x'_j|
-        nn *= c.speed[cols]
-        block = _nystrom(c, rows, on_diag, base[:, cols], nn, s_diag, k**2)
-        del nn
-        block -= a[:, cols]
-        block += double
-        del double
-        block[on_diag] += 0.5j * k
-        a[:, cols] = block
-        del block
-    return a
-
-
-def _bem_rows(c: _CurveData, bc: BoundaryCondition, k: float, rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` of the BEM matrix (see `_folded_blocks`); `rows` must meet every orbit."""
-    cols = np.arange(c.n)
-    s_diag = _single_layer_diag(c, k)
-    if bc is BoundaryCondition.HARD:
-        return _hard_rows(c, k, rows, [cols], s_diag)
-    return _soft_block(c, k, rows, cols, s_diag)
-
-
-def _folded_blocks(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
-    """The four character blocks of A = I/2 + K - i k S (soft) or T - i k (K' - I/2) (hard).
-
-    A commutes with the reflections, so it maps each character chi's
-    subspace {v : v[g j] = chi(g) v[j]} into itself. On the representatives
-    q, q' the block is B[q, q'] = sum_g chi(g) A[q, g q'] / |Stab(q')|, and
-    slab g, A[q, g q'], is added to every block in g order. A column g q'
-    that an earlier slab holds (q' fixed by a reflection) is evaluated only
-    there, so each entry of A's rows at the representatives is evaluated
-    once, and a traced solve counts exactly the (n/4 + 1) n Bessel values
-    per order of the whole-row assembly. A soft slab is built by
-    `_soft_block` just before it is added. A hard block needs Maue's term on
-    whole rows, so `_hard_rows` builds A's rows at the representatives on
-    the same column sets, and the slabs are cut from them.
-    """
-    hard = bc is BoundaryCondition.HARD
-    reps = c.reps
-    orbit = c.perms[:, reps]  # (4, r): g . q
-    first = np.argmax(orbit[:, None, :] == orbit[None, :, :], axis=1)  # least g' with g' q = g q
-    fresh = first == np.arange(4)[:, None]
-    shared_q = np.flatnonzero(~np.all(fresh, axis=0))
-    shared = {}
-    col_sets = [orbit[g, fresh[g]] for g in range(4)]
-    s_diag = _single_layer_diag(c, k)
-    a = _hard_rows(c, k, reps, col_sets, s_diag) if hard else None
-    for g, cols in enumerate(col_sets):
-        if hard:
-            slab = a[:, orbit[g]]
-        else:
-            block = _soft_block(c, k, reps, cols, s_diag)
-            slab = np.empty((len(reps), len(reps)), dtype=complex)
-            slab[:, fresh[g]] = block
-            del block
-            for q in shared_q:
-                if fresh[g, q]:
-                    shared[orbit[g, q]] = slab[:, q].copy()
-                else:
-                    slab[:, q] = shared[orbit[g, q]]
-        if g == 0:  # every character is 1 on the identity
-            folded = np.repeat(slab[None], 4, axis=0)
-        else:
-            for b, chi in zip(folded, _CHARACTERS[:, g]):
-                if chi > 0:
-                    b += slab
-                else:
-                    b -= slab
-        del slab
-    folded /= np.sum(orbit == reps, axis=0)
-    return folded
-
-
-def _solve_blocks(c: _CurveData, folded: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Solve A psi = rhs from A's character blocks `folded`, one LU per block.
-
-    See `_folded_blocks`. Orbits whose stabilizer chi is not trivial on
-    carry no chi component and are left out of chi's block; rhs is projected
-    as (1/4) sum_g chi(g) rhs[g q], and psi[g q] = sum_chi chi(g) psi_chi[q].
-    Returns psi and the least 1-norm rcond of the four blocks.
-    """
-    orbit = c.perms[:, c.reps]  # (4, r): g . q
-    fixed = orbit == c.reps  # g in Stab(q)
-    rhs_chi = _CHARACTERS @ rhs[orbit] / 4.0
-    psi_chi = np.zeros(rhs_chi.shape, dtype=complex)
-    rcond = np.inf
-    for block, b, x, chi in zip(folded, rhs_chi, psi_chi, _CHARACTERS):
-        keep = np.all(~fixed | (chi[:, None] == 1), axis=0)
-        x[keep], block_rcond = _solve_dense(block[np.ix_(keep, keep)], b[keep])
-        rcond = min(rcond, block_rcond)
-    psi = np.empty(c.n, dtype=complex)
-    psi[orbit] = _CHARACTERS.T @ psi_chi
-    return psi, rcond
 
 
 def _bem_far_field(c: _CurveData, k: float, psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Far-field amplitude of the combined layer (D - i k S) psi at `angles`.
-
-    Taken 32 to 63 angles at a time, so that no (angles x nodes) array is
-    formed; BLAS would round a part of one angle apart from the others.
-    """
+    """Far-field amplitude of the combined layer (D - i k S) psi at `angles`."""
     rhat = np.column_stack((np.sin(angles), np.cos(angles)))
-    ds_w = c.speed * c.trap
     pref = 0.25j * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    out = np.empty(len(angles), dtype=complex)
-    for part in np.array_split(np.arange(len(angles)), max(1, len(angles) // 32)):
-        arg = (-k * rhat[part]) @ c.x.T  # (angles, nodes)
-        phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
-        phase.real = np.cos(arg)
-        phase.imag = np.sin(arg)
-        del arg
-        obliq = -1j * k * (rhat[part] @ c.normals.T)  # far-field kernel of the double layer
-        out[part] = pref * ((obliq - 1j * k) * phase) @ (psi * ds_w)
-    return out
+    arg = (-k * rhat) @ c.x.T  # (angles, nodes)
+    phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
+    phase.real, phase.imag = np.cos(arg), np.sin(arg)
+    del arg
+    obliq = -1j * k * (rhat @ c.normals.T)  # far-field kernel of the double layer
+    return pref * ((obliq - 1j * k) * phase) @ (psi * (c.speed * c.trap))
 
 
 def _bem_rhs(c: _CurveData, bc: BoundaryCondition, u0: IncidentField) -> np.ndarray:
@@ -541,39 +348,28 @@ def bem_dense_solve(
     solvable at all real k. Returns the layer density psi at the nodes and
     the far field on `far_angles` (default: 721 angles spanning [-pi, pi]).
 
-    The curve's nodes must map onto nodes under both axis reflections
-    (Allgower, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): the matrix
-    commutes with them, so only the rows of one node per orbit are assembled
-    (about n/4 + 1), and the system is solved in its four Z2 x Z2 character
-    blocks (`_folded_blocks`). A soft curve's blocks are built one reflection
-    slab at a time; a hard curve's are folded from its rows, which keep one
-    Nystrom base for both of Maue's single layers and differentiate S's
-    columns a block at a time (`_hard_rows`). If `info` is given it receives
-    `rcond`, the least of the blocks' LAPACK estimates of the reciprocal
-    1-norm condition number.
-
-    Assembly and solve peak at under three complex (n/4 + 1) x n arrays
-    (2.92 for a hard curve and 1.95 for a soft one, traced at 960 nodes); a
-    node count n for which three such arrays exceed physical memory raises
-    MemoryError first.
+    The whole n x n matrix (`_bem_matrix`) is solved by one LU. If `info` is
+    given it receives `rcond`, LAPACK's estimate of the reciprocal 1-norm
+    condition number. A solve peaks below BEM_ARRAYS complex n x n arrays
+    plus as many complex (angles x n) ones; a node count for which those
+    exceed physical memory raises MemoryError first.
     """
     if k <= 0:
         raise DomainError("wavenumber must be positive")
     if u0.dim != 2:
         raise DomainError("boundary-element oracle is 2D")
+    if far_angles is None:
+        far_angles = np.linspace(-np.pi, np.pi, 721)
+    far_angles = np.asarray(far_angles, dtype=float)
     c = _CurveData(s)
-    need = 3 * 16 * len(c.reps) * c.n
+    need = BEM_ARRAYS * 16 * c.n * (c.n + len(far_angles))
     have = geometry.physical_memory()
     if need > have:
         raise MemoryError(f"the BEM oracle at {c.n} nodes needs about {need} bytes, "
                           f"more than the {have} bytes of physical memory")
-    psi, rcond = _solve_blocks(c, _folded_blocks(c, bc, k), _bem_rhs(c, bc, u0))
+    psi, rcond = _solve_dense(_bem_matrix(c, bc, k), _bem_rhs(c, bc, u0))
     if info is not None:
         info["rcond"] = rcond
-
-    if far_angles is None:
-        far_angles = np.linspace(-np.pi, np.pi, 721)
-    far_angles = np.asarray(far_angles, dtype=float)
     return psi, FarFieldPattern(angles=far_angles, amplitude=_bem_far_field(c, k, psi, far_angles))
 
 

@@ -33,9 +33,9 @@ def test_tracer_installs_counts_and_uninstalls():
         n, k = 64, 4.0
         u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
         orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, n), mth.BoundaryCondition.HARD, k, u0)
-        # the four block LUs together have the order of the full system
+        # one LU of the whole matrix, and J0, Y0, J1 and Y1 once on its n x n entries
         assert tracer.counts["oracles.lu.order"] == n
-        assert tracer.counts["kernel.bessel_evals"] == 4 * (n // 4 + 1) * n
+        assert tracer.counts["kernel.bessel_evals"] == 4 * n * n
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in wrapped] == originals

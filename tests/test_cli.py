@@ -185,6 +185,23 @@ def test_json_output_mirrors_columns(tmp_path):
     assert payload["distance"][0] == 0.0
 
 
+def test_kernel_profile_peak_ties_with_the_anchors_latitude_ring(tmp_path):
+    # the sphere's modes are all m = 0, so |Phi| is the same on each latitude
+    # ring: peak_at_zero_distance holds at equality, tied with the anchor's ring
+    out = str(tmp_path / "prof.json")
+    rep = cli.run_scenario(
+        "kernel-profile",
+        cli.build_config("kernel-profile", overrides={"out": out, "format": "json"}),
+    )
+    payload = json.loads(open(out).read())
+    dist, absphi = np.array(payload["distance"]), np.array(payload["abs_phi"])
+    tied = absphi == absphi[0]
+    assert np.count_nonzero(tied) == 64  # the anchor and the 63 others of its ring
+    assert 0.147 < dist[tied].max() < 0.149
+    (peak,) = [c for c in rep.checks if c.name == "peak_at_zero_distance"]
+    assert peak.passed and peak.value == peak.bound == absphi[0]
+
+
 def test_far_field_csv_columns(tmp_path):
     out = str(tmp_path / "ff.csv")
     cfg = cli.build_config(
