@@ -293,16 +293,20 @@ def _closed_curve(t, pos, dx):
     )
 
 
+def _egg(n):
+    """The egg x(t) = (cos t + 0.2 cos 2t, sin t) on n nodes, and its exact x' and x''."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    dx = np.column_stack((-np.sin(t) - 0.4 * np.sin(2 * t), np.cos(t)))
+    ddx = np.column_stack((-np.cos(t) - 0.8 * np.cos(2 * t), -np.sin(t)))
+    pos = np.column_stack((np.cos(t) + 0.2 * np.cos(2 * t), np.sin(t)))
+    return _closed_curve(t, pos, dx), dx, ddx
+
+
 @pytest.mark.parametrize("bc", [SOFT, HARD])
 def test_bem_reciprocity_on_curve_without_reflection_symmetry(bc):
     # an egg, symmetric under t -> -t only: f(theta; alpha) = f(alpha; theta)
-    n, k = 96, 4.0
-    t = 2.0 * np.pi * np.arange(n) / n
-    egg = _closed_curve(
-        t,
-        np.column_stack((np.cos(t) + 0.2 * np.cos(2 * t), np.sin(t))),
-        np.column_stack((-np.sin(t) - 0.4 * np.sin(2 * t), np.cos(t))),
-    )
+    k = 4.0
+    egg, _, _ = _egg(96)
     info = {}
 
     def solve(alpha, theta):
@@ -313,6 +317,89 @@ def test_bem_reciprocity_on_curve_without_reflection_symmetry(bc):
     f_ab, f_ba = solve(0.35, -1.1), solve(-1.1, 0.35)
     assert abs(f_ab - f_ba) <= 1e-12 * abs(f_ab)
     assert 0.0 < info["rcond"] < 1.0
+
+
+def _kress_layer(s, k, order, weight, diag):
+    """Nystrom matrix of (i/4) H_order(k r) weight[i, j] by Kress's product rule, entry by entry.
+
+    Off the diagonal, the entry is R[i, j] M1 + (2 pi / n) (L - M1 ln(4 sin^2((t_i - t_j)/2)))
+    with L the whole kernel and M1 = -J_order(k r) weight / (4 pi) its logarithmic part. The
+    weights R[i, j] are Kress's cosine sum over n / 2 modes; `diag` is the trapezoidal part of
+    the diagonal, which adds R[i, i] M1(t_i, t_i).
+    """
+    n = s.n_nodes
+    h, trap = n // 2, 2.0 * np.pi / n
+    dt = trap * np.subtract.outer(np.arange(n), np.arange(n))
+    m = np.arange(1, h)
+    r_w = -(2.0 * np.pi / h) * np.sum(np.cos(m * dt[..., None]) / m, axis=-1)
+    r_w -= (np.pi / h**2) * np.cos(h * dt)
+    x = s.positions
+    r = np.hypot(*(np.subtract.outer(xd, xd) for xd in x.T))
+    off = ~np.eye(n, dtype=bool)
+    m1 = -special.jv(order, k * r) * weight / (4.0 * np.pi)
+    out = np.empty((n, n), dtype=complex)
+    out[off] = r_w[off] * m1[off] + trap * (
+        0.25j * special.hankel1(order, k * r[off]) * weight[off]
+        - m1[off] * np.log(4.0 * np.sin(0.5 * dt[off]) ** 2)
+    )
+    out[~off] = np.diag(r_w) * np.diag(m1) + trap * diag
+    return out
+
+
+def _egg_bem_matrix(bc, n, k):
+    """The egg's BEM matrix, built from scipy's Hankel functions and the cot differentiation matrix."""
+    s, dx, ddx = _egg(n)
+    x, nrm = s.positions, s.normals
+    speed = np.linalg.norm(dx, axis=1)
+    r = np.hypot(*(np.subtract.outer(xd, xd) for xd in x.T))
+    np.fill_diagonal(r, 1.0)
+    # S: (i/4) H_0 |x'_j|, whose diagonal limit is |x'| (i/4 - (gamma + ln(k |x'| / 2)) / 2 pi)
+    s_lim = 0.25j - (np.euler_gamma + np.log(0.5 * k * speed)) / (2.0 * np.pi)
+    single = _kress_layer(s, k, 0, np.broadcast_to(speed, (n, n)), speed * s_lim)
+    # K, K': (i k / 4) H_1 (x - y) . n_y / r, and (y - x) . n_x; both tend to x''.n / (4 pi |x'|)
+    diff = x[:, None, :] - x[None, :, :]  # x_i - x_j
+    dl_lim = np.sum(ddx * nrm, axis=1) / (4.0 * np.pi * speed)
+    if bc is SOFT:
+        g = k * np.einsum("ijd,jd->ij", diff, nrm) / r * speed
+        return 0.5 * np.eye(n) + _kress_layer(s, k, 1, g, dl_lim) - 1j * k * single
+    g = -k * np.einsum("ijd,id->ij", diff, nrm) / r * speed
+    adjoint = _kress_layer(s, k, 1, g, dl_lim)
+    s_nn = _kress_layer(s, k, 0, (nrm @ nrm.T) * speed, speed * s_lim)
+    d_s = _cot_diff_matrix(n) / speed[:, None]  # d/ds = (1 / |x'|) d/dt
+    return d_s @ single @ d_s + k**2 * s_nn - 1j * k * (adjoint - 0.5 * np.eye(n))
+
+
+@pytest.mark.parametrize("n", [64, 66])
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_matrix_matches_entrywise_assembly(bc, n):
+    # the whole-matrix assembly against the layers built entry by entry on the egg
+    k = 4.0
+    a = orc._bem_matrix(orc._CurveData(_egg(n)[0]), bc, k)
+    ref = _egg_bem_matrix(bc, n, k)
+    assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [64, 66])
+@pytest.mark.parametrize("bc", [SOFT, HARD])
+def test_bem_dense_solve_solves_the_entrywise_system(bc, n):
+    # density and far field of one LU against numpy's solve of the entrywise matrix
+    k, alpha = 4.0, 0.4
+    s, _, _ = _egg(n)
+    d = np.array([np.sin(alpha), -np.cos(alpha)])
+    u0 = mth.IncidentField(direction=d, k=k)
+    inc = np.exp(1j * k * (s.positions @ d))
+    rhs = -inc if bc is SOFT else -1j * k * (s.normals @ d) * inc
+    psi_ref = np.linalg.solve(_egg_bem_matrix(bc, n, k), rhs)
+    angles = np.linspace(-np.pi, np.pi, 91)
+    info = {}
+    psi, ff = orc.bem_dense_solve(s, bc, k, u0, far_angles=angles, info=info)
+    assert np.linalg.norm(psi - psi_ref) <= 1e-11 * np.linalg.norm(psi_ref)
+    assert 0.0 < info["rcond"] < 1.0
+    # f(theta) = e^(i pi/4) / sqrt(8 pi k) sum_j (-i k rhat . n_j - i k) e^(-i k rhat . x_j) psi_j ds_j
+    rhat = np.column_stack((np.sin(angles), np.cos(angles)))
+    kern = -1j * k * (rhat @ s.normals.T + 1.0) * np.exp(-1j * k * (rhat @ s.positions.T))
+    ff_ref = np.exp(0.25j * np.pi) / np.sqrt(8.0 * np.pi * k) * (kern @ (psi_ref * s.weights))
+    assert np.linalg.norm(ff.amplitude - ff_ref) <= 1e-11 * np.linalg.norm(ff_ref)
 
 
 # ---------------------------------------------------------------------------
