@@ -545,8 +545,15 @@ def _self_cell_green(k: float, h: float) -> complex:
 
 
 def _grid_distances(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
-    """Distances from the given points to the grid nodes, one row per point."""
-    return np.linalg.norm(points[:, None, :] - pot.points()[None, :, :], axis=2)
+    """Distances from the given points to the grid nodes, one row per point.
+
+    The same bits as np.linalg.norm(points[:, None] - nodes[None], axis=2),
+    which its length-2 reduction makes 2.5 times slower on a 41 x 41 grid.
+    """
+    nodes = pot.points()
+    dx = points[:, None, 0] - nodes[None, :, 0]
+    dy = points[:, None, 1] - nodes[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _lattice_offsets(pot: VolumePotential) -> np.ndarray:
@@ -555,6 +562,8 @@ def _lattice_offsets(pot: VolumePotential) -> np.ndarray:
     The offsets fill a (2n - 1)^2 grid in FFT order: along an axis with n
     nodes, index i holds offset i for i < n and i - (2n - 1) above. The 1 at
     m = 0 is a placeholder for the self-cell terms that replace it.
+    `LatticeOperator` zero-pads this grid to 5-smooth FFT lengths; the
+    kernel itself, and every table read from it, keeps the (2n - 1)^2 layout.
     """
     axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1)) * pot.h for n in pot.values.shape]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -580,26 +589,57 @@ def _volume_green(pot: VolumePotential, k: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: a length that pocketfft transforms fast.
+
+    At a length with a larger prime factor (61 = 2 * 31 - 1 is prime) it
+    falls back to Bluestein's chirp-z algorithm: a 61^2 round trip takes four
+    times as long as a 64^2 one.
+    """
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 class LatticeOperator:
     """Grid matrix A[p, q] = kernel[offset p - q], applied by FFT.
 
     On a uniform grid a kernel of the node offset gives a d-level Toeplitz
-    matrix. Embedded in the circulant of the (2n - 1)^d offset grid (laid out
-    as by `_lattice_offsets`) its product with a grid vector is a cyclic
-    convolution: `op @ x` pads x to the offset grid, multiplies the FFTs and
-    crops the result back to the n^d nodes. No N x N array is formed.
+    matrix. `kernel` holds it on the (2n - 1)^d offset grid (laid out as by
+    `_lattice_offsets`). For the transform it is zero-embedded in a circulant
+    of L^d, L the least 5-smooth length >= 2n - 1 per axis (61 -> 64):
+    offsets 0..n-1 sit at indices 0..n-1 and offsets -(n-1)..-1 at
+    L-n+1..L-1. Any L >= 2n - 1 keeps the node offsets apart modulo L, so the
+    cyclic convolution is the exact Toeplitz product: `op @ x` pads x to L^d,
+    multiplies the FFTs and inverts them back to the n^d nodes. No N x N
+    array is formed.
     """
 
     def __init__(self, kernel: np.ndarray):
         self.kernel = kernel
         self.shape = tuple((m + 1) // 2 for m in kernel.shape)
-        self._kernel_hat = np.fft.fftn(kernel)
+        lengths = [_fft_length(m) for m in kernel.shape]
+        index = [np.r_[0:n, m - n + 1:m] for n, m in zip(self.shape, lengths)]
+        padded = np.zeros(lengths, dtype=kernel.dtype)
+        padded[np.ix_(*index)] = kernel
+        self._kernel_hat = np.fft.fftn(padded)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         xg = np.asarray(x).reshape(self.shape)
-        x_hat = np.fft.fftn(xg, s=self.kernel.shape, axes=range(xg.ndim))
-        y = np.fft.ifftn(self._kernel_hat * x_hat)
-        return y[tuple(slice(0, n) for n in self.shape)].ravel()
+        y = self._kernel_hat * np.fft.fftn(xg, s=self._kernel_hat.shape, axes=range(xg.ndim))
+        # the inverse one axis at a time, last first as ifftn takes them, each
+        # cropped to its n nodes before the next: the bits of ifftn(y)[:n, :n]
+        # from L + n line transforms in place of 2L
+        crop = [slice(None)] * y.ndim
+        for axis in reversed(range(y.ndim)):
+            crop[axis] = slice(0, self.shape[axis])
+            y = np.fft.ifft(y, axis=axis)[tuple(crop)]
+        return y.ravel()
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, gathered from the kernel (node order as `points()`)."""
@@ -615,9 +655,10 @@ class LatticeOperator:
 class VolumeGreen:
     """The cell-integrated Green's tables of one grid at one wavenumber.
 
-    `operator` applies the grid's Green matrix by FFT: offset m carries
-    h^2 G(h|m|), and offset 0 the analytic integral of G over the
-    equal-area disk, which regularizes the singular self-interaction.
+    `operator` applies the grid's Green matrix by FFT, zero-padded to
+    5-smooth transform lengths: its kernel's offset m carries h^2 G(h|m|),
+    and offset 0 the analytic integral of G over the equal-area disk, which
+    regularizes the singular self-interaction.
     `rows` holds h^2 G(p, r_j) from each evaluation point p
     (one row per point, off the support) to every node r_j. Built once by
     `volume_green`, it serves every volume sum of a run, for any potential on

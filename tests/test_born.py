@@ -83,6 +83,38 @@ def test_born_run_builds_no_dense_green(overrides, monkeypatch):
 
 
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
+def test_born_run_transforms_at_5_smooth_lengths(overrides, monkeypatch):
+    """Every FFT of a born run (the Green operator, beta's |G|^2 sums, each
+    GMRES matvec) has lengths 2^a 3^b 5^c, none at which pocketfft falls back
+    to Bluestein's algorithm."""
+    lengths = set()
+
+    def recording(fn, lengths_of):
+        def wrapper(*args, **kwargs):
+            lengths.update(lengths_of(*args, **kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def nd(a, s=None, *args, **kwargs):
+        return np.shape(a) if s is None else s
+
+    def one_d(a, n=None, axis=-1, *args, **kwargs):
+        return [np.shape(a)[axis] if n is None else n]
+
+    for name, lengths_of in (("fftn", nd), ("ifftn", nd), ("fft", one_d), ("ifft", one_d)):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), lengths_of))
+    assert cli.run_scenario("born", cli.build_config("born", overrides=overrides)).passed
+    assert lengths
+    for m in lengths:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, f"FFT length {m} is not 5-smooth"
+
+
+@pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
 def test_born_run_evaluates_no_amos_hankel(overrides, monkeypatch, tmp_path):
     """Every Bessel value of a born run comes from the cephes j0, y0, j1 and
     y1: with scipy's AMOS hankel1 made to raise the run still exits 0 with

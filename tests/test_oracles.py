@@ -621,7 +621,24 @@ def _dense_green(pot, k):
     return g
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (8, 8), (7, 10)])
+def test_grid_distances_equal_norm_form_bitwise():
+    pot = orc.gaussian_potential(0.5, 0.3, 0.9, 0.06)
+    th = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    ring = 5.4 * np.column_stack([np.sin(th), np.cos(th)])  # the default born ring
+    scattered = np.random.default_rng(5).normal(scale=2.0, size=(40, 2))
+    for points in (ring, scattered):
+        ref = np.linalg.norm(points[:, None] - pot.points()[None], axis=2)
+        assert np.array_equal(orc._grid_distances(pot, points), ref)
+
+
+def test_fft_length_is_least_5_smooth_length():
+    smooth = [2**a * 3**b * 5**c for a in range(10) for b in range(7) for c in range(5)]
+    for m in range(1, 301):
+        assert orc._fft_length(m) == min(n for n in smooth if n >= m)
+
+
+# (31, 31) is the default born grid, transformed at 64 in place of the prime 61
+@pytest.mark.parametrize("shape", [(9, 9), (8, 8), (7, 10), (31, 31)])
 def test_volume_green_operator_matches_dense_products(shape):
     rng = np.random.default_rng(len(shape) * 100 + shape[0])
     vals = np.zeros(shape, dtype=complex)
@@ -631,9 +648,14 @@ def test_volume_green_operator_matches_dense_products(shape):
     k = 1.7
     dense = _dense_green(pot, k)
     op = orc.volume_green(pot, k, np.empty((0, pot.dim))).operator
+    assert op._kernel_hat.shape == tuple(orc._fft_length(2 * n - 1) for n in shape)
     x = rng.normal(size=pot.n_cells) + 1j * rng.normal(size=pot.n_cells)
     y = dense @ x
     assert np.linalg.norm(op @ x - y) <= 1e-13 * np.linalg.norm(y)
+    # the axis-by-axis cropped inverse keeps the bits of the full one
+    x_hat = np.fft.fftn(x.reshape(shape), s=op._kernel_hat.shape, axes=(0, 1))
+    full = np.fft.ifftn(op._kernel_hat * x_hat)
+    assert np.array_equal(op @ x, full[:shape[0], :shape[1]].ravel())
     g = orc.grid_green_matrix(pot, k)
     assert np.max(np.abs(g - dense)) <= 1e-13 * np.max(np.abs(dense))
 
