@@ -531,8 +531,8 @@ def _solve_all(
 
 def _sphere_modes(
     cfg: Dict[str, object], ka: float, tol: float = math.inf
-) -> Tuple[mth.SphericalModeBasis, geo.Surface]:
-    """Spherical-mode basis on the unit sphere, with the automatic sizes.
+) -> Tuple[mth.SphericalModeBasis, int]:
+    """Spherical-mode basis on the unit sphere, and its quadrature resolution.
 
     The highest mode order n defaults to ceil(ka) + 8, which must not pass
     the supported cap. A scenario that checks its far field against a bound
@@ -558,7 +558,7 @@ def _sphere_modes(
         n_order = int(orders[np.argmax(met)])
     res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
     basis = mth.SphericalModeBasis(max_order=n_order, k=ka)
-    return basis, geo.make_surface(geo.Sphere(1.0), res)
+    return basis, res
 
 
 # Below this max|Im v|/max|v| the quadrature error of the plane-wave
@@ -585,11 +585,12 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
                                 "polar counts are integers >= 1", "grid sizes")
 
     if cfg["basis"] == "spherical-modes":
-        basis, s = _sphere_modes(cfg, ka, FAR_TOL)
+        basis, res = _sphere_modes(cfg, ka, FAR_TOL)
         angles = np.linspace(0.0, np.pi, int(cfg["angles"]))
         # the oracle first, so that a ka it refuses exits before the solve
         _, mie_ff = orc.mie_series(bc, ka, angles)
-        sys = mth.assemble_gram(basis, bc, s, u0)
+        # modes and incident wave are constant on each polar ring
+        sys = mth.assemble_gram(basis, bc, geo.meridian_sphere_surface(1.0, res), u0)
         v, history = _solve_all(sys, report, str(cfg["solver"]))
         pattern = mth.far_field(basis, v, angles)
         rel = _relative_l2(pattern.amplitude, mie_ff.amplitude)
@@ -920,8 +921,9 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
 
 def run_kernel_profile(cfg: Dict[str, object], report: RunReport) -> None:
     bc = mth.BoundaryCondition.from_string(str(cfg["bc"]))
-    basis, s = _sphere_modes(cfg, float(cfg["ka"]))
-    sys = mth.assemble_gram(basis, bc, s)
+    # the full grid: the profile is over node distances
+    basis, res = _sphere_modes(cfg, float(cfg["ka"]))
+    sys = mth.assemble_gram(basis, bc, geo.make_surface(geo.Sphere(1.0), res))
     dist, absphi = mth.kernel_profile(sys, int(cfg["anchor"]))
 
     report.metrics["profile_points"] = int(dist.shape[0])

@@ -218,6 +218,11 @@ def odd_azimuth_sphere_surface(radius: float, resolution: int) -> Surface:
     return _sphere_surface(radius, resolution, 2 * resolution + 1, 0.5)
 
 
+def meridian_sphere_surface(radius: float, resolution: int) -> Surface:
+    """Each Gauss ring as one node at phi = 0 with the whole ring's weight 2 pi w_u r^2."""
+    return _sphere_surface(radius, resolution, 1)
+
+
 def gauss_midpoint_directions(n_polar: int) -> np.ndarray:
     """Unit directions: Gauss nodes in cos(theta) times 2 n_polar midpoint azimuths."""
     return _sphere_surface(1.0, n_polar, 2 * n_polar, 0.5).normals

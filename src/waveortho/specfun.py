@@ -6,9 +6,10 @@ the rest of the package relies on, behind a stable local interface.
 
 An order n may be an integer or an integer array that broadcasts against the
 argument x, so every order of a mode expansion comes from one call; the
-values equal those of per-order calls bit for bit. Orders are capped at
-MAX_ORDER; accuracy is validated by the test suite up to arguments of about
-1e3, which covers every scenario shipped with the package.
+values equal those of per-order calls bit for bit. A spherical Bessel kind with
+its derivative, and a Legendre derivative, take orders n and n - 1 from one
+scipy call. Orders are capped at MAX_ORDER; accuracy is validated by the test
+suite up to arguments of about 1e3, which covers every scenario shipped.
 """
 
 from __future__ import annotations
@@ -40,17 +41,30 @@ def _check_order(n: Order) -> Order:
     return int(order) if order.ndim == 0 else order.astype(int)
 
 
+def _stacked(fn, n: Order, m: Order, x: np.ndarray) -> np.ndarray:
+    """fn at orders n and m, each broadcast against x, from one call: rows 0 and 1."""
+    return fn(np.reshape([n, m], (2,) + (1,) * (x.ndim - np.ndim(n)) + np.shape(n)), x)
+
+
+def _with_derivative(fn, n: Order, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """f_n and f_n' = f_{n-1} - (n + 1) f_n / x (f_0' = -f_1) as scipy computes them, x = 0 too."""
+    f, g = _stacked(fn, n, np.where(n == 0, 1, n - 1), x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.where(n == 0, -g, g - (n + 1) * f / x)
+    return f, np.where((x == 0) & (n > 0), np.where(n == 1, 1.0 / 3.0, 0.0), d)[()]
+
+
 def sph_bessel_j(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     """Spherical Bessel function j_n(x) and its derivative j_n'(x).
 
     Defined for x >= 0; the origin uses the analytic limits j_0(0) = 1,
-    j_n(0) = 0 for n >= 1, and correspondingly j_1'(0) = 1/3.
+    j_n(0) = 0 for n >= 1, and correspondingly j_1'(0) = 1/3 and j_0'(0) = -0.0.
     """
     n = _check_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise DomainError("sph_bessel_j requires finite x >= 0")
-    return _sp.spherical_jn(n, x), _sp.spherical_jn(n, x, derivative=True)
+    return _with_derivative(_sp.spherical_jn, n, x)
 
 
 def sph_bessel_y(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
@@ -59,7 +73,7 @@ def sph_bessel_y(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise DomainError("sph_bessel_y requires finite x > 0")
-    return _sp.spherical_yn(n, x), _sp.spherical_yn(n, x, derivative=True)
+    return _with_derivative(_sp.spherical_yn, n, x)
 
 
 def sph_hankel1(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
@@ -95,8 +109,7 @@ def legendre_p_deriv(n: Order, x: ArrayLike) -> np.ndarray:
     x = np.clip(x, -1.0, 1.0)
     near_pole = np.abs(np.abs(x) - 1.0) < 1e-12
     safe = np.where(near_pole, 0.0, x)
-    pn = _sp.eval_legendre(n, safe)
-    pnm1 = _sp.eval_legendre(np.maximum(n - 1, 0), safe)
+    pn, pnm1 = _stacked(_sp.eval_legendre, n, np.maximum(n - 1, 0), safe)
     with np.errstate(divide="ignore", invalid="ignore"):
         body = n * (pnm1 - safe * pn) / (1.0 - safe * safe)
     pole_val = np.sign(x) ** (n + 1) * n * (n + 1) / 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import operator
@@ -299,6 +300,37 @@ def test_sphere_sweep_solves_each_quadrature_degree_once(monkeypatch):
     cli.run_scenario("sphere", cli.build_config("sphere", overrides={
         "basis": "plane-waves", "bc": "hard"}))
     assert degrees and len(degrees) == len(set(degrees))
+
+
+def test_sphere_modes_assemble_on_one_meridian(monkeypatch):
+    made, nodes = [], []
+    make_surface, assemble_gram = geo.make_surface, cli.mth.assemble_gram
+
+    def counted_make(shape, resolution):
+        made.append(shape)
+        return make_surface(shape, resolution)
+
+    def counted_assemble(basis, bc, s, *args):
+        nodes.append(s.n_nodes)
+        return assemble_gram(basis, bc, s, *args)
+
+    monkeypatch.setattr(geo, "make_surface", counted_make)
+    monkeypatch.setattr(cli.mth, "assemble_gram", counted_assemble)
+    for overrides in ({"ka": "5"}, {"ka": "12", "bc": "hard"}, {"ka": "1", "quad_resolution": "40"}):
+        assert cli.run_scenario("sphere", cli.build_config("sphere", overrides=overrides)).passed
+    # no 2 r^2 grid is built: one node per Gauss ring
+    assert not any(isinstance(shape, geo.Sphere) for shape in made)
+    assert nodes == [32, 32, 40]
+
+
+def test_kernel_profile_keeps_the_full_grid(tmp_path):
+    out = str(tmp_path / "prof.csv")
+    rep = cli.run_scenario("kernel-profile", cli.build_config("kernel-profile", overrides={"out": out}))
+    data = open(out, "rb").read()
+    assert rep.metrics["profile_points"] == 2 * 32 * 32
+    assert len(data) == 80170
+    assert hashlib.sha256(data).hexdigest() == (
+        "8212e0945e22c8f0fc594f9fd06df18ad979c5cb214ce8d7491691745dd99fbc")
 
 
 # ---------------------------------------------------------------------------

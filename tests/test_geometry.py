@@ -196,3 +196,18 @@ def test_midpoint_azimuth_grids_match_reference_loops():
     assert np.array_equal(s.normals, pos)
     assert np.array_equal(s.weights, w)
     assert np.array_equal(geo.gauss_midpoint_directions(res), loop(2 * res)[0])
+
+
+def test_meridian_sphere_surface_is_one_node_per_gauss_ring():
+    res, radius = 12, 1.5
+    s = geo.meridian_sphere_surface(radius, res)
+    u, wu = geo.gauss_legendre(res)
+    full = geo.make_surface(geo.Sphere(radius), res)
+    assert s.n_nodes == res and s.closed and s.char_size == full.char_size
+    assert np.array_equal(s.positions[:, 1], np.zeros(res))  # phi = 0
+    assert np.array_equal(s.normals[:, 2], u)
+    assert np.allclose(s.positions, radius * s.normals, rtol=0, atol=1e-15)
+    assert np.array_equal(s.weights, radius * radius * (wu * (2.0 * np.pi)))
+    # each node carries its whole ring of the full grid
+    rings = full.weights.reshape(res, 2 * res).sum(axis=1)
+    np.testing.assert_allclose(s.weights, rings, rtol=1e-14, atol=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from waveortho import specfun
 from waveortho.errors import DomainError
@@ -21,6 +22,13 @@ def test_j_origin_limits():
     assert j0 == 1.0
     assert j3 == 0.0
     assert j1p == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # scipy's scalars at the origin, bit for bit: j_0'(0) = -j_1(0) is -0.0
+    for n in range(4):
+        got = specfun.sph_bessel_j(n, 0.0)
+        want = special.spherical_jn(n, 0.0), special.spherical_jn(n, 0.0, derivative=True)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.array_equal(_bits(g), _bits(w)), n
+    assert np.signbit(specfun.sph_bessel_j(0, 0.0)[1])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 40])
@@ -163,3 +171,44 @@ def test_order_arrays_are_validated_whole(orders, error):
     for fn in (specfun.sph_bessel_j, specfun.sph_hankel1, specfun.legendre_p_deriv):
         with pytest.raises(error):
             fn(orders, 0.5)
+
+
+# arguments from the origin past the largest order, through the region where
+# y_n overflows to -inf (n >> x) and its derivative turns to -inf or nan
+_SCIPY_ARGS = np.concatenate([[0.0, 1e-6, 0.5], np.linspace(1.0, 100.0, 397)])
+
+
+@pytest.mark.parametrize("kind", ["j", "y"])
+def test_spherical_bessel_equals_scipy_bitwise(kind):
+    fn, ref = {"j": (specfun.sph_bessel_j, special.spherical_jn),
+               "y": (specfun.sph_bessel_y, special.spherical_yn)}[kind]
+    x = _SCIPY_ARGS if kind == "j" else _SCIPY_ARGS[1:]
+    orders = np.arange(specfun.MAX_ORDER + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref(orders[:, None], x), ref(orders[:, None], x, derivative=True)
+        shapes = [
+            (orders[:, None], x, lambda a: a),  # a column of orders
+            (orders, x[7], lambda a: a[:, 7]),  # a row of orders at one x
+            (orders[:, None], x[None, 3:5], lambda a: a[:, 3:5]),  # a row of x
+            (orders, x[:, None], lambda a: a.T),  # a row of orders against a column of x
+        ]
+        for n, arg, pick in shapes:
+            for got, ref_a in zip(fn(n, arg), want):
+                assert np.array_equal(_bits(got), _bits(pick(ref_a)))
+        for n in (0, 1, 2, 37, specfun.MAX_ORDER):  # scalar orders
+            for got, ref_a in zip(fn(n, x), want):
+                assert np.array_equal(_bits(got), _bits(ref_a[n]))
+    assert kind == "j" or np.isneginf(want[0]).any() and np.isnan(want[1]).any()
+
+
+def test_legendre_deriv_equals_two_separate_calls_bitwise():
+    mu = np.concatenate([[-1.0, 1.0], np.cos(np.linspace(0.01, 3.1, 301))])
+    n = np.arange(specfun.MAX_ORDER + 1)[:, None]
+    near_pole = np.abs(np.abs(mu) - 1.0) < 1e-12
+    safe = np.where(near_pole, 0.0, mu)
+    pn, pnm1 = special.eval_legendre(n, safe), special.eval_legendre(np.maximum(n - 1, 0), safe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        body = n * (pnm1 - safe * pn) / (1.0 - safe * safe)
+    pole = np.sign(mu) ** (n + 1) * n * (n + 1) / 2.0
+    want = np.where(n == 0, 0.0, np.where(near_pole, pole, body))
+    assert np.array_equal(_bits(specfun.legendre_p_deriv(n, mu)), _bits(want))

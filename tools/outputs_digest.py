@@ -51,6 +51,8 @@ RUNS = {
     # mode order 21, the largest of the benchmark's sphere sweep
     "sphere-ka12-soft": ("sphere", {"ka": "12"}, ("out", "history_out")),
     "sphere-ka12-hard": ("sphere", {"ka": "12", "bc": "hard"}, ("out", "history_out")),
+    # an explicit resolution, and a small ka where b's high orders cancel to rounding
+    "sphere-ka1-quad40": ("sphere", {"ka": "1", "quad_resolution": "40"}, ("out", "history_out")),
     "sphere-galerkin": ("sphere", {"solver": "galerkin"}, ("out", "history_out")),
     "sphere-iterate7": ("sphere", {"solver": "iterate:7"}, ("out", "history_out")),
     "sphere-plane-waves": ("sphere", {"basis": "plane-waves", "bc": "hard"}, ()),
