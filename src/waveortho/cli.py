@@ -255,10 +255,6 @@ for _d in DEFAULTS.values():
     _d.update(_COMMON_DEFAULTS)
 
 
-# the angle-valued keys: radians, or degrees when spelled <key>_deg on the
-# command line
-ANGLE_KEYS = ("incidence",)
-
 # the largest value an integer key (a count or an index) may take
 INDEX_MAX = int(np.iinfo(np.intp).max)
 
@@ -366,8 +362,8 @@ def build_config(
 ) -> Dict[str, object]:
     """Merge defaults, config file, and CLI overrides (in that precedence).
 
-    An override spelled <key>_deg for a key of ANGLE_KEYS is converted
-    from degrees to radians; files always carry radians.
+    An override spelled incidence_deg is converted from degrees to radians
+    into incidence; files always carry radians.
     """
     if scenario not in DEFAULTS:
         raise UsageError(
@@ -381,9 +377,8 @@ def build_config(
         for key, raw in source.items():
             key = key.replace("-", "_")
             value = raw
-            base = key[: -len("_deg")]
-            if allow_deg and key.endswith("_deg") and base in ANGLE_KEYS and base in defaults:
-                key, value = base, math.radians(_coerce(scenario, key, raw, 0.0))
+            if allow_deg and key == "incidence_deg" and "incidence" in defaults:
+                key, value = "incidence", math.radians(_coerce(scenario, key, raw, 0.0))
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])

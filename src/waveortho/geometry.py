@@ -7,6 +7,8 @@ nodes in cos(theta) times a uniform azimuth grid, which integrates smooth
 integrands spectrally and keeps Legendre products exactly orthogonal up to
 the quadrature degree. The 2D strip uses endpoint-clustered nodes from the
 cosine map, matching how the field varies fastest near the screen edges.
+make_surface builds a new Surface on every call; only the Gauss-Legendre
+rules are kept, in a per-process memo.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .errors import DomainError
 
 MIN_RESOLUTION = 4
 
-# entries of the per-process memos of Gauss-Legendre rules and of surfaces
+# entries of the per-process memo of Gauss-Legendre rules
 RULE_MEMO_SIZE = 32
-SURFACE_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,10 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return _gauss_legendre_rule(n)
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 @functools.lru_cache(maxsize=RULE_MEMO_SIZE)
 def _gauss_legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
-    _read_only(x, w)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -167,29 +163,19 @@ def make_surface(shape: Shape, resolution: int) -> Surface:
 
     resolution controls the polar node count for 3D bodies (azimuth gets
     twice that) and the node count for the 2D strip. Must be at least 4.
-    Surfaces come from a per-process memo of the SURFACE_MEMO_SIZE most recent
-    (shape, resolution) pairs: shapes are frozen dataclasses, so equal shapes
-    share one Surface, whose positions, normals and weights are read-only.
+    Each call builds a new Surface with its own writable arrays.
     """
     if resolution < MIN_RESOLUTION:
         raise DomainError(
             f"resolution {resolution} is below the minimum {MIN_RESOLUTION}"
         )
-    return _shape_surface(shape, resolution)
-
-
-@functools.lru_cache(maxsize=SURFACE_MEMO_SIZE)
-def _shape_surface(shape: Shape, resolution: int) -> Surface:
     if isinstance(shape, Sphere):
-        s = _sphere_surface(shape.radius, resolution)
-    elif isinstance(shape, Spheroid):
-        s = _spheroid_surface(shape.equatorial_radius, shape.polar_radius, resolution)
-    elif isinstance(shape, Strip):
-        s = _strip_surface(shape.width, resolution)
-    else:
-        raise ValueError(f"unsupported shape {shape!r}")
-    _read_only(s.positions, s.normals, s.weights)
-    return s
+        return _sphere_surface(shape.radius, resolution)
+    if isinstance(shape, Spheroid):
+        return _spheroid_surface(shape.equatorial_radius, shape.polar_radius, resolution)
+    if isinstance(shape, Strip):
+        return _strip_surface(shape.width, resolution)
+    raise ValueError(f"unsupported shape {shape!r}")
 
 
 def _sphere_surface(radius: float, resolution: int, n_phi: int = 0, shift: float = 0.0) -> Surface:

@@ -32,10 +32,6 @@ from . import specfun
 from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 
-# Gram diagonal entries below this fraction of the largest diagonal entry
-# mean a basis function has essentially no trace on the surface.
-DEGENERATE_DIAG_FRACTION = 1e-300
-
 
 class BoundaryCondition(enum.Enum):
     """Boundary operator A: field trace (soft) or normal-derivative trace (hard)."""
@@ -293,16 +289,22 @@ def assemble_gram(
     """Gram system of the basis traces on s, projected onto u0 when given.
 
     G_ij = <A D_i, A D_j> over the surface quadrature is symmetrized to be
-    exactly Hermitian; diagonal entries are real and strictly positive unless
-    the basis is degenerate on this surface. b_i = <A D_i, A u0>.
+    exactly Hermitian. b_i = <A D_i, A u0>. A trace or G that overflows to
+    inf or nan, or a diagonal entry that is not positive or whose reciprocal
+    beta_i is not finite, raises DomainError.
     """
-    t = eval_basis_trace(basis, bc, s)
-    t_h = t.conj().T
-    g = t_h @ (s.weights[:, None] * t)
-    g = 0.5 * (g + g.conj().T)
-    diag = np.real(np.diag(g)).copy()
-    max_diag = float(np.max(diag)) if diag.size else 0.0
-    if max_diag <= 0.0 or np.any(diag <= DEGENERATE_DIAG_FRACTION * max_diag):
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = eval_basis_trace(basis, bc, s)
+        t_h = t.conj().T
+        g = t_h @ (s.weights[:, None] * t)
+        g = 0.5 * (g + g.conj().T)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("the Gram matrix overflows double precision: "
+                          "a basis trace is too large on this surface")
+    diag = np.real(np.diag(g))
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = 1.0 / diag
+    if not (diag.size and np.all(diag > 0.0) and np.all(np.isfinite(beta))):
         raise DomainError(
             "a basis function has (numerically) zero trace norm on this surface"
         )
@@ -312,7 +314,7 @@ def assemble_gram(
             raise DomainError("incident field dimension does not match surface")
         au0 = bc.trace(u0, s)
         b = t_h @ (s.weights * au0)
-    return GramSystem(g=g, beta=1.0 / diag, surface=s, traces=t, au0=au0, b=b)
+    return GramSystem(g=g, beta=beta, surface=s, traces=t, au0=au0, b=b)
 
 
 # ---------------------------------------------------------------------------

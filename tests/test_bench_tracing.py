@@ -30,12 +30,14 @@ def test_tracer_installs_counts_and_uninstalls():
     tracer.install(waveortho)
     try:
         assert orc.lu_factor is not lu_factor
-        n, k = 64, 4.0
-        u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
-        orc.bem_dense_solve(orc.bem_ellipse(1.0, 0.6, n), mth.BoundaryCondition.HARD, k, u0)
-        # one LU of the whole matrix, and J0, Y0, J1 and Y1 once on its n x n entries
-        assert tracer.counts["oracles.lu.order"] == n
-        assert tracer.counts["kernel.bessel_evals"] == 4 * n * n
+        # the strip oracle at kd = 4 pi runs n = ceil(kd) + 32 = 45 half-period
+        # nodes and its check at n + 32: one LU at each order (soft 46 + 78,
+        # hard 44 + 76), and J0 and Y0 once on the 46^2 and 78^2 distance tables
+        for bc, lu_order in ((mth.BoundaryCondition.SOFT, 124), (mth.BoundaryCondition.HARD, 120)):
+            tracer.counts.clear()
+            orc.strip_arc_solve(bc, 4.0 * np.pi, 0.0, np.linspace(-np.pi, np.pi, 181))
+            assert tracer.counts["oracles.lu.order"] == lu_order
+            assert tracer.counts["kernel.bessel_evals"] == 2 * (46**2 + 78**2)
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in wrapped] == originals

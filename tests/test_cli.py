@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -275,7 +276,6 @@ def test_sphere_table_is_the_same_with_and_without_the_memos(tmp_path):
     for i, path in enumerate(out):
         if i == 2:
             geo._gauss_legendre_rule.cache_clear()
-            geo._shape_surface.cache_clear()
         cfg = cli.build_config("sphere", overrides={"ka": "3", "bc": "hard", "out": path})
         assert cli.run_scenario("sphere", cfg).passed
     first, memoized, fresh = (open(path, "rb").read() for path in out)
@@ -291,7 +291,6 @@ def test_sphere_sweep_solves_each_quadrature_degree_once(monkeypatch):
         return real(n)
 
     geo._gauss_legendre_rule.cache_clear()
-    geo._shape_surface.cache_clear()
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     for ka in range(1, 7):
         for bc in ("soft", "hard"):
@@ -475,6 +474,8 @@ def test_main_exit_codes(tmp_path):
          "must fit in physical memory"),
         # a strip so narrow that the oracle's far field underflows to 0
         (["strip", "--kd", "1e-300"], "kd = 1e-300"),
+        # incidence_deg only where the scenario has incidence
+        (["born", "--incidence_deg", "5"], "unknown config key 'incidence_deg'"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
@@ -484,6 +485,30 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     assert reason in err
     if argv[0] == "kernel-profile":  # which has no far_tol key
         assert "far_tol" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--ka", "1e-15"],
+    # the trace itself overflows: y_n(1) is inf from order 151
+    ["sphere", "--ka", "1", "--basis_size", "160"],
+    ["sphere", "--basis_size", "124"],
+    ["sphere", "--basis_size", "200"],
+    ["sphere", "--bc", "hard", "--basis_size", "124"],
+    ["sphere", "--bc", "hard", "--basis_size", "123"],
+    ["kernel-profile", "--basis_size", "150"],
+    ["kernel-profile", "--ka", "1e-20"],
+])
+def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on the way would be a second line
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("usage error: the Gram matrix overflows double precision: "
+                                       "a basis trace is too large on this surface\n")
+
+
+def test_sphere_at_the_last_finite_gram_passes():
+    # basis_size 123 is the largest whose soft Gram matrix at ka = 5 is finite
+    assert cli.main(["sphere", "--basis_size", "123"]) == 0
 
 
 def test_program_fault_exits_3_with_traceback(monkeypatch, capsys):

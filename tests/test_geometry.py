@@ -32,13 +32,13 @@ def test_gauss_legendre_is_leggauss_and_read_only(n):
     (geo.Spheroid(equatorial_radius=1.0, polar_radius=2.0), 10),
     (geo.Strip(width=2.0), 16),
 ])
-def test_equal_surface_keys_share_one_read_only_surface(shape, resolution):
+def test_each_call_builds_a_new_writable_surface_with_identical_bits(shape, resolution):
     s = geo.make_surface(shape, resolution)
-    assert geo.make_surface(dataclasses.replace(shape), resolution) is s
-    assert geo.make_surface(shape, resolution + 1) is not s
-    for a in (s.positions, s.normals, s.weights):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
+    t = geo.make_surface(dataclasses.replace(shape), resolution)
+    assert t is not s
+    for a, b in ((s.positions, t.positions), (s.normals, t.normals), (s.weights, t.weights)):
+        assert not np.shares_memory(a, b) and a.tobytes() == b.tobytes()
+        assert a.flags.writeable and b.flags.writeable
 
 
 def test_sphere_surface_area_and_normals():

@@ -422,6 +422,26 @@ def test_degenerate_basis_rejected():
         mth.assemble_gram(basis, mth.BoundaryCondition.HARD, s)
 
 
+@pytest.mark.parametrize("bc", list(mth.BoundaryCondition))
+def test_overflowing_gram_rejected(bc):
+    # y_12(1e-15) is about 3e206: finite, but its square is not
+    s = geo.meridian_sphere_surface(1.0, 32)
+    basis = mth.SphericalModeBasis(max_order=12, k=1e-15)
+    with pytest.raises(DomainError, match="Gram matrix overflows double precision"):
+        mth.assemble_gram(basis, bc, s)
+
+
+def test_diagonal_with_infinite_reciprocal_rejected():
+    # subnormal weights give a positive diagonal whose reciprocal overflows
+    s = geo.make_surface(geo.Strip(width=1.0), 32)
+    tiny = geo.Surface(positions=s.positions, normals=s.normals,
+                       weights=np.full_like(s.weights, 1e-320), closed=False,
+                       char_size=s.char_size)
+    basis = mth.PlaneWaveBasis(directions=np.array([[0.0, 1.0], [0.6, 0.8]]), k=6.0)
+    with pytest.raises(DomainError, match="zero trace norm on this surface"):
+        mth.assemble_gram(basis, mth.BoundaryCondition.SOFT, tiny)
+
+
 def test_point_sources_must_be_inside():
     k = 2.0
     s = geo.make_surface(geo.Sphere(radius=1.0), 16)

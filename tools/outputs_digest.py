@@ -94,6 +94,9 @@ RUNS = {
     "kernel-profile-negative-ka": ("kernel-profile", {"ka": "-3"}, ()),
     # a zero disturbance, which leaves the Born checks only zero terms
     "born-zero-amplitude": ("born", {"amplitude": "0"}, ()),
+    # Gram matrices that overflow: huge mode traces at a tiny ka, and high orders
+    "sphere-ka-1e-15": ("sphere", {"ka": "1e-15"}, ()),
+    "sphere-basis-124": ("sphere", {"basis_size": "124"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
