@@ -62,9 +62,8 @@ def mie_series(
     angles = np.asarray(angles, dtype=float)
     k = ka  # a = 1
     orders = np.arange(int(max(np.ceil(ka) + 12, np.ceil(ka + 4.0 * np.cbrt(ka) + 10))) + 1)
-    j, jp = specfun.sph_bessel_j(orders, ka)
-    y, yp = specfun.sph_bessel_y(orders, ka)
-    h, hp = j + 1j * y, jp + 1j * yp  # as specfun.sph_hankel1 forms them
+    h, hp = specfun.sph_hankel1(orders, ka)
+    j, jp = h.real, hp.real
     a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
     terms = ((2 * orders + 1) * a_n)[:, None] * specfun.legendre_p(orders[:, None], np.cos(angles))
     # summed over axis 0, the orders are added in turn as a loop would
@@ -253,8 +252,7 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
     if not np.isfinite(rcond) or rcond < 1e-12:
         cond = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularSystemError(
-            f"boundary-element system is near-singular (condition number ~ {cond:.3e}); "
-            "change the node count or frequency away from the resonance"
+            f"dense oracle system is near-singular (condition number ~ {cond:.3e})"
         )
     return lu_solve((lu, piv), rhs), float(rcond)
 

@@ -79,11 +79,19 @@ def sph_bessel_y(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
 def sph_hankel1(n: Order, x: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     """Outgoing spherical Hankel function h_n^(1)(x) = j_n + i y_n, with derivative.
 
-    Requires x > 0 (the Neumann part diverges at the origin).
+    Requires x > 0 (the Neumann part diverges at the origin). Where y_n
+    overflows, the real part is still j_n.
     """
     j, jp = sph_bessel_j(n, x)
     y, yp = sph_bessel_y(n, x)
-    return j + 1j * y, jp + 1j * yp
+    return _complex(j, y), _complex(jp, yp)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im set part by part: re + 1j * im gives a NaN real part where im is -inf."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z[()]
 
 
 def legendre_p(n: Order, x: ArrayLike) -> np.ndarray:

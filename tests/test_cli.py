@@ -469,9 +469,9 @@ def test_main_exit_codes(tmp_path):
         (["slit", "--bc", "rigid"], "bc must be soft or hard"),
         (["sphere", "--solver", "bogus"], "solver must be diagonal, galerkin, or iterate:N"),
         (["sphere", "--solver", "iterate:0"], "with an integer N >= 1"),
-        # a residual history that cannot fit in memory is refused before any step
+        # a step count above the refinement step cap is refused before any step
         (["sphere", "--ka", "1", "--solver", "iterate:1000000000000"],
-         "must fit in physical memory"),
+         "the refinement step cap 2000000"),
         # a strip so narrow that the oracle's far field underflows to 0
         (["strip", "--kd", "1e-300"], "kd = 1e-300"),
         # incidence_deg only where the scenario has incidence
@@ -485,6 +485,26 @@ def test_bad_numeric_input_exits_2_with_reason(argv, reason, capsys):
     assert reason in err
     if argv[0] == "kernel-profile":  # which has no far_tol key
         assert "far_tol" not in err
+
+
+def test_solver_at_the_step_cap_is_accepted():
+    assert cli.REFINE_STEPS_MAX == 2_000_000
+    cfg = cli.build_config("sphere", overrides={"solver": "iterate:2000000"})
+    assert cfg["solver"] == "iterate:2000000"
+
+
+@pytest.mark.parametrize("steps", ["2000001", "263114239"])
+def test_solver_above_the_step_cap_exits_2_before_any_step(steps, monkeypatch, capsys):
+    def unreachable(*args):
+        pytest.fail("a refinement step was taken")
+
+    monkeypatch.setattr(cli.mth, "refine_iterate", unreachable)
+    monkeypatch.setattr(cli.mth, "refine_power", unreachable)
+    assert cli.main(["sphere", "--solver", f"iterate:{steps}"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: solver must be diagonal, galerkin, or iterate:N with an integer N >= 1 "
+        "and at most the refinement step cap 2000000\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -785,6 +805,23 @@ def test_selected_singular_galerkin_fails_solver_available(monkeypatch, capsys):
             "galerkin selected but unavailable") in out
     assert "metric solver_used = diagonal" in out
     assert cli.main(["sphere", "--ka", "2"]) == 0  # unselected, it stays a warning
+
+
+def test_failed_strip_oracle_fails_oracle_available_and_writes_the_pattern(
+    monkeypatch, tmp_path, capsys
+):
+    def singular(*args, **kwargs):
+        raise SingularSystemError("dense oracle system is near-singular "
+                                  "(condition number ~ 1.000e+17)")
+
+    monkeypatch.setattr(orc, "strip_arc_solve", singular)
+    out = tmp_path / "pattern.csv"
+    assert cli.main(["strip", "--kd", repr(4 * math.pi), "--out", str(out)]) == 1
+    failed = [line.strip() for line in capsys.readouterr().out.splitlines() if ": FAIL" in line]
+    assert failed == ["check oracle_available: FAIL (no value to compare < inf; oracle failed: "
+                      "dense oracle system is near-singular (condition number ~ 1.000e+17)), "
+                      "margin +nan"]
+    assert len(out.read_text().splitlines()) == 1 + 181
 
 
 def test_strip_incidence_domain():

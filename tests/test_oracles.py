@@ -801,3 +801,12 @@ def test_scattered_field_rejects_points_near_grid():
     # the refusal comes when the Green rows for the point are built
     with pytest.raises(DomainError):
         orc.volume_green(pot, k, np.array([[0.0, 0.61]]))
+
+
+def test_dense_solve_refuses_a_near_singular_matrix_with_its_condition_number():
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
+    with pytest.raises(SingularSystemError) as err:
+        orc._solve_dense(a, np.ones(2, dtype=complex))
+    m = re.fullmatch(r"dense oracle system is near-singular \(condition number ~ (\S+)\)",
+                     str(err.value))
+    assert m and 1e12 < float(m.group(1)) < 1e16

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,25 @@ def test_hankel_combination():
     y, yp = specfun.sph_bessel_y(4, x)
     assert np.allclose(h, j + 1j * y)
     assert np.allclose(hp, jp + 1j * yp)
+
+
+def test_hankel_keeps_its_real_part_where_y_overflows():
+    n = np.arange(specfun.MAX_ORDER + 1)[:, None]
+    x = np.array([0.5, 1.0, 3.0, 50.0, 150.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, hp = specfun.sph_hankel1(n, x)
+    (j, jp), (y, yp) = specfun.sph_bessel_j(n, x), specfun.sph_bessel_y(n, x)
+    assert np.isinf(y).any()
+    np.testing.assert_array_equal(h.real, j)
+    np.testing.assert_array_equal(hp.real, jp)
+    np.testing.assert_array_equal(h.imag, y)
+    np.testing.assert_array_equal(hp.imag, yp)
+    # where y_n is finite, bit for bit the values of j + 1j * y
+    finite = np.isfinite(y) & np.isfinite(yp)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(h[finite], (j + 1j * y)[finite])
+        assert np.array_equal(hp[finite], (jp + 1j * yp)[finite])
 
 
 def test_hankel_outgoing_asymptotics():

@@ -97,6 +97,8 @@ RUNS = {
     # Gram matrices that overflow: huge mode traces at a tiny ka, and high orders
     "sphere-ka-1e-15": ("sphere", {"ka": "1e-15"}, ()),
     "sphere-basis-124": ("sphere", {"basis_size": "124"}, ()),
+    # one step past the refinement step cap
+    "sphere-iterate-over-cap": ("sphere", {"solver": "iterate:2000001"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
