@@ -20,7 +20,6 @@ import scipy.special as sp  # noqa: F401
 from .errors import DomainError
 from .method import IncidentField
 from .oracles import (  # noqa: F401
-    EULER_GAMMA,
     LatticeOperator,
     VolumeGreen,
     VolumePotential,
@@ -57,7 +56,7 @@ def _self_cell_green_sq(k: float, h: float) -> float:
     regularization at the cell scale.
     """
     r0 = h / np.sqrt(np.pi)
-    la = np.log(0.5 * k * np.exp(EULER_GAMMA) * r0)
+    la = np.log(0.5 * k * np.exp(np.euler_gamma) * r0)
     return (np.pi * r0**2 / 16.0) * (1.0 + (4.0 / np.pi**2) * (la * la - la + 0.5))
 
 

@@ -618,9 +618,18 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
 # Strip and slit scenarios
 
 
+def _per_wavelength(kd: float, per_wavelength: int, noun: str) -> int:
+    """ceil(per_wavelength kd / 2 pi), refused as a count key's value would be."""
+    count = float(np.ceil(per_wavelength * kd / (2.0 * np.pi)))
+    if 16.0 * count > geo.physical_memory():
+        raise MemoryError(f"kd = {kd:g} asks for {count:.4g} {noun} at {per_wavelength} per "
+                          "wavelength, more 16-byte entries than physical memory holds")
+    return int(count)
+
+
 def _strip_direction_angles(kd: float, basis_size: int) -> np.ndarray:
     """Midpoint grid in sin(theta) over the visible band, 4 per wavelength."""
-    m = basis_size or int(np.ceil(4.0 * kd / (2.0 * np.pi)))
+    m = basis_size or _per_wavelength(kd, 4, "plane-wave directions")
     sines = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
     return np.arcsin(np.clip(sines, -1.0, 1.0))
 
@@ -706,7 +715,7 @@ def _run_strip_pipeline(
     th_d = _strip_direction_angles(kd, int(cfg["basis_size"]))
     dirs = np.column_stack([np.sin(th_d), np.cos(th_d)])
     basis = mth.PlaneWaveBasis(directions=dirs, k=k)
-    res = int(cfg["quad_resolution"]) or max(32, int(np.ceil(8.0 * kd / (2.0 * np.pi))))
+    res = int(cfg["quad_resolution"]) or max(32, _per_wavelength(kd, 8, "surface nodes"))
     s = geo.make_surface(geo.Strip(width=d), res)
     u0 = mth.IncidentField(direction=np.array([math.sin(alpha), -math.cos(alpha)]), k=k)
     sys = mth.assemble_gram(basis, bc_solve, s, u0)

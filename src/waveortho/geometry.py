@@ -64,6 +64,11 @@ class Spheroid:
                 f"equatorial radius a (got a={self.equatorial_radius}, "
                 f"c={self.polar_radius})"
             )
+        # the surface normals divide by a^2 and c^2
+        a, c = self.equatorial_radius, self.polar_radius
+        if not (0.0 < a * a and c * c < np.inf):
+            raise DomainError(f"spheroid radii a = {a!r} and c = {c!r} need squares that are "
+                              "positive and finite in double precision")
 
 
 Shape = Union[Sphere, Strip, Spheroid]

@@ -23,14 +23,10 @@ import numpy as np
 from scipy import special as sp
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from numpy._core.multiarray import _set_madvise_hugepage
-
 from . import geometry, specfun
 from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +60,15 @@ def mie_series(
     orders = np.arange(int(max(np.ceil(ka) + 12, np.ceil(ka + 4.0 * np.cbrt(ka) + 10))) + 1)
     h, hp = specfun.sph_hankel1(orders, ka)
     j, jp = h.real, hp.real
-    a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
+    # at a tiny ka y_n' overflows, so h_n' turns nan, and k^2 underflows
+    with np.errstate(all="ignore"):
+        a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
+    if not np.all(np.isfinite(a_n)):
+        raise DomainError(f"the series oracle has no finite coefficients at ka = {ka!r}")
+    sigma = float(4.0 * np.pi * np.sum((2 * orders + 1) * np.abs(a_n / k) ** 2))
     terms = ((2 * orders + 1) * a_n)[:, None] * specfun.legendre_p(orders[:, None], np.cos(angles))
     # summed over axis 0, the orders are added in turn as a loop would
     amp = terms.sum(axis=0) / (1j * k)
-    sigma = float(4.0 * np.pi / k**2 * np.sum((2 * orders + 1) * np.abs(a_n) ** 2))
     return MieCoefficients(a_n=a_n, sigma_total=sigma), FarFieldPattern(angles=angles, amplitude=amp)
 
 
@@ -290,7 +290,7 @@ def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
     del kr, weights
     s_diag = c.speed * (
         -c.log_col[0] / (4.0 * np.pi)
-        + c.trap * (0.25j - (EULER_GAMMA + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
+        + c.trap * (0.25j - (np.euler_gamma + np.log(0.5 * k * c.speed)) / (2.0 * np.pi))
     )
     if not hard:
         a += _nystrom(base, c.speed, s_diag, -1j * k)
@@ -404,7 +404,7 @@ def _arc_far_field(bc: BoundaryCondition, kd: float, incidence: float, angles: n
     # the limit of the smooth part, with Kress's weights in full where tau = s or tau = -s
     ends = nodes % n == 0
     log_speed = np.log(kd / 8.0 * np.where(ends, 1.0, 2.0 * np.abs(np.sin(tau))))
-    s[nodes, nodes] = trap * (0.125j - (EULER_GAMMA + log_speed) / (4.0 * np.pi))
+    s[nodes, nodes] = trap * (0.125j - (np.euler_gamma + log_speed) / (4.0 * np.pi))
     s[nodes, nodes] -= weights[nodes, nodes] / (8.0 * np.pi)
     mult = np.where(ends, 1.0, 2.0)
     s *= mult
@@ -523,13 +523,17 @@ def gaussian_potential(
     The outermost node layer is zeroed explicitly; choose half_extent of a
     few widths so the truncation there is negligible.
     """
-    if width <= 0 or half_extent <= 0 or h <= 0:
-        raise DomainError("width, half_extent, and h must be positive")
-    n = int(np.floor(2 * half_extent / h)) + 1
-    axis = -half_extent + h * np.arange(n)
+    if not (width > 0 and half_extent > 0 and h > 0 and 0 < width * width < np.inf):
+        raise DomainError("width, half_extent, and h must be positive and width^2 finite and > 0")
+    nodes = float(np.floor(2 * half_extent / h)) + 1  # per axis; inf where the ratio overflows
+    if 16.0 * nodes * nodes > geometry.physical_memory():  # refused before any array is built
+        raise MemoryError(f"h = {h!r} over half_extent = {half_extent!r} gives {nodes:.4g} grid "
+                          "nodes per axis, more 16-byte entries than physical memory holds")
+    axis = -half_extent + h * np.arange(int(nodes))
     mesh = np.meshgrid(axis, axis, indexing="ij")
     r2 = sum(m**2 for m in mesh)
-    vals = amplitude * np.exp(-r2 / width**2)
+    with np.errstate(over="ignore"):  # an exponent below -1.8e308 is -inf, whose exp is 0
+        vals = amplitude * np.exp(-r2 / width**2)
     vals[[0, -1], :] = 0.0
     vals[:, [0, -1]] = 0.0
     return VolumePotential(origin=np.full(2, -half_extent), h=h, values=vals)
@@ -685,8 +689,9 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
     the node lattice; a point inside it raises DomainError, which
     covers every point closer than h/2 to a node.
     """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
+    # each term of the self-cell integral is near 1/k^2 at a small k h
+    if not (k > 0 and 0 < k * k < np.inf and 1 / (k * k) < np.inf):
+        raise DomainError(f"wavenumber k = {k!r} must be positive, with k^2 and 1/k^2 finite")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != pot.dim:
         raise DomainError(f"points must be (n, {pot.dim})")
@@ -732,9 +737,10 @@ def lippmann_schwinger(
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
     Green operator of `green` (built for `pot`'s grid) and solved by GMRES
     (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with G applied by
-    FFT: one cycle of at most 200 Krylov steps, stopped at a relative
-    residual of 1e-12. The true residual is recomputed once; a solve that
-    leaves it above 1e-12 raises SingularSystemError.
+    FFT: at most two cycles of 100 Krylov steps (scipy allocates a cycle's
+    basis up front), stopped at a relative residual of 1e-12. The true
+    residual is recomputed once; a solve that leaves it above 1e-12 raises
+    SingularSystemError.
 
     If `info` is given it receives the GMRES `iterations` and that relative
     `residual`.
@@ -751,15 +757,8 @@ def lippmann_schwinger(
     n = pot.n_cells
     a = LinearOperator((n, n), matvec=lambda x: x + gop @ (xi * x), dtype=complex)
     steps = []
-    # the Krylov basis, 5.4 MB on a 41 x 41 grid, would get numpy's huge-page
-    # advice (arrays of 4 MiB or more); reused from the malloc heap, its pages
-    # let khugepaged raise the resident size in 2 MB steps on its own schedule
-    advice = _set_madvise_hugepage(False)
-    try:
-        u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=min(n, 200), maxiter=1,
-                     callback=steps.append, callback_type="pr_norm")
-    finally:
-        _set_madvise_hugepage(advice)
+    u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=100, maxiter=2,
+                 callback=steps.append, callback_type="pr_norm")
     residual = float(np.linalg.norm(b - a @ u) / np.linalg.norm(b))
     if info is not None:
         info.update(iterations=len(steps), residual=residual)

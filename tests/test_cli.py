@@ -526,6 +526,32 @@ def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
                                        "a basis trace is too large on this surface\n")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # Python floats that overflow or underflow on the way
+    (["sphere", "--ka", "1e-200"], "the Gram matrix overflows double precision"),
+    (["sphere", "--ka", "1e-200", "--bc", "hard"],
+     "the series oracle has no finite coefficients at ka = 1e-200"),
+    (["sphere", "--ka", "1e-200", "--basis_size", "3"],
+     "the Gram matrix overflows double precision"),
+    (["born", "--k", "1e-300"], "wavenumber k = 1e-300 must be positive, with k^2 and 1/k^2"),
+    (["born", "--k", "1e300"], "wavenumber k = 1e+300 must be positive, with k^2 and 1/k^2"),
+    (["born", "--width", "1e300"], "and width^2 finite and > 0"),
+    (["spheroid", "--c_over_a", "1e300"], "c = 1e+300 need squares"),
+    # sizes computed from float keys, refused before any array is built
+    (["born", "--half_extent", "1e300"], "gives 3.333e+301 grid nodes per axis, more 16-byte"),
+    (["born", "--h", "1e-300"], "gives 1.8e+300 grid nodes per axis, more 16-byte"),
+    (["strip", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
+    (["slit", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
+])
+def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on the way would be a second line
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_sphere_at_the_last_finite_gram_passes():
     # basis_size 123 is the largest whose soft Gram matrix at ka = 5 is finite
     assert cli.main(["sphere", "--basis_size", "123"]) == 0

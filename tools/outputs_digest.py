@@ -99,6 +99,10 @@ RUNS = {
     "sphere-basis-124": ("sphere", {"basis_size": "124"}, ()),
     # one step past the refinement step cap
     "sphere-iterate-over-cap": ("sphere", {"solver": "iterate:2000001"}, ()),
+    # Python floats out of range: k^2 underflows in the series oracle, and
+    # width^2 overflows in the Gaussian disturbance
+    "sphere-ka-1e-200": ("sphere", {"ka": "1e-200"}, ()),
+    "born-width-1e300": ("born", {"width": "1e300"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
