@@ -19,12 +19,7 @@ import scipy.special as sp  # noqa: F401
 
 from .errors import DomainError
 from .method import IncidentField
-from .oracles import (  # noqa: F401
-    LatticeOperator,
-    VolumeGreen,
-    VolumePotential,
-    grid_green_matrix,
-)
+from .oracles import VolumeGreen, VolumePotential, grid_green_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,39 +44,16 @@ class BornResult:
             raise DomainError("non-finite values in approximation result")
 
 
-def _self_cell_green_sq(k: float, h: float) -> float:
-    """Integral of |G|^2 over the equal-area disk centered at a node.
-
-    It uses the small-argument form of |H0|^2, which is the consistent
-    regularization at the cell scale.
-    """
-    r0 = h / np.sqrt(np.pi)
-    la = np.log(0.5 * k * np.exp(np.euler_gamma) * r0)
-    return (np.pi * r0**2 / 16.0) * (1.0 + (4.0 / np.pi**2) * (la * la - la + 0.5))
-
-
-def _green_sq_kernel(pot: VolumePotential, green: VolumeGreen) -> np.ndarray:
-    """Cell-integrated |G|^2 on the lattice offsets, self-cell value at offset 0.
-
-    Off the self cell it is |h^2 G|^2 / h^2, read from the grid Green kernel
-    of `green`; no Bessel function is evaluated again.
-    """
-    kernel = green.operator.kernel
-    g2 = (kernel.real**2 + kernel.imag**2) / pot.h**2
-    g2[0, 0] = _self_cell_green_sq(green.k, pot.h)
-    return g2
-
-
 def beta_weight(pot: VolumePotential, green: VolumeGreen) -> np.ndarray:
     """Normalizing weight beta(r') = [1 + integral |Xi(r'')|^2 |G(r'', r')|^2 dr'']^-1.
 
     Grid quadrature with the singular cell replaced by the analytic
     cell-average of |G|^2; the sum is a convolution of |Xi|^2 with the |G|^2
-    offset kernel (from the Green tables `green` of `pot`'s grid), taken by
+    offset kernel (`green.green_sq`, built once for `pot`'s grid), taken by
     FFT. Values lie in (0, 1] and tend to 1 as Xi -> 0.
     """
     green.require_grid(pot)
-    corr = (LatticeOperator(_green_sq_kernel(pot, green)) @ np.abs(pot.flat()) ** 2).real
+    corr = (green.green_sq @ np.abs(pot.flat()) ** 2).real
     return 1.0 / (1.0 + corr)
 
 
@@ -111,25 +83,28 @@ def born_approximation(
     xi = pot.flat()
     u0g = u0.values(pot.points())
     gout, gop = green.rows, green.operator
-    beta = beta_weight(pot, green)
+    # a disturbance or a ring past the float range overflows here; BornResult
+    # refuses the non-finite fields by name, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = beta_weight(pot, green)
 
-    plain_term = -gout @ (xi * u0g)
-    first_term = -gout @ (beta * xi * u0g)
-    if alt_second_reading:
-        modified = -gout @ (beta * (gop @ (np.abs(xi) ** 2 * u0g)))
-    else:
-        modified = -gout @ (beta * u0g * (gop @ (np.abs(xi) ** 2)))
-    second_terms = {
-        "second-standard": gout @ (xi * (gop @ (xi * u0g))),
-        "second-modified": modified,
-    }
+        plain_term = -gout @ (xi * u0g)
+        first_term = -gout @ (beta * xi * u0g)
+        if alt_second_reading:
+            modified = -gout @ (beta * (gop @ (np.abs(xi) ** 2 * u0g)))
+        else:
+            modified = -gout @ (beta * u0g * (gop @ (np.abs(xi) ** 2)))
+        second_terms = {
+            "second-standard": gout @ (xi * (gop @ (xi * u0g))),
+            "second-modified": modified,
+        }
 
-    incident = u0.values(green.points)
-    fields = {
-        "first": incident + first_term,
-        "second-standard": (incident + plain_term) + second_terms["second-standard"],
-        "second-modified": (incident + first_term) + second_terms["second-modified"],
-    }
+        incident = u0.values(green.points)
+        fields = {
+            "first": incident + first_term,
+            "second-standard": (incident + plain_term) + second_terms["second-standard"],
+            "second-modified": (incident + first_term) + second_terms["second-modified"],
+        }
     return BornResult(
         fields=fields,
         beta=beta,

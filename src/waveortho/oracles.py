@@ -17,7 +17,8 @@ Five oracle families, none of which share numerics with the method module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -546,28 +547,47 @@ def _self_cell_green(k: float, h: float) -> complex:
     return 0.5j * np.pi * (r0 / k) * (sp.j1(x) + 1j * sp.y1(x)) - 1.0 / k**2
 
 
+def _self_cell_green_sq(k: float, h: float) -> float:
+    """Integral of |G|^2 over the equal-area disk centered at a node.
+
+    It uses the small-argument form of |H0|^2, which is the consistent
+    regularization at the cell scale.
+    """
+    r0 = h / np.sqrt(np.pi)
+    la = np.log(0.5 * k * np.exp(np.euler_gamma) * r0)
+    return (np.pi * r0**2 / 16.0) * (1.0 + (4.0 / np.pi**2) * (la * la - la + 0.5))
+
+
 def _grid_distances(pot: VolumePotential, points: np.ndarray) -> np.ndarray:
     """Distances from the given points to the grid nodes, one row per point.
 
     The same bits as np.linalg.norm(points[:, None] - nodes[None], axis=2),
     which its length-2 reduction makes 2.5 times slower on a 41 x 41 grid.
+    A distance past the float range is inf, without a warning: the Green
+    rows are then non-finite, and `born.BornResult` refuses them by name.
     """
     nodes = pot.points()
     dx = points[:, None, 0] - nodes[None, :, 0]
     dy = points[:, None, 1] - nodes[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore"):
+        return np.sqrt(dx * dx + dy * dy)
 
 
 def _lattice_offsets(pot: VolumePotential) -> np.ndarray:
-    """Lengths h|m| of the lattice offsets m between grid nodes, with 1 at m = 0.
+    """Lengths h|m| of the lattice offsets m >= 0 (one quadrant), with 1 at m = 0.
 
-    The offsets fill a (2n - 1)^2 grid in FFT order: along an axis with n
-    nodes, index i holds offset i for i < n and i - (2n - 1) above. The 1 at
-    m = 0 is a placeholder for the self-cell terms that replace it.
-    `LatticeOperator` zero-pads this grid to 5-smooth FFT lengths; the
-    kernel itself, and every table read from it, keeps the (2n - 1)^2 layout.
+    The kernel lives on the (2n - 1)^2 offset grid in FFT order: along an
+    axis with n nodes, index i holds offset i for i < n and i - (2n - 1)
+    above. h|m| is even in each axis, so this n0 x n1 quadrant carries every
+    value, and `volume_green` mirrors the kernel evaluated on it. The offsets
+    are `np.fft.fftfreq`'s, in which -i and +i are exact negatives but which
+    are an ulp off the integers at some n (25, 52, ...): the mirrored kernel
+    has the bits of one evaluated on every offset. The 1 at m = 0 is a
+    placeholder for the self-cell terms that replace it. `LatticeOperator`
+    zero-pads the grid to 5-smooth FFT lengths; the kernel itself, and every
+    table read from it, keeps the (2n - 1)^2 layout.
     """
-    axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1)) * pot.h for n in pot.values.shape]
+    axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1))[:n] * pot.h for n in pot.values.shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     r = np.sqrt(sum(m**2 for m in mesh))
     r[0, 0] = 1.0
@@ -662,9 +682,9 @@ class VolumeGreen:
     and offset 0 the analytic integral of G over the equal-area disk, which
     regularizes the singular self-interaction.
     `rows` holds h^2 G(p, r_j) from each evaluation point p
-    (one row per point, off the support) to every node r_j. Built once by
-    `volume_green`, it serves every volume sum of a run, for any potential on
-    the same grid.
+    (one row per point, off the support) to every node r_j, and `green_sq`
+    applies |G|^2. Built once by `volume_green`, it serves every volume sum
+    of a run, for any potential on the same grid.
     """
 
     origin: np.ndarray
@@ -674,6 +694,20 @@ class VolumeGreen:
     points: np.ndarray
     operator: LatticeOperator
     rows: np.ndarray
+
+    @cached_property
+    def green_sq(self) -> LatticeOperator:
+        """The grid's cell-integrated |G|^2, applied by FFT; built on first use.
+
+        Off the self cell its kernel is |h^2 G|^2 / h^2, read from the Green
+        kernel of `operator` (no Bessel function is evaluated again); offset 0
+        carries the integral of |G|^2 over the equal-area disk. It depends on
+        the grid alone, so every potential's beta weight shares it.
+        """
+        kernel = self.operator.kernel
+        g2 = (kernel.real**2 + kernel.imag**2) / self.h**2
+        g2[0, 0] = _self_cell_green_sq(self.k, self.h)
+        return LatticeOperator(g2)
 
     def require_grid(self, pot: VolumePotential) -> None:
         """Raise DomainError unless `pot` lies on the grid the tables were built for."""
@@ -703,7 +737,8 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
         raise DomainError(
             f"evaluation point {bad.tolist()} lies inside the potential support"
         )
-    kernel = _volume_green(pot, k, _lattice_offsets(pot))
+    quadrant = _volume_green(pot, k, _lattice_offsets(pot))
+    kernel = quadrant[np.ix_(*[np.r_[0:n, n - 1:0:-1] for n in quadrant.shape])]
     kernel[0, 0] = _self_cell_green(k, pot.h)
     return VolumeGreen(
         origin=pot.origin,
@@ -726,6 +761,63 @@ def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
     return volume_green(pot, k, np.empty((0, pot.dim))).operator.toarray()
 
 
+# Lippmann-Schwinger GMRES: Krylov steps per cycle, and cycles before the
+# solve is refused (one 200-step budget)
+LS_RESTART = 100
+LS_CYCLES = 2
+
+
+def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
+           tol: float) -> Tuple[np.ndarray, int]:
+    """Restarted GMRES for apply(x) = b from x0 = 0; returns x and its step count.
+
+    Each cycle runs Arnoldi steps by modified Gram-Schmidt, storing each
+    Krylov vector when it is made, and reduces the Hessenberg matrix by
+    LAPACK's complex Givens rotations (`lartg`) as it grows. A cycle stops
+    after LS_RESTART steps or where the rotated residual estimate reaches
+    `tol`; the next one restarts from the true residual, unless that is
+    within `tol`. At most LS_CYCLES cycles run.
+    """
+    lartg = get_lapack_funcs("lartg", dtype=b.dtype)
+    x, steps = np.zeros_like(b), 0
+    for cycle in range(LS_CYCLES):
+        r = b - apply(x) if cycle else b
+        beta = np.linalg.norm(r)
+        if not beta > tol:
+            break
+        basis = [r / beta]
+        g = np.zeros(LS_RESTART + 1, dtype=b.dtype)  # rotated residual vector
+        g[0] = beta
+        hess = np.zeros((LS_RESTART + 1, LS_RESTART), dtype=b.dtype)
+        rot = np.zeros((LS_RESTART, 2), dtype=b.dtype)
+        for j in range(LS_RESTART):
+            w = apply(basis[j])
+            for i, v in enumerate(basis):
+                hess[i, j] = np.vdot(v, w)
+                w -= hess[i, j] * v
+            hess[j + 1, j] = np.linalg.norm(w)
+            for i, (c, s) in enumerate(rot[:j]):
+                hess[i, j], hess[i + 1, j] = (c * hess[i, j] + s * hess[i + 1, j],
+                                              c * hess[i + 1, j] - np.conj(s) * hess[i, j])
+            c, s, hess[j, j] = lartg(hess[j, j], hess[j + 1, j])
+            rot[j] = c, s
+            g[j], g[j + 1] = c * g[j], -np.conj(s) * g[j]
+            steps += 1
+            if abs(g[j + 1]) <= tol:
+                break
+            basis.append(w / hess[j + 1, j])
+        # back substitution on the rotated (upper triangular) Hessenberg matrix;
+        # a zero pivot (a singular system) leaves non-finite values, which the
+        # caller's residual refuses
+        y = g[:j + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in reversed(range(j + 1)):
+                y[i] = (y[i] - hess[i, i + 1:j + 1] @ y[i + 1:]) / hess[i, i]
+        for yi, v in zip(y, basis):
+            x += yi * v
+    return x, steps
+
+
 def lippmann_schwinger(
     pot: VolumePotential,
     u0: IncidentField,
@@ -736,36 +828,32 @@ def lippmann_schwinger(
 
     Discretized as (I + G diag(Xi)) u = u0 with the singularity-corrected
     Green operator of `green` (built for `pot`'s grid) and solved by GMRES
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with G applied by
-    FFT: at most two cycles of 100 Krylov steps (scipy allocates a cycle's
-    basis up front), stopped at a relative residual of 1e-12. The true
-    residual is recomputed once; a solve that leaves it above 1e-12 raises
-    SingularSystemError.
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; `_gmres`) with G
+    applied by FFT: at most LS_CYCLES cycles of LS_RESTART Krylov steps,
+    stopped at a relative residual of 1e-12. The true residual is recomputed
+    once; a solve that leaves it above 1e-12 raises SingularSystemError.
 
     If `info` is given it receives the GMRES `iterations` and that relative
     `residual`.
     """
-    # scipy.sparse adds ~3 MB to every process that imports it; only this solve needs it
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     green.require_grid(pot)
     if u0.dim != pot.dim:
         raise DomainError("incident field dimension does not match the grid")
     gop = green.operator
     xi = pot.flat()
     b = u0.values(pot.points())
-    n = pot.n_cells
-    a = LinearOperator((n, n), matvec=lambda x: x + gop @ (xi * x), dtype=complex)
-    steps = []
-    u, _ = gmres(a, b, rtol=1e-12, atol=0.0, restart=100, maxiter=2,
-                 callback=steps.append, callback_type="pr_norm")
-    residual = float(np.linalg.norm(b - a @ u) / np.linalg.norm(b))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return x + gop @ (xi * x)
+
+    u, steps = _gmres(apply, b, 1e-12 * np.linalg.norm(b))
+    residual = float(np.linalg.norm(b - apply(u)) / np.linalg.norm(b))
     if info is not None:
-        info.update(iterations=len(steps), residual=residual)
+        info.update(iterations=steps, residual=residual)
     if not residual <= 1e-12:
         raise SingularSystemError(
             f"Lippmann-Schwinger GMRES left a relative residual of {residual:.3e} "
-            f"after {len(steps)} iterations (needs <= 1e-12)"
+            f"after {steps} iterations (needs <= 1e-12)"
         )
     return u.reshape(pot.values.shape)
 

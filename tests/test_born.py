@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+import waveortho
 from waveortho import born as brn
 from waveortho import cli
 from waveortho import method as mth
@@ -43,7 +47,7 @@ def test_beta_weight_matches_dense_row_sums(dim, h):
     r = orc._grid_distances(pot, pts)
     np.fill_diagonal(r, 1.0)
     g2 = np.abs(0.25j * sp.hankel1(0, K * r)) ** 2 * pot.h**2
-    np.fill_diagonal(g2, brn._self_cell_green_sq(K, pot.h))
+    np.fill_diagonal(g2, orc._self_cell_green_sq(K, pot.h))
     ref = 1.0 / (1.0 + g2 @ np.abs(pot.flat()) ** 2)
     green = orc.volume_green(pot, K, np.empty((0, dim)))
     assert np.max(np.abs(brn.beta_weight(pot, green) - ref)) <= 1e-13 * np.max(1.0 - ref)
@@ -80,6 +84,46 @@ def test_born_run_builds_no_dense_green(overrides, monkeypatch):
     assert len(calls) == 0
     assert counts == {"_volume_green": 2, "born_approximation": 2}
     assert rep.metrics["ls_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("overrides, steps", [
+    ({}, 5),
+    ({"amplitude": "4", "h": "0.045"}, 7),
+    # past the first 100-step GMRES cycle, and within the 1e-12 residual bound
+    ({"amplitude": "1e5"}, 129),
+])
+def test_born_run_gmres_steps(overrides, steps):
+    rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
+    assert rep.metrics["ls_iterations"] == steps
+    assert rep.metrics["ls_residual"] <= 1e-12
+
+
+def test_born_run_never_imports_scipy_sparse(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(waveortho.__file__)))
+    code = ("import sys\n"
+            "from waveortho import cli\n"
+            "status = cli.main(['born'])\n"
+            "print(status, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
+def test_born_run_builds_two_lattice_operators(overrides, monkeypatch):
+    """The Green operator and the |G|^2 operator, each built once: the plain
+    and the phase-rotated potential's beta weights share the second."""
+    built = []
+    init = orc.LatticeOperator.__init__
+
+    def counted(self, kernel):
+        built.append(kernel.shape)
+        init(self, kernel)
+
+    monkeypatch.setattr(orc.LatticeOperator, "__init__", counted)
+    rep = cli.run_scenario("born", cli.build_config("born", overrides=overrides))
+    assert rep.passed
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])

@@ -542,6 +542,9 @@ def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
     (["born", "--h", "1e-300"], "gives 1.8e+300 grid nodes per axis, more 16-byte"),
     (["strip", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
     (["slit", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
+    # |Xi|^2 and the ring's node distances overflow, and the Born fields are not finite
+    (["born", "--amplitude", "1e300"], "non-finite values in approximation result"),
+    (["born", "--ring_radius", "1e300"], "non-finite values in approximation result"),
 ])
 def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
     with warnings.catch_warnings():

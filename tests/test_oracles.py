@@ -670,6 +670,22 @@ def test_volume_green_operator_matches_dense_products(shape):
     assert np.max(np.abs(g - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("shape", [(5, 9), (31, 31), (41, 41), (25, 25)])
+def test_mirrored_lattice_kernel_equals_the_full_evaluation(shape):
+    # (25, 25): fftfreq's offsets are an ulp off the integers there
+    pot = orc.VolumePotential(origin=np.zeros(2), h=0.045, values=np.zeros(shape))
+    k = 1.3
+    axes = [np.fft.fftfreq(2 * n - 1, 1.0 / (2 * n - 1)) * pot.h for n in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    r = np.sqrt(sum(m**2 for m in mesh))
+    r[0, 0] = 1.0
+    full = orc._volume_green(pot, k, r)
+    full[0, 0] = orc._self_cell_green(k, pot.h)
+    kernel = orc.volume_green(pot, k, np.empty((0, 2))).operator.kernel
+    assert kernel.shape == full.shape
+    assert np.array_equal(kernel, full)
+
+
 def _solve(pot, u0, k, **kwargs):
     """The volume solve, with Green tables built for no evaluation point."""
     green = orc.volume_green(pot, k, np.empty((0, pot.dim)))
@@ -731,12 +747,10 @@ def test_lippmann_schwinger_divergence_falls_back():
 
 
 def test_lippmann_schwinger_rejects_unconverged_solve(monkeypatch):
-    import scipy.sparse.linalg
+    def stalled(apply, b, tol):
+        return np.zeros_like(b), 0
 
-    def stalled(a, b, **kwargs):
-        return np.zeros_like(b), 1
-
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", stalled)
+    monkeypatch.setattr(orc, "_gmres", stalled)
     pot = orc.gaussian_potential(0.5, 0.3, 0.6, 0.15)
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=1.0)
     with pytest.raises(SingularSystemError, match="relative residual of 1.000e[+]00 after 0"):
@@ -751,14 +765,14 @@ def test_lippmann_schwinger_restarts_to_a_converged_solve():
 
 
 def test_lippmann_schwinger_peak_memory_on_the_strong_born_grid():
-    # the 41 x 41 grid of `born --amplitude 4 --h 0.045`: scipy allocates the
-    # Krylov basis of one 100-step cycle, not of all 200 steps
+    # the 41 x 41 grid of `born --amplitude 4 --h 0.045`: the solve keeps
+    # only the Krylov vectors it makes, at most one 100-step cycle's
     k = 1.0
     u0 = mth.IncidentField(direction=np.array([0.0, -1.0]), k=k)
     pot = orc.gaussian_potential(4.0, 0.3, 0.9, 0.045)
     assert pot.values.shape == (41, 41)
     green = orc.volume_green(pot, k, np.empty((0, pot.dim)))
-    orc.lippmann_schwinger(pot, u0, green)  # scipy.sparse is imported outside the trace
+    orc.lippmann_schwinger(pot, u0, green)  # a warm-up: FFT plans are made outside the trace
     tracemalloc.start()
     try:
         orc.lippmann_schwinger(pot, u0, green)

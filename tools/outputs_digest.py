@@ -71,6 +71,8 @@ RUNS = {
     "born-default": ("born", {}, ("out",)),
     "born-strong": ("born", {"amplitude": "4", "h": "0.045"}, ("out",)),
     "born-alt": ("born", {"alt_second_reading": "true"}, ("out",)),
+    # a Lippmann-Schwinger solve of 129 GMRES steps, into the second 100-step cycle
+    "born-restart": ("born", {"amplitude": "1e5"}, ("out",)),
     "kernel-profile-csv": ("kernel-profile", {}, ("out",)),
     "kernel-profile-json": ("kernel-profile", {"format": "json"}, ("out",)),
     "riemann-decay": ("riemann-decay", {}, ("out",)),
