@@ -255,10 +255,6 @@ for _d in DEFAULTS.values():
     _d.update(_COMMON_DEFAULTS)
 
 
-# the largest value an integer key (a count or an index) may take
-INDEX_MAX = int(np.iinfo(np.intp).max)
-
-
 # the most refinement steps a run takes: the largest N of iterate:N, and
 # where the Galerkin-limit probe stops
 REFINE_STEPS_MAX = 2_000_000
@@ -376,9 +372,6 @@ def build_config(
                 raise UsageError(f"unknown config key '{key}' for scenario '{scenario}'")
             cfg[key] = _coerce(scenario, key, value, defaults[key])
     for key, value in cfg.items():
-        if type(defaults[key]) is int and value > INDEX_MAX:
-            raise UsageError(f"{key} = {value} is above {INDEX_MAX}, the largest size "
-                             "numpy can index")
         if key in RULES and not RULES[key][0](value):
             raise UsageError(f"{key} {RULES[key][1]}")
     return cfg
@@ -621,17 +614,8 @@ def run_sphere(cfg: Dict[str, object], report: RunReport) -> None:
 def _per_wavelength(kd: float, per_wavelength: int, noun: str) -> int:
     """ceil(per_wavelength kd / 2 pi), refused as a count key's value would be."""
     count = float(np.ceil(per_wavelength * kd / (2.0 * np.pi)))
-    if 16.0 * count > geo.physical_memory():
-        raise MemoryError(f"kd = {kd:g} asks for {count:.4g} {noun} at {per_wavelength} per "
-                          "wavelength, more 16-byte entries than physical memory holds")
+    geo.require_memory(16.0 * count, f"kd = {kd:g} with {count:.4g} {noun}")
     return int(count)
-
-
-def _strip_direction_angles(kd: float, basis_size: int) -> np.ndarray:
-    """Midpoint grid in sin(theta) over the visible band, 4 per wavelength."""
-    m = basis_size or _per_wavelength(kd, 4, "plane-wave directions")
-    sines = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
-    return np.arcsin(np.clip(sines, -1.0, 1.0))
 
 
 def _strip_pattern(
@@ -694,6 +678,10 @@ def _run_strip_pipeline(
 
     alpha = float(cfg["incidence"])
     n_angles = int(cfg["angles"])
+    # sized (4 directions and 8 surface nodes per wavelength) before the angle
+    # rules, so that a kd past physical memory meets the memory refusal
+    n_dirs = int(cfg["basis_size"]) or _per_wavelength(kd, 4, "plane-wave directions")
+    res = int(cfg["quad_resolution"]) or max(32, _per_wavelength(kd, 8, "surface nodes"))
     if bool(cfg["with_bem"]):
         if n_angles < 3:
             raise UsageError(
@@ -712,10 +700,10 @@ def _run_strip_pipeline(
                 f"Kirchhoff first null lies {gap:.4f} rad from the incidence direction, "
                 f"and the null and lobe checks need it {NULL_STEP_TOL + 1} grid steps away"
             )
-    th_d = _strip_direction_angles(kd, int(cfg["basis_size"]))
+    # plane-wave directions on a midpoint grid in sin(theta) over the visible band
+    th_d = np.arcsin(np.clip(-1.0 + (np.arange(n_dirs) + 0.5) * (2.0 / n_dirs), -1.0, 1.0))
     dirs = np.column_stack([np.sin(th_d), np.cos(th_d)])
     basis = mth.PlaneWaveBasis(directions=dirs, k=k)
-    res = int(cfg["quad_resolution"]) or max(32, _per_wavelength(kd, 8, "surface nodes"))
     s = geo.make_surface(geo.Strip(width=d), res)
     u0 = mth.IncidentField(direction=np.array([math.sin(alpha), -math.cos(alpha)]), k=k)
     sys = mth.assemble_gram(basis, bc_solve, s, u0)

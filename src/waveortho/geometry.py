@@ -122,6 +122,17 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(need: float, what: str) -> None:
+    """Raise MemoryError naming `what` if `need` bytes exceed physical memory.
+
+    `need` is a float (inf where it overflows), printed in 4 significant digits.
+    """
+    have = physical_memory()
+    if need > have:
+        raise MemoryError(f"{what} needs about {need:.4g} bytes, more than the {have} bytes "
+                          "of physical memory")
+
+
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1].
 
@@ -131,13 +142,7 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     RULE_MEMO_SIZE degrees, so a ka sweep solves each degree's eigenproblem
     once; the two arrays are shared between callers and read-only.
     """
-    need = 8 * int(n) ** 2
-    have = physical_memory()
-    if need > have:
-        raise MemoryError(
-            f"Gauss-Legendre degree {n} needs a {need}-byte companion matrix, "
-            f"more than the {have} bytes of physical memory"
-        )
+    require_memory(8.0 * n * n, f"the Gauss-Legendre rule of degree {n:.4g}")
     return _gauss_legendre_rule(n)
 
 

@@ -361,11 +361,8 @@ def bem_dense_solve(
         far_angles = np.linspace(-np.pi, np.pi, 721)
     far_angles = np.asarray(far_angles, dtype=float)
     c = _CurveData(s)
-    need = BEM_ARRAYS * 16 * c.n * (c.n + len(far_angles))
-    have = geometry.physical_memory()
-    if need > have:
-        raise MemoryError(f"the BEM oracle at {c.n} nodes needs about {need} bytes, "
-                          f"more than the {have} bytes of physical memory")
+    geometry.require_memory(BEM_ARRAYS * 16.0 * c.n * (c.n + len(far_angles)),
+                            f"the BEM oracle at {c.n} nodes")
     psi, rcond = _solve_dense(_bem_matrix(c, bc, k), _bem_rhs(c, bc, u0))
     if info is not None:
         info["rcond"] = rcond
@@ -445,11 +442,9 @@ def strip_arc_solve(bc: BoundaryCondition, kd: float, incidence: float, angles: 
     if kd <= 0:
         raise DomainError("kd must be positive")
     n = int(np.ceil(kd)) + ARC_EXTRA_NODES
-    need = ARC_ARRAYS * 16 * (2 * (n + ARC_CHECK_NODES)) ** 2
-    have = geometry.physical_memory()
-    if need > have:
-        raise MemoryError(f"the strip oracle at {n} half-period nodes needs about {need} bytes, "
-                          f"more than the {have} bytes of physical memory")
+    order = 2.0 * (n + ARC_CHECK_NODES)
+    geometry.require_memory(ARC_ARRAYS * 16.0 * order * order,
+                            f"the strip oracle at {n:.4g} half-period nodes")
     angles = np.asarray(angles, dtype=float)
     amp, rcond = _arc_far_field(bc, kd, incidence, angles, n)
     check, _ = _arc_far_field(bc, kd, incidence, angles, n + ARC_CHECK_NODES)
@@ -527,9 +522,8 @@ def gaussian_potential(
     if not (width > 0 and half_extent > 0 and h > 0 and 0 < width * width < np.inf):
         raise DomainError("width, half_extent, and h must be positive and width^2 finite and > 0")
     nodes = float(np.floor(2 * half_extent / h)) + 1  # per axis; inf where the ratio overflows
-    if 16.0 * nodes * nodes > geometry.physical_memory():  # refused before any array is built
-        raise MemoryError(f"h = {h!r} over half_extent = {half_extent!r} gives {nodes:.4g} grid "
-                          "nodes per axis, more 16-byte entries than physical memory holds")
+    geometry.require_memory(16.0 * nodes * nodes,
+                            f"a grid of {nodes:.4g} nodes per axis at h = {h:.4g}")
     axis = -half_extent + h * np.arange(int(nodes))
     mesh = np.meshgrid(axis, axis, indexing="ij")
     r2 = sum(m**2 for m in mesh)
@@ -721,7 +715,8 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
 
     The support is the union of the grid cells, a half-cell margin around
     the node lattice; a point inside it raises DomainError, which
-    covers every point closer than h/2 to a node.
+    covers every point closer than h/2 to a node. Rows whose build would peak
+    past physical memory (32 bytes per point and node) raise MemoryError.
     """
     # each term of the self-cell integral is near 1/k^2 at a small k h
     if not (k > 0 and 0 < k * k < np.inf and 1 / (k * k) < np.inf):
@@ -737,6 +732,8 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
         raise DomainError(
             f"evaluation point {bad.tolist()} lies inside the potential support"
         )
+    geometry.require_memory(32.0 * len(points) * pot.n_cells,
+                            f"a Green table of {len(points)} rows by {pot.n_cells} nodes")
     quadrant = _volume_green(pot, k, _lattice_offsets(pot))
     kernel = quadrant[np.ix_(*[np.r_[0:n, n - 1:0:-1] for n in quadrant.shape])]
     kernel[0, 0] = _self_cell_green(k, pot.h)
@@ -768,20 +765,20 @@ LS_CYCLES = 2
 
 
 def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-           tol: float) -> Tuple[np.ndarray, int]:
-    """Restarted GMRES for apply(x) = b from x0 = 0; returns x and its step count.
+           tol: float) -> Tuple[np.ndarray, int, np.ndarray]:
+    """Restarted GMRES for apply(x) = b from x0 = 0.
 
-    Each cycle runs Arnoldi steps by modified Gram-Schmidt, storing each
-    Krylov vector when it is made, and reduces the Hessenberg matrix by
-    LAPACK's complex Givens rotations (`lartg`) as it grows. A cycle stops
-    after LS_RESTART steps or where the rotated residual estimate reaches
-    `tol`; the next one restarts from the true residual, unless that is
+    Returns x, its step count and its true residual b - apply(x). Each cycle
+    runs Arnoldi steps by modified Gram-Schmidt, storing each Krylov vector
+    when it is made, and reduces the Hessenberg matrix by LAPACK's complex
+    Givens rotations (`lartg`) as it grows. A cycle stops after LS_RESTART
+    steps or where the rotated residual estimate reaches `tol`, and ends by
+    forming the true residual; the next one restarts from it, unless it is
     within `tol`. At most LS_CYCLES cycles run.
     """
     lartg = get_lapack_funcs("lartg", dtype=b.dtype)
-    x, steps = np.zeros_like(b), 0
-    for cycle in range(LS_CYCLES):
-        r = b - apply(x) if cycle else b
+    x, r, steps = np.zeros_like(b), b, 0
+    for _ in range(LS_CYCLES):
         beta = np.linalg.norm(r)
         if not beta > tol:
             break
@@ -815,7 +812,8 @@ def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                 y[i] = (y[i] - hess[i, i + 1:j + 1] @ y[i + 1:]) / hess[i, i]
         for yi, v in zip(y, basis):
             x += yi * v
-    return x, steps
+        r = b - apply(x)
+    return x, steps, r
 
 
 def lippmann_schwinger(
@@ -830,8 +828,8 @@ def lippmann_schwinger(
     Green operator of `green` (built for `pot`'s grid) and solved by GMRES
     (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; `_gmres`) with G
     applied by FFT: at most LS_CYCLES cycles of LS_RESTART Krylov steps,
-    stopped at a relative residual of 1e-12. The true residual is recomputed
-    once; a solve that leaves it above 1e-12 raises SingularSystemError.
+    stopped at a relative residual of 1e-12. A true residual (`_gmres`'s,
+    after the last cycle) above 1e-12 raises SingularSystemError.
 
     If `info` is given it receives the GMRES `iterations` and that relative
     `residual`.
@@ -846,8 +844,8 @@ def lippmann_schwinger(
     def apply(x: np.ndarray) -> np.ndarray:
         return x + gop @ (xi * x)
 
-    u, steps = _gmres(apply, b, 1e-12 * np.linalg.norm(b))
-    residual = float(np.linalg.norm(b - apply(u)) / np.linalg.norm(b))
+    u, steps, r = _gmres(apply, b, 1e-12 * np.linalg.norm(b))
+    residual = float(np.linalg.norm(r) / np.linalg.norm(b))
     if info is not None:
         info.update(iterations=steps, residual=residual)
     if not residual <= 1e-12:

@@ -98,6 +98,36 @@ def test_born_run_gmres_steps(overrides, steps):
     assert rep.metrics["ls_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("overrides, applications", [
+    ({}, 6),  # 5 steps
+    ({"amplitude": "4", "h": "0.045"}, 8),  # 7 steps
+    ({"amplitude": "1e5"}, 131),  # 129 steps in two cycles
+])
+def test_born_run_solve_forms_one_true_residual_per_cycle(overrides, applications, monkeypatch):
+    """Operator applications of the Lippmann-Schwinger solve: one per GMRES
+    step and one true residual per cycle, which both the restart test and
+    the refusal read."""
+    count = {"solving": False, "applications": 0}
+    matmul, solve = orc.LatticeOperator.__matmul__, orc.lippmann_schwinger
+
+    def counted_matmul(self, x):
+        if count["solving"]:
+            count["applications"] += 1
+        return matmul(self, x)
+
+    def counted_solve(*args, **kwargs):
+        count["solving"] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            count["solving"] = False
+
+    monkeypatch.setattr(orc.LatticeOperator, "__matmul__", counted_matmul)
+    monkeypatch.setattr(orc, "lippmann_schwinger", counted_solve)
+    assert cli.run_scenario("born", cli.build_config("born", overrides=overrides)).passed
+    assert count["applications"] == applications
+
+
 def test_born_run_never_imports_scipy_sparse(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(waveortho.__file__)))
     code = ("import sys\n"

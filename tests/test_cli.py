@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -459,12 +460,15 @@ def test_main_exit_codes(tmp_path):
         (["riemann-decay", "--separation", "2"], "separation must lie in (0, 2)"),
         (["slit", "--kd", "12.566370614359172", "--bem_nodes", "962"],
          "unknown config key 'bem_nodes'"),
-        # integers numpy cannot index are refused before any array is built
+        # integers numpy cannot index fail their count rule's memory bound
+        # before any array is built
         (["sphere", "--ka", "2", "--angles", "100000000000000000000"],
-         "angles = 100000000000000000000 is above 9223372036854775807"),
+         "angles must be >= 2: a far-field table compares at least two directions; and an "
+         "array of that many 16-byte entries must fit in physical memory"),
         (["strip", "--kd", "12.566370614359172", "--with_bem", "false",
           "--basis_size", "100000000000000000000"],
-         "basis_size = 100000000000000000000 is above 9223372036854775807"),
+         "basis_size must be >= 0 (0 sizes the basis automatically); and an array of that "
+         "many 16-byte entries must fit in physical memory"),
         # bc and solver refusals name their key
         (["slit", "--bc", "rigid"], "bc must be soft or hard"),
         (["sphere", "--solver", "bogus"], "solver must be diagonal, galerkin, or iterate:N"),
@@ -538,13 +542,21 @@ def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
     (["born", "--width", "1e300"], "and width^2 finite and > 0"),
     (["spheroid", "--c_over_a", "1e300"], "c = 1e+300 need squares"),
     # sizes computed from float keys, refused before any array is built
-    (["born", "--half_extent", "1e300"], "gives 3.333e+301 grid nodes per axis, more 16-byte"),
-    (["born", "--h", "1e-300"], "gives 1.8e+300 grid nodes per axis, more 16-byte"),
-    (["strip", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
-    (["slit", "--kd", "1e300", "--with_bem", "false"], "asks for 6.366e+299 plane-wave"),
+    (["born", "--half_extent", "1e300"], "3.333e+301 nodes per axis at h = 0.06 needs about inf"),
+    (["born", "--h", "1e-300"], "1.8e+300 nodes per axis at h = 1e-300 needs about inf bytes"),
+    (["strip", "--kd", "1e300", "--with_bem", "false"],
+     "kd = 1e+300 with 6.366e+299 plane-wave directions needs about 1.019e+301 bytes"),
+    (["slit", "--kd", "1e300", "--with_bem", "false"],
+     "kd = 1e+300 with 6.366e+299 plane-wave directions needs about 1.019e+301 bytes"),
     # |Xi|^2 and the ring's node distances overflow, and the Born fields are not finite
     (["born", "--amplitude", "1e300"], "non-finite values in approximation result"),
     (["born", "--ring_radius", "1e300"], "non-finite values in approximation result"),
+    # the memory refusal comes before the oracle's least-angles rule, and a
+    # 300-digit size is printed in 4 significant digits
+    (["strip", "--kd", "1e300"],
+     "kd = 1e+300 with 6.366e+299 plane-wave directions needs about 1.019e+301 bytes"),
+    (["spheroid", "--ka", "1e300"],
+     "the Gauss-Legendre rule of degree 8e+300 needs about inf bytes"),
 ])
 def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
     with warnings.catch_warnings():
@@ -552,6 +564,7 @@ def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
         assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert len(err) <= 201  # 200 characters and the newline
     assert reason in err
 
 
@@ -612,7 +625,7 @@ def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, caps
     assert cli.main(["riemann-decay", "--ka_list", "10,1e9"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"degree 1000000024 needs a {8 * (10**9 + 24) ** 2}-byte companion matrix" in err
+    assert f"degree 1e+09 needs about {8.0 * (10**9 + 24) ** 2:.4g} bytes, more than" in err
 
 
 @pytest.mark.parametrize(
@@ -647,7 +660,57 @@ def test_oversized_strip_oracle_exits_2_before_assembling(monkeypatch, capsys):
     assert cli.main(["strip", "--kd", "12.566370614359172"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"at 45 half-period nodes needs about {3 * 16 * 154**2} bytes" in err
+    assert f"at 45 half-period nodes needs about {3 * 16 * 154**2:.4g} bytes" in err
+
+
+def test_oversized_born_ring_exits_2_before_building_its_rows(monkeypatch, capsys):
+    def unreachable(*args):
+        pytest.fail("the ring's node distances were built")
+
+    # 300000 ring points pass their count rule, but their Green rows on the
+    # 31 x 31 grid take 32 bytes per (point, node), more than 1 GiB
+    monkeypatch.setattr(geo, "physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(orc, "_grid_distances", unreachable)
+    assert cli.main(["born", "--ring_points", "300000"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: not enough memory for this configuration: a Green table of 300000 rows by "
+        f"961 nodes needs about {32.0 * 300000 * 961:.4g} bytes, more than the {1 << 30} bytes "
+        "of physical memory\n"
+    )
+
+
+def _memory_guard_calls():
+    """Each call of geometry.require_memory, on inputs whose arrays would take 32 MB or more."""
+    soft = cli.mth.BoundaryCondition.SOFT
+    u0 = cli.mth.IncidentField(direction=np.array([0.0, -1.0]), k=1.0)
+    curve = orc.bem_ellipse(1.0, 0.6, 2000)
+    pot = orc.gaussian_potential(1.0, 0.3, 0.9, 0.09)
+    ring = np.column_stack([np.full(20000, 5.0), np.linspace(-1.0, 1.0, 20000)])
+    return {
+        "per_wavelength": lambda: cli._per_wavelength(1e7, 8, "surface nodes"),
+        "gauss_legendre": lambda: geo.gauss_legendre(2001),
+        "gaussian_potential": lambda: orc.gaussian_potential(1.0, 0.3, 0.9, 0.0009),
+        "strip_arc_solve": lambda: orc.strip_arc_solve(soft, 1000.0, 0.0, np.zeros(181)),
+        "bem_dense_solve": lambda: orc.bem_dense_solve(curve, soft, 1.0, u0),
+        "volume_green": lambda: orc.volume_green(pot, 1.0, ring),
+    }
+
+
+@pytest.mark.parametrize("site", ["per_wavelength", "gauss_legendre", "gaussian_potential",
+                                  "strip_arc_solve", "bem_dense_solve", "volume_green"])
+def test_every_memory_guard_refuses_in_one_line_before_allocating(site, monkeypatch):
+    call = _memory_guard_calls()[site]
+    monkeypatch.setattr(geo, "physical_memory", lambda: 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert re.fullmatch(r"[^\n]+ needs about \S+ bytes, more than the 0 bytes of physical memory",
+                        str(refused.value))
 
 
 def test_main_prints_report(capsys):

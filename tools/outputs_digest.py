@@ -105,6 +105,12 @@ RUNS = {
     # width^2 overflows in the Gaussian disturbance
     "sphere-ka-1e-200": ("sphere", {"ka": "1e-200"}, ()),
     "born-width-1e300": ("born", {"width": "1e300"}, ()),
+    # sizes past physical memory, refused in one short line: the strip's
+    # plane-wave directions, the spheroid's Gauss-Legendre degree, and an
+    # integer count far beyond what numpy can index
+    "strip-kd-1e300": ("strip", {"kd": "1e300"}, ()),
+    "spheroid-ka-1e300": ("spheroid", {"ka": "1e300"}, ()),
+    "sphere-angles-1e20": ("sphere", {"angles": "100000000000000000000"}, ()),
 }
 
 _VOLATILE = ("config", "outputs", "wall_clock_s")
