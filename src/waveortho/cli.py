@@ -618,6 +618,12 @@ def _per_wavelength(kd: float, per_wavelength: int, noun: str) -> int:
     return int(count)
 
 
+def _strip_direction_angles(m: int) -> np.ndarray:
+    """Midpoint grid of m directions in sin(theta) over the visible band."""
+    sines = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
+    return np.arcsin(np.clip(sines, -1.0, 1.0))
+
+
 def _strip_pattern(
     th_grid: np.ndarray, th_dirs: np.ndarray, v: np.ndarray, kd: float, bc: mth.BoundaryCondition
 ) -> np.ndarray:
@@ -700,8 +706,7 @@ def _run_strip_pipeline(
                 f"Kirchhoff first null lies {gap:.4f} rad from the incidence direction, "
                 f"and the null and lobe checks need it {NULL_STEP_TOL + 1} grid steps away"
             )
-    # plane-wave directions on a midpoint grid in sin(theta) over the visible band
-    th_d = np.arcsin(np.clip(-1.0 + (np.arange(n_dirs) + 0.5) * (2.0 / n_dirs), -1.0, 1.0))
+    th_d = _strip_direction_angles(n_dirs)
     dirs = np.column_stack([np.sin(th_d), np.cos(th_d)])
     basis = mth.PlaneWaveBasis(directions=dirs, k=k)
     s = geo.make_surface(geo.Strip(width=d), res)

@@ -142,7 +142,10 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     RULE_MEMO_SIZE degrees, so a ka sweep solves each degree's eigenproblem
     once; the two arrays are shared between callers and read-only.
     """
-    require_memory(8.0 * n * n, f"the Gauss-Legendre rule of degree {n:.4g}")
+    n = int(n)
+    size = float(n) if n.bit_length() < 1024 else np.inf  # past 2^1023, 8 n^2 is inf anyway
+    degree = n if n < 10**15 else f"{size:.4g}"
+    require_memory(8.0 * size * size, f"the Gauss-Legendre rule of degree {degree}")
     return _gauss_legendre_rule(n)
 
 

@@ -557,6 +557,10 @@ def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
      "kd = 1e+300 with 6.366e+299 plane-wave directions needs about 1.019e+301 bytes"),
     (["spheroid", "--ka", "1e300"],
      "the Gauss-Legendre rule of degree 8e+300 needs about inf bytes"),
+    # a degree 8 ceil(ka) past the largest float is sized as inf, not converted
+    (["spheroid", "--ka", "1e308"], "the Gauss-Legendre rule of degree inf needs about inf bytes"),
+    (["spheroid", "--ka", "1.7976931348623157e308"],
+     "the Gauss-Legendre rule of degree inf needs about inf bytes"),
 ])
 def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
     with warnings.catch_warnings():
@@ -625,7 +629,7 @@ def test_oversized_quadrature_degree_exits_2_before_allocating(monkeypatch, caps
     assert cli.main(["riemann-decay", "--ka_list", "10,1e9"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: not enough memory for this configuration: ")
-    assert f"degree 1e+09 needs about {8.0 * (10**9 + 24) ** 2:.4g} bytes, more than" in err
+    assert f"degree 1000000024 needs about {8.0 * (10**9 + 24) ** 2:.4g} bytes, more than" in err
 
 
 @pytest.mark.parametrize(
