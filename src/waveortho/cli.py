@@ -18,8 +18,8 @@ import json
 import math
 import operator
 import os
+import secrets
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -136,11 +136,18 @@ def _jsonable(v):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to a new file in path's directory, then rename it onto `path`.
+
+    The file is created with mode 0o666 less the umask, as open(path, "w")
+    creates one; O_EXCL keeps the random name from meeting another file.
+    """
     d = os.path.dirname(os.path.abspath(path))
     tmp = ""
     try:
         os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".waveortho-")
+        name = os.path.join(d, f".waveortho-{secrets.token_hex(8)}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -526,7 +533,7 @@ def _sphere_modes(
         cap, start = specfun.MAX_ORDER, math.ceil(ka) + 8
         if start > cap:
             raise DomainError(
-                f"the automatic mode order ceil(ka) + 8 = {start} at ka = {ka} "
+                f"the automatic mode order ceil(ka) + 8 = {geo.count_text(start)} at ka = {ka} "
                 f"is above the supported cap {cap}"
             )
         orders = np.arange(start, cap + 1)
@@ -702,7 +709,7 @@ def _run_strip_pipeline(
         least = math.ceil((NULL_STEP_TOL + 1) * 2.0 * math.pi / max(gap, 1e-300)) + 1
         if n_angles < least:
             raise UsageError(
-                f"angles must be >= {least} at kd = {kd:g} when with_bem is on: a "
+                f"angles must be >= {geo.count_text(least)} at kd = {kd:g} when with_bem is on: a "
                 f"Kirchhoff first null lies {gap:.4f} rad from the incidence direction, "
                 f"and the null and lobe checks need it {NULL_STEP_TOL + 1} grid steps away"
             )
@@ -888,8 +895,12 @@ def run_born(cfg: Dict[str, object], report: RunReport) -> None:
                                std_dev, ">", 1e-6 * scale))
 
     ip = float(np.vdot(std, mod).real)
-    nrm = float(np.linalg.norm(std) * np.linalg.norm(mod))
-    report.metrics["second_terms_cosine"] = ip / nrm if nrm > 0 else 0.0
+    # the cosine of std and mod scaled by powers of two: the bits of ip / (|std| |mod|),
+    # from squared norms that stay finite at any amplitude
+    std_u, mod_u = (t * np.ldexp(1.0, -np.frexp(np.max(np.abs(t)))[1]) for t in (std, mod))
+    nrm = float(np.linalg.norm(std_u) * np.linalg.norm(mod_u))
+    report.metrics["second_terms_cosine"] = (float(np.vdot(std_u, mod_u).real) / nrm
+                                             if nrm > 0 else 0.0)
     report.checks.append(Check("second_terms_opposite_sign", ip, "<", 0.0))
 
     # comparative errors against the volume-equation oracle

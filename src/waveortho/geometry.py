@@ -122,6 +122,13 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def count_text(n: int) -> str:
+    """A count for a refusal: in full below 10^15, else in 4 significant digits."""
+    if n < 10**15:
+        return str(n)
+    return f"{float(n) if n.bit_length() < 1024 else np.inf:.4g}"
+
+
 def require_memory(need: float, what: str) -> None:
     """Raise MemoryError naming `what` if `need` bytes exceed physical memory.
 
@@ -144,8 +151,7 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     n = int(n)
     size = float(n) if n.bit_length() < 1024 else np.inf  # past 2^1023, 8 n^2 is inf anyway
-    degree = n if n < 10**15 else f"{size:.4g}"
-    require_memory(8.0 * size * size, f"the Gauss-Legendre rule of degree {degree}")
+    require_memory(8.0 * size * size, f"the Gauss-Legendre rule of degree {count_text(n)}")
     return _gauss_legendre_rule(n)
 
 

@@ -129,14 +129,24 @@ def test_born_run_solve_forms_one_true_residual_per_cycle(overrides, application
 
 
 def test_born_run_never_imports_scipy_sparse(tmp_path):
+    """No scenario loads scipy.sparse, and only the strip oracle's LU loads
+    scipy.linalg: every other run, in one process, leaves both out."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(waveortho.__file__)))
     code = ("import sys\n"
             "from waveortho import cli\n"
-            "status = cli.main(['born'])\n"
-            "print(status, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+            "def loaded():\n"
+            "    return sorted({m.split('.')[1] for m in sys.modules\n"
+            "                   if m.startswith(('scipy.sparse', 'scipy.linalg'))})\n"
+            "runs = [(argv[0], cli.main(argv), loaded()) for argv in (\n"
+            "    ['born'], ['sphere'], ['kernel-profile'], ['riemann-decay'], ['spheroid'],\n"
+            "    ['strip', '--with_bem', 'false'], ['strip'])]\n"
+            "print(runs)\n")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert run.stdout.splitlines()[-1] == "0 []"
+    # the spheroid run fails criterion 6 (exit 1), a documented limitation of the method
+    assert run.stdout.splitlines()[-1] == str([
+        ("born", 0, []), ("sphere", 0, []), ("kernel-profile", 0, []), ("riemann-decay", 0, []),
+        ("spheroid", 1, []), ("strip", 0, []), ("strip", 0, ["linalg"])])
 
 
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])

@@ -561,6 +561,13 @@ def test_overflowing_gram_exits_2_with_one_line(argv, capsys):
     (["spheroid", "--ka", "1e308"], "the Gauss-Legendre rule of degree inf needs about inf bytes"),
     (["spheroid", "--ka", "1.7976931348623157e308"],
      "the Gauss-Legendre rule of degree inf needs about inf bytes"),
+    # a 300-digit mode order or least-angles count is printed in 4 significant digits
+    (["sphere", "--ka", "1e300"], "mode order ceil(ka) + 8 = 1e+300 at ka = 1e+300 is above"),
+    (["kernel-profile", "--ka", "1e300"], "mode order ceil(ka) + 8 = 1e+300 at ka = 1e+300"),
+    (["strip", "--kd", "1e300", "--basis_size", "10", "--quad_resolution", "10"],
+     "angles must be >= 2e+300 at kd = 1e+300 when with_bem is on"),
+    # |std|^2 overflows in the Born term cosine, and the oracle then refuses the solve
+    (["born", "--amplitude", "1e80"], "Lippmann-Schwinger GMRES left a relative residual of"),
 ])
 def test_float_extremes_exit_2_with_one_line(argv, reason, capsys):
     with warnings.catch_warnings():
@@ -595,6 +602,16 @@ def test_unwritable_output_exits_2_with_reason(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {tmp_path}: ")
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".waveortho-")]
+
+
+def test_written_table_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["kernel-profile", "--ka", "2", "--out", str(tmp_path / "m.csv")]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "m.csv").st_mode & 0o777 == 0o644
+    assert os.listdir(tmp_path) == ["m.csv"]
 
 
 def test_sphere_refuses_bad_pw_polar_list_at_default_basis(capsys):

@@ -760,6 +760,26 @@ def test_lippmann_schwinger_rejects_unconverged_solve(monkeypatch):
         _solve(pot, u0, 1.0)
 
 
+def test_givens_has_the_bits_of_lapack_zlartg():
+    from scipy.linalg import get_lapack_funcs
+
+    lartg = get_lapack_funcs("lartg", dtype=complex)
+    # zero, and 1e-300 to 1e300 on and off the axes, with signed zeros
+    values = [0j, complex(-0.0, -0.0)]
+    for m in 10.0 ** np.arange(-300, 301, 50):
+        values += [complex(m, 0.0), complex(-m, -0.0), complex(0.0, m), complex(-0.0, -m),
+                   complex(0.6 * m, -0.8 * m), complex(-0.28 * m, 0.96 * m)]
+    pairs = [(f, g) for f in values for g in values]
+    rng = np.random.default_rng(5)
+    parts = rng.standard_normal((2000, 2, 2)) * 10.0 ** rng.uniform(-300, 300, (2000, 2, 1))
+    pairs += [(complex(*f), complex(*g)) for f, g in parts]
+    want = [lartg(f, g) for f, g in pairs]
+    got = [orc._givens(f, g) for f, g in pairs]
+    assert all(type(c) is float for c, _, _ in got)
+    differ = np.any(np.array(want).view(np.uint64) != np.array(got).view(np.uint64), axis=1)
+    assert not differ.any(), [(pairs[i], want[i], got[i]) for i in np.flatnonzero(differ)[:3]]
+
+
 def test_lippmann_schwinger_restarts_to_a_converged_solve():
     # a disturbance strong enough to need a second GMRES cycle of 100 steps
     info = _assert_matches_dense_solve(1e5, k=1.0, h=0.06)

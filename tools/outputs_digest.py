@@ -6,11 +6,16 @@ Usage: python3 tools/outputs_digest.py OUTDIR
 Runs each scenario below through ``waveortho.cli.main`` with one BLAS
 thread (a dense product can round differently under two threads), writes its
 tables and report under OUTDIR/<run>/, and writes OUTDIR/digest.json: per
-run, the exit code and the sha256 of every table and of the report. Reports
-(and the riemann-decay table, which is its report) are hashed without
-``config``, ``outputs`` and ``wall_clock_s``, which carry paths and timings.
-Run it in two checkouts and compare the two digest.json files: a change that
-keeps every output byte-identical leaves them equal.
+run, the exit code and the sha256 of every table and of the report, with the
+numpy, scipy and OpenBLAS versions that made them. Reports (and the
+riemann-decay table, which is its report) are hashed without ``config``,
+``outputs`` and ``wall_clock_s``, which carry paths and timings. Run it in
+two checkouts and compare the two digest.json files: a change that keeps
+every output byte-identical leaves their runs equal.
+
+tests/outputs_digest.json is a committed digest.json, which
+tests/test_outputs_digest.py checks run by run. A change that means to move
+an output replaces it with the digest.json of a fresh run.
 
 ``--compare DIR_A DIR_B`` reads two such output directories and, for each run
 whose digest differs, prints the largest difference of each table column
@@ -35,6 +40,9 @@ import math  # noqa: E402
 import sys  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 
 from waveortho import cli  # noqa: E402
 
@@ -128,6 +136,17 @@ def _digest(path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def versions() -> dict:
+    """numpy, scipy and the OpenBLAS build each of them calls."""
+    found = {}
+    for module in (numpy, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        found[module.__name__] = module.__version__
+        found[f"{module.__name__} OpenBLAS"] = blas.get("openblas configuration",
+                                                        blas["version"]).strip()
+    return found
+
+
 def main(outdir: str) -> dict:
     result = {}
     for name, (scenario, overrides, tables) in RUNS.items():
@@ -151,7 +170,7 @@ def main(outdir: str) -> dict:
                 entry[key] = _digest(path)
         result[name] = entry
     with open(os.path.join(outdir, "digest.json"), "w") as f:
-        json.dump(result, f, indent=1, sort_keys=True)
+        json.dump({"versions": versions(), "runs": result}, f, indent=1, sort_keys=True)
         f.write("\n")
     return result
 
@@ -233,7 +252,9 @@ def compare(dir_a: str, dir_b: str) -> bool:
     """Print what differs between two output directories; True if every digest is equal."""
     with open(os.path.join(dir_a, "digest.json")) as fa, \
             open(os.path.join(dir_b, "digest.json")) as fb:
-        dig_a, dig_b = json.load(fa), json.load(fb)
+        # a digest.json from before versions were recorded holds the runs alone
+        dig_a, dig_b = (json.load(f) for f in (fa, fb))
+        dig_a, dig_b = dig_a.get("runs", dig_a), dig_b.get("runs", dig_b)
     runs = sorted(set(dig_a) | set(dig_b))
     same = [run for run in runs if dig_a.get(run) == dig_b.get(run)]
     print(f"{len(same)} of {len(runs)} digests identical")
