@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-# sp and grid_green_matrix are unused here but stay bound in this module,
-# where the benchmark tracer replaces and wraps them
-import scipy.special as sp  # noqa: F401
 
 from .errors import DomainError
 from .method import IncidentField
-from .oracles import VolumeGreen, VolumePotential, grid_green_matrix  # noqa: F401
+# sp (specfun's lazy scipy.special handle) and grid_green_matrix are unused
+# here but stay bound in this module, where the benchmark tracer replaces and
+# wraps them
+from .oracles import VolumeGreen, VolumePotential, grid_green_matrix, sp  # noqa: F401
 
 
 @dataclass(frozen=True)

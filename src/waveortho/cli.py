@@ -18,11 +18,10 @@ import json
 import math
 import operator
 import os
-import secrets
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,6 +130,21 @@ def _jsonable(v):
     return v.tolist()
 
 
+def _report_json(report: RunReport) -> str:
+    """The report's fields, its checks' fields nested, as indented JSON.
+
+    The text of json.dumps(dataclasses.asdict(report)), from one walk over
+    the fields: json reads the dicts and lists in place, where asdict would
+    deep-copy them first.
+    """
+    def record(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+    out = record(report)
+    out["checks"] = [record(c) for c in report.checks]
+    return json.dumps(out, indent=1, default=_jsonable)
+
+
 # ---------------------------------------------------------------------------
 # Output files: fixed column names, 17 significant digits, atomic writes
 
@@ -139,13 +153,15 @@ def _atomic_write(path: str, text: str) -> None:
     """Write `text` to a new file in path's directory, then rename it onto `path`.
 
     The file is created with mode 0o666 less the umask, as open(path, "w")
-    creates one; O_EXCL keeps the random name from meeting another file.
+    creates one; O_EXCL keeps the random name from meeting another file. The
+    name takes os.urandom's hex, as secrets.token_hex does, without loading
+    secrets and hashlib at start-up.
     """
     d = os.path.dirname(os.path.abspath(path))
     tmp = ""
     try:
         os.makedirs(d, exist_ok=True)
-        name = os.path.join(d, f".waveortho-{secrets.token_hex(8)}")
+        name = os.path.join(d, f".waveortho-{os.urandom(8).hex()}")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
         with os.fdopen(fd, "w") as f:
@@ -171,7 +187,7 @@ def _write_table(
     if not cfg.get(key):
         return
     if columns is None:
-        text = json.dumps(asdict(report), indent=1, default=_jsonable)
+        text = _report_json(report)
     else:
         arrays = {name: np.asarray(a, dtype=float) for name, a in columns.items()}
         if cfg["format"] == "csv":

@@ -14,10 +14,14 @@ Five oracle families, none of which share numerics with the method module:
   inhomogeneity on a uniform 2D grid, by a numpy GMRES whose Givens
   rotations are a Python port of LAPACK's zlartg (`_givens`).
 
-scipy.linalg is imported by the first dense LU (`lu_factor`), which only the
-open-arc and closed-curve solvers run: the strip and slit scenarios with
-their oracle load it, and born, sphere, spheroid, kernel-profile and
-riemann-decay runs never do.
+Importing this module loads no scipy module. scipy.special is loaded by the
+first special-function call through `sp`, which is `specfun`'s handle: the
+sphere and cylinder series, the strip oracles and the volume kernels make
+one, and a spheroid or plane-wave sphere run never does. scipy.linalg is
+imported by the first dense LU (`lu_factor`), which only the open-arc and
+closed-curve solvers run: the strip and slit scenarios with their oracle load
+it, and born, sphere, spheroid, kernel-profile and riemann-decay runs never
+do.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import special as sp
 
 from . import geometry, specfun
 from .errors import DomainError, SingularSystemError
 from .geometry import Surface
 from .method import BoundaryCondition, FarFieldPattern, IncidentField
+
+# scipy.special, loaded at the first call; the benchmark tracer swaps this name
+sp = specfun._sp
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +555,35 @@ def gaussian_potential(
     return VolumePotential(origin=np.full(2, -half_extent), h=h, values=vals)
 
 
+# below this k r0 the self-cell integral is summed as a series; the closed
+# form and the series agree to its rounding (1e-13) here, and every shipped
+# born run (k = 1, h >= 0.045, so k r0 >= 0.025) keeps the closed form's bits
+SELF_CELL_SERIES_X = 0.02
+
+
 def _self_cell_green(k: float, h: float) -> complex:
-    """Integral of G over the equal-area disk centered at the node."""
+    """Integral of G over the equal-area disk centered at the node.
+
+    In closed form it is (i pi / 2)(r0 / k) H1(x) - 1/k^2 with x = k r0, whose
+    real part -((pi x / 2) Y1(x) + 1) / k^2 cancels like x^2 log x. Below
+    SELF_CELL_SERIES_X it is instead the small-argument series of Y1 and J1
+    (Abramowitz & Stegun 9.1.10-11), with t = x^2 / 4 and
+    L = log(x / 2) + Euler's gamma:
+    (r0^2 / 4) sum_m (-t)^m / (m! (m + 1)!) (H_m + H_{m+1} - 2 L + i pi),
+    H_m the harmonic numbers; four terms reach rounding there.
+    """
     r0 = h / np.sqrt(np.pi)
     x = k * r0
-    return 0.5j * np.pi * (r0 / k) * (sp.j1(x) + 1j * sp.y1(x)) - 1.0 / k**2
+    if x >= SELF_CELL_SERIES_X:
+        return 0.5j * np.pi * (r0 / k) * (sp.j1(x) + 1j * sp.y1(x)) - 1.0 / k**2
+    t = 0.25 * x * x
+    two_l = 2.0 * (math.log(0.5 * x) + np.euler_gamma)
+    total, c, harmonic, next_harmonic = 0j, 1.0, 0.0, 1.0
+    for m in range(4):
+        total += c * complex(harmonic + next_harmonic - two_l, np.pi)
+        c *= -t / ((m + 1) * (m + 2))
+        harmonic, next_harmonic = next_harmonic, next_harmonic + 1.0 / (m + 2)
+    return 0.25 * r0 * r0 * total
 
 
 def _self_cell_green_sq(k: float, h: float) -> float:
@@ -733,7 +763,7 @@ def volume_green(pot: VolumePotential, k: float, points: np.ndarray) -> VolumeGr
     covers every point closer than h/2 to a node. Rows whose build would peak
     past physical memory (32 bytes per point and node) raise MemoryError.
     """
-    # each term of the self-cell integral is near 1/k^2 at a small k h
+    # each closed-form term of the self-cell integral is near 1/k^2 at a small k h
     if not (k > 0 and 0 < k * k < np.inf and 1 / (k * k) < np.inf):
         raise DomainError(f"wavenumber k = {k!r} must be positive, with k^2 and 1/k^2 finite")
     points = np.atleast_2d(np.asarray(points, dtype=float))

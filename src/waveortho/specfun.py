@@ -4,6 +4,11 @@ Spherical Bessel/Hankel functions with derivatives and Legendre polynomials,
 evaluated by scipy.special with the domain checks and analytic origin limits
 the rest of the package relies on, behind a stable local interface.
 
+`_sp` is the package's one scipy.special handle (`oracles.sp` and `born.sp`
+are the same object): scipy.special is imported at its first attribute
+lookup, so a process that evaluates no special function (a spheroid, a strip
+without its oracle, a plane-wave sphere, a refused config) never loads it.
+
 An order n may be an integer or an integer array that broadcasts against the
 argument x, so every order of a mode expansion comes from one call; the
 values equal those of per-order calls bit for bit. A spherical Bessel kind with
@@ -17,7 +22,6 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
 
@@ -25,6 +29,22 @@ MAX_ORDER = 200
 
 ArrayLike = Union[float, np.ndarray]
 Order = Union[int, np.ndarray]
+
+
+class _SciPySpecial:
+    """scipy.special, imported at the first attribute lookup.
+
+    Nothing is cached: every lookup reads scipy.special anew, so a patch of a
+    scipy.special function is seen by the next call through this handle.
+    """
+
+    def __getattr__(self, name):
+        import scipy.special
+
+        return getattr(scipy.special, name)
+
+
+_sp = _SciPySpecial()
 
 
 def _check_order(n: Order) -> Order:

@@ -149,6 +149,31 @@ def test_born_run_never_imports_scipy_sparse(tmp_path):
         ("spheroid", 1, []), ("strip", 0, []), ("strip", 0, ["linalg"])])
 
 
+def test_start_up_and_special_function_free_runs_never_import_scipy_special(tmp_path):
+    """Importing the CLI, building every scenario's config, the runs that
+    evaluate no special function and a refused config leave scipy.special
+    and hashlib unloaded; the first sphere run loads scipy.special."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(waveortho.__file__)))
+    code = ("import sys\n"
+            "from waveortho import cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.special', 'hashlib') if m in sys.modules]\n"
+            "configs = [cli.build_config(name) for name in sorted(cli.DEFAULTS)]\n"
+            "runs = [('build_config', len(configs), loaded())]\n"
+            "runs += [(argv[0], cli.main(argv), loaded()) for argv in (\n"
+            "    ['spheroid'], ['strip', '--with_bem', 'false'], ['riemann-decay'],\n"
+            "    ['sphere', '--basis', 'plane-waves', '--bc', 'hard'],\n"
+            "    ['strip', '--kd', '1e300', '--with_bem', 'false'])]\n"
+            "sphere = (cli.main(['sphere']), 'scipy.special' in sys.modules)\n"
+            "print(runs, sphere)\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    # the spheroid run fails criterion 6 (exit 1), a documented limitation of the method
+    runs = [("build_config", 7, []), ("spheroid", 1, []), ("strip", 0, []),
+            ("riemann-decay", 0, []), ("sphere", 0, []), ("strip", 2, [])]
+    assert run.stdout.splitlines()[-1] == f"{runs} (0, True)"
+
+
 @pytest.mark.parametrize("overrides", [{}, {"amplitude": "4", "h": "0.045"}])
 def test_born_run_builds_two_lattice_operators(overrides, monkeypatch):
     """The Green operator and the |G|^2 operator, each built once: the plain

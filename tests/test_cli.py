@@ -6,6 +6,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -612,6 +613,27 @@ def test_written_table_follows_the_umask(tmp_path):
         os.umask(old)
     assert os.stat(tmp_path / "m.csv").st_mode & 0o777 == 0o644
     assert os.listdir(tmp_path) == ["m.csv"]
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("sphere", {"ka": "2", "angles": "11"}),
+    ("born", {}),
+    ("spheroid", {"ka": "2"}),
+    ("riemann-decay", {}),
+])
+def test_report_json_is_the_text_of_asdict(scenario, overrides, tmp_path):
+    """The report JSON, built from one walk over the fields, has the text of
+    json.dumps(dataclasses.asdict(report)): every config value, metric,
+    residual, warning and check field in the same order."""
+    cfg = cli.build_config(scenario, overrides=overrides)
+    cfg["report_out"] = str(tmp_path / "report.json")
+    report = cli.run_scenario(scenario, cfg)
+    assert report.checks and report.metrics
+    with open(cfg["report_out"]) as f:
+        written = f.read()
+    # the report was written before its own path joined `outputs`
+    assert report.outputs.pop() == cfg["report_out"]
+    assert written == json.dumps(asdict(report), indent=1, default=cli._jsonable) + "\n"
 
 
 def test_sphere_refuses_bad_pw_polar_list_at_default_basis(capsys):

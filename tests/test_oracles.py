@@ -624,6 +624,22 @@ def test_volume_green_2d_matches_amos_hankel(x):
     assert abs(_unit_grid_h0(x) - ref) <= 6e-15 * abs(ref)
 
 
+# k = 0.59 and 0.6 put k r0 just below and above SELF_CELL_SERIES_X
+@pytest.mark.parametrize("k", [1.0, 0.6, 0.59, 1e-2, 1e-4, 1e-8])
+def test_self_cell_green_matches_mpmath(k):
+    """The self-cell integral (i pi / 2)(r0 / k) H1(k r0) - 1/k^2 against
+    mpmath at 60 digits, within 1e-12 relative, where the closed form in
+    doubles cancels down to 154 relative at k = 1e-8."""
+    mpmath = pytest.importorskip("mpmath")
+    h = 0.06
+    with mpmath.workdps(60):
+        r0 = mpmath.mpf(h) / mpmath.sqrt(mpmath.pi)
+        x = k * r0
+        h1 = mpmath.besselj(1, x) + 1j * mpmath.bessely(1, x)
+        ref = complex(0.5j * mpmath.pi * (r0 / k) * h1 - 1 / mpmath.mpf(k) ** 2)
+    assert abs(orc._self_cell_green(k, h) - ref) <= 1e-12 * abs(ref)
+
+
 def _dense_green(pot, k):
     """Grid Green matrix summed entry by entry from the node distances."""
     pts = pot.points()
