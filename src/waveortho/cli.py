@@ -533,6 +533,12 @@ def _solve_all(
 # Sphere scenario (series comparison, and the plane-wave Im diagnostic)
 
 
+# Orders from ceil(ka) + 8 that _sphere_modes evaluates first: the far-field
+# bound is met at most 13 orders past that start wherever an order up to the
+# cap meets it (ka below about 179.4).
+MODE_WINDOW = 16
+
+
 def _sphere_modes(
     cfg: Dict[str, object], ka: float, tol: float = math.inf
 ) -> Tuple[mth.SphericalModeBasis, int]:
@@ -541,8 +547,11 @@ def _sphere_modes(
     The highest mode order n defaults to ceil(ka) + 8, which must not pass
     the supported cap. A scenario that checks its far field against a bound
     tol takes the first n from there whose partial-wave tail estimate
-    3 ka j_n(ka)^2 is at most tol, with j_n(ka) for every candidate order
-    from one call. The quadrature resolution defaults to n + 8, at least 32.
+    3 ka j_n(ka)^2 is at most tol. The candidates are evaluated in one call
+    for the first MODE_WINDOW orders, and one more for the rest up to the cap
+    if none of those meets tol; j_n(ka) is elementwise, so the chosen order
+    is that of a scan of every order. The quadrature resolution defaults to
+    n + 8, at least 32.
     """
     n_order = int(cfg["basis_size"])
     if not n_order:
@@ -552,14 +561,16 @@ def _sphere_modes(
                 f"the automatic mode order ceil(ka) + 8 = {geo.count_text(start)} at ka = {ka} "
                 f"is above the supported cap {cap}"
             )
-        orders = np.arange(start, cap + 1)
-        met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
-        if not met.any():
+        for orders in np.split(np.arange(start, cap + 1), [MODE_WINDOW]):
+            met = 3.0 * ka * specfun.sph_bessel_j_value(orders, ka) ** 2 <= tol
+            if met.any():
+                n_order = int(orders[np.argmax(met)])
+                break
+        else:
             raise DomainError(
                 f"no mode order up to the supported cap {cap} "
                 f"meets the far-field bound {tol:.1e} at ka = {ka}"
             )
-        n_order = int(orders[np.argmax(met)])
     res = int(cfg["quad_resolution"]) or max(32, n_order + 8)
     basis = mth.SphericalModeBasis(max_order=n_order, k=ka)
     return basis, res

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from waveortho import cli, specfun
 from waveortho import geometry as geo
 from waveortho import oracles as orc
-from waveortho.errors import SingularSystemError, UsageError
+from waveortho.errors import DomainError, SingularSystemError, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +861,45 @@ def test_sphere_basis_sizing_matches_order_by_order_search():
             n += 1
         basis, _ = cli._sphere_modes(cfg, float(ka), cli.FAR_TOL)
         assert basis.max_order == n, ka
+
+
+@pytest.mark.parametrize("tol", [cli.FAR_TOL, math.inf, 1e-100])
+def test_sphere_mode_window_chooses_the_full_scans_order(tol):
+    """The first MODE_WINDOW candidates, then the rest: the order of one scan
+    of every order from ceil(ka) + 8 to the cap (at 1e-100 the order of most
+    ka lies past the window, and from ka = 89 none meets it)."""
+    cfg = cli.build_config("sphere")
+    for ka in np.linspace(0.1, 170.0, 300):
+        orders = np.arange(math.ceil(ka) + 8, specfun.MAX_ORDER + 1)
+        met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
+        if met.any():
+            assert cli._sphere_modes(cfg, ka, tol)[0].max_order == orders[np.argmax(met)], ka
+        else:
+            with pytest.raises(DomainError, match="no mode order up to the supported cap"):
+                cli._sphere_modes(cfg, ka, tol)
+
+
+@pytest.mark.parametrize("ka,reason", [
+    ("180", "no mode order up to the supported cap 200 meets the far-field bound 1.0e-08 "
+            "at ka = 180.0"),
+    ("193", "the automatic mode order ceil(ka) + 8 = 201 at ka = 193.0 is above the "
+            "supported cap 200"),
+])
+def test_sphere_mode_order_refusals_keep_their_text(ka, reason, capsys):
+    assert cli.main(["sphere", "--ka", ka]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sphere"], ["sphere", "--bc", "hard"], ["kernel-profile"]])
+def test_sphere_runs_call_no_public_spherical_bessel_wrapper(argv, monkeypatch):
+    from scipy import special
+
+    def public(*args, **kwargs):
+        raise AssertionError("a public spherical Bessel wrapper was called")
+
+    monkeypatch.setattr(special, "spherical_jn", public)
+    monkeypatch.setattr(special, "spherical_yn", public)
+    assert cli.main(argv) == 0
 
 
 def test_sphere_basis_sizing_beyond_order_cap_is_usage_error(capsys):

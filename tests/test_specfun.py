@@ -118,6 +118,8 @@ def test_legendre_deriv_pole_limit():
 def test_domain_errors():
     with pytest.raises(DomainError):
         specfun.sph_bessel_j(2, -1.0)
+    with pytest.raises(DomainError, match="sph_bessel_j_value requires finite x >= 0"):
+        specfun.sph_bessel_j_value(2, -1.0)
     with pytest.raises(DomainError):
         specfun.sph_bessel_y(0, 0.0)
     with pytest.raises(DomainError):
@@ -126,6 +128,12 @@ def test_domain_errors():
         specfun.sph_bessel_j(-1, 1.0)
     with pytest.raises(DomainError):
         specfun.sph_bessel_j(2.5, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.inf, np.array([1.0, np.nan])])
+def test_hankel_names_itself_in_its_refusal(x):
+    with pytest.raises(DomainError, match="^sph_hankel1 requires finite x > 0$"):
+        specfun.sph_hankel1(2, x)
 
 
 def test_order_cap():
@@ -154,6 +162,7 @@ def test_order_arrays_match_per_order_calls_bitwise(orders, xs):
     x = np.array(xs)
     cases = [
         (specfun.sph_bessel_j, np.concatenate([[0.0], x])),
+        (specfun.sph_bessel_j_value, np.concatenate([[0.0], x])),
         (specfun.sph_bessel_y, x),
         (specfun.sph_hankel1, x),
         (specfun.legendre_p, np.concatenate([[-1.0, 1.0], np.cos(x)])),
@@ -189,7 +198,8 @@ def test_legendre_deriv_order_zero_is_positive_zero():
     ],
 )
 def test_order_arrays_are_validated_whole(orders, error):
-    for fn in (specfun.sph_bessel_j, specfun.sph_hankel1, specfun.legendre_p_deriv):
+    for fn in (specfun.sph_bessel_j, specfun.sph_bessel_j_value, specfun.sph_hankel1,
+               specfun.legendre_p_deriv):
         with pytest.raises(error):
             fn(orders, 0.5)
 
@@ -199,10 +209,21 @@ def test_order_arrays_are_validated_whole(orders, error):
 _SCIPY_ARGS = np.concatenate([[0.0, 1e-6, 0.5], np.linspace(1.0, 100.0, 397)])
 
 
-@pytest.mark.parametrize("kind", ["j", "y"])
+def _public_hankel(n, x, derivative=False):
+    """scipy's public j_n + i y_n (or their derivatives), set part by part."""
+    j, y = special.spherical_jn(n, x, derivative), special.spherical_yn(n, x, derivative)
+    z = np.empty(np.shape(j), dtype=complex)
+    z.real, z.imag = j, y
+    return z
+
+
+# specfun calls scipy's private spherical Bessel ufuncs: these tests pin them
+# to the public functions, so a scipy upgrade that changes either shows here
+@pytest.mark.parametrize("kind", ["j", "y", "h"])
 def test_spherical_bessel_equals_scipy_bitwise(kind):
     fn, ref = {"j": (specfun.sph_bessel_j, special.spherical_jn),
-               "y": (specfun.sph_bessel_y, special.spherical_yn)}[kind]
+               "y": (specfun.sph_bessel_y, special.spherical_yn),
+               "h": (specfun.sph_hankel1, _public_hankel)}[kind]
     x = _SCIPY_ARGS if kind == "j" else _SCIPY_ARGS[1:]
     orders = np.arange(specfun.MAX_ORDER + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,10 +237,15 @@ def test_spherical_bessel_equals_scipy_bitwise(kind):
         for n, arg, pick in shapes:
             for got, ref_a in zip(fn(n, arg), want):
                 assert np.array_equal(_bits(got), _bits(pick(ref_a)))
+            if kind == "j":
+                got = specfun.sph_bessel_j_value(n, arg)
+                assert np.array_equal(_bits(got), _bits(pick(want[0])))
         for n in (0, 1, 2, 37, specfun.MAX_ORDER):  # scalar orders
             for got, ref_a in zip(fn(n, x), want):
                 assert np.array_equal(_bits(got), _bits(ref_a[n]))
-    assert kind == "j" or np.isneginf(want[0]).any() and np.isnan(want[1]).any()
+    # y_n, and the imaginary part of h_n, reach -inf and a nan derivative
+    y_part = want if kind == "y" else [w.imag for w in want]
+    assert kind == "j" or np.isneginf(y_part[0]).any() and np.isnan(y_part[1]).any()
 
 
 def test_legendre_deriv_equals_two_separate_calls_bitwise():

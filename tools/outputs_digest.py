@@ -59,6 +59,8 @@ RUNS = {
     # mode order 21, the largest of the benchmark's sphere sweep
     "sphere-ka12-soft": ("sphere", {"ka": "12"}, ("out", "history_out")),
     "sphere-ka12-hard": ("sphere", {"ka": "12", "bc": "hard"}, ("out", "history_out")),
+    # the automatic mode order 97, 9 past ceil(ka) + 8, inside the first search window
+    "sphere-ka80": ("sphere", {"ka": "80"}, ("out", "history_out")),
     # an explicit resolution, and a small ka where b's high orders cancel to rounding
     "sphere-ka1-quad40": ("sphere", {"ka": "1", "quad_resolution": "40"}, ("out", "history_out")),
     "sphere-galerkin": ("sphere", {"solver": "galerkin"}, ("out", "history_out")),
@@ -96,6 +98,8 @@ RUNS = {
     "strip-8pi-lambda": ("strip", {"kd": KD_8PI, "with_bem": "false", "lambda": "1e-12"}, ()),
     # a spheroid basis without point sources
     "spheroid-no-sources": ("spheroid", {"n_sources": "0"}, ()),
+    # no mode order up to the cap meets the far-field bound, after every order is tried
+    "sphere-ka180": ("sphere", {"ka": "180"}, ()),
     # no key may relax the sphere's far-field bound: far_tol is refused
     "sphere-far-tol": ("sphere", {"ka": "12", "bc": "hard", "basis_size": "10", "far_tol": "1"},
                        ()),
