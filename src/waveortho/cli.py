@@ -155,17 +155,22 @@ def _atomic_write(path: str, text: str) -> None:
     The file is created with mode 0o666 less the umask, as open(path, "w")
     creates one; O_EXCL keeps the random name from meeting another file. The
     name takes os.urandom's hex, as secrets.token_hex does, without loading
-    secrets and hashlib at start-up.
+    secrets and hashlib at start-up. The directory is made only when the
+    file cannot be created for want of it.
     """
     d = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(d, f".waveortho-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     tmp = ""
     try:
-        os.makedirs(d, exist_ok=True)
-        name = os.path.join(d, f".waveortho-{os.urandom(8).hex()}")
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            fd = os.open(name, flags, 0o666)
+        except FileNotFoundError:
+            os.makedirs(d, exist_ok=True)
+            fd = os.open(name, flags, 0o666)
         tmp = name
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with open(fd, "wb") as f:
+            f.write(text.encode())
         os.replace(tmp, path)
     except OSError as e:
         if tmp and os.path.exists(tmp):

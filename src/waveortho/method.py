@@ -23,6 +23,7 @@ axis (the screen normal) toward +x.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -348,6 +349,12 @@ def solve_galerkin(sys: GramSystem) -> np.ndarray:
     return v
 
 
+def _norm(r: np.ndarray) -> float:
+    """np.linalg.norm(r) of a 1-D complex r: numpy's own arithmetic, without its dispatch."""
+    re, im = r.real, r.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[np.ndarray, List[float]]:
     """Diagonal-preconditioned Richardson refinement of the Gram system.
 
@@ -360,14 +367,14 @@ def refine_iterate(sys: GramSystem, n_steps: int) -> Tuple[np.ndarray, List[floa
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    b = _incident_projection(sys)
+    neg_b = -_incident_projection(sys)
     v = np.zeros(sys.size, dtype=complex)
-    r = -b
-    history = [float(np.linalg.norm(r))]
+    r = neg_b
+    history = [_norm(r)]
     for _ in range(n_steps):
-        v = v + sys.beta * r
-        r = -b - sys.g @ v
-        history.append(float(np.linalg.norm(r)))
+        v += sys.beta * r
+        r = neg_b - sys.g @ v
+        history.append(_norm(r))
     return v, history
 
 

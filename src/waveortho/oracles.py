@@ -18,10 +18,11 @@ Importing this module loads no scipy module. scipy.special is loaded by the
 first special-function call through `sp`, which is `specfun`'s handle: the
 sphere and cylinder series, the strip oracles and the volume kernels make
 one, and a spheroid or plane-wave sphere run never does. scipy.linalg is
-imported by the first dense LU (`lu_factor`), which only the open-arc and
-closed-curve solvers run: the strip and slit scenarios with their oracle load
-it, and born, sphere, spheroid, kernel-profile and riemann-decay runs never
-do.
+imported by the first dense solve (`_solve_dense`), which only the open-arc
+and closed-curve solvers run: the strip and slit scenarios with their oracle
+load it, and born, sphere, spheroid, kernel-profile and riemann-decay runs
+never do. That solve calls LAPACK's getrf (through `lu_factor`, the one dense
+LU), gecon and getrs directly, without scipy.linalg's Python wrappers.
 """
 
 from __future__ import annotations
@@ -256,27 +257,41 @@ def _nystrom(base: np.ndarray, kernel: np.ndarray, diag: np.ndarray, scale: comp
     return base
 
 
-def lu_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """scipy.linalg.lu_factor(a): scipy.linalg is loaded by the first dense oracle solve."""
-    from scipy.linalg import lu_factor as factor
+def lu_factor(a: np.ndarray, getrf: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    """The LU of `a` by LAPACK's getrf, as scipy.linalg.lu_factor(a) returns it.
 
-    return factor(a)
+    Every dense oracle solve factors here, once, so a tracer that wraps this
+    name sees each LU; `getrf` is the LAPACK routine for a's type, and `a`
+    is kept. The caller has refused a non-finite `a`, as lu_factor's
+    check_finite would; a zero pivot (info > 0) is left to the caller's
+    condition estimate, which reads 0.
+    """
+    lu, piv, _ = getrf(a)  # info < 0 flags an argument, which the wrapper has checked
+    return lu, piv
 
 
 def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, float]:
-    """LU solve with an explicit conditioning guard; returns x and the 1-norm rcond."""
-    from scipy.linalg import get_lapack_funcs, lu_solve
+    """LU solve with an explicit conditioning guard; returns x and the 1-norm rcond.
 
-    lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs("gecon", (a,))
-    anorm = np.linalg.norm(a, 1)
+    The LAPACK routines are called directly, as scipy.linalg's lu_factor and
+    lu_solve call them, without those wrappers' checks and batch dispatch;
+    scipy.linalg is loaded by the first call. A non-finite `a` raises
+    ValueError and a (near-)singular one SingularSystemError.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (a,))
+    anorm = np.linalg.norm(a, 1)  # inf or nan if any entry is, or if a column sum overflows
+    if not np.isfinite(anorm) and not np.isfinite(a).all():
+        raise ValueError("dense oracle matrix must not contain infs or NaNs")
+    lu, piv = lu_factor(a, getrf)
     rcond, _ = gecon(lu, anorm, norm="1")
     if not np.isfinite(rcond) or rcond < 1e-12:
         cond = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularSystemError(
             f"dense oracle system is near-singular (condition number ~ {cond:.3e})"
         )
-    return lu_solve((lu, piv), rhs), float(rcond)
+    return getrs(lu, piv, rhs)[0], float(rcond)
 
 
 def _bem_matrix(c: _CurveData, bc: BoundaryCondition, k: float) -> np.ndarray:
@@ -417,19 +432,35 @@ def _arc_far_field(bc: BoundaryCondition, kd: float, incidence: float, angles: n
     col = _log_split_column(big)
     weights = col[minus] + col[plus]
     kr = k * np.abs(np.subtract.outer(x, x))
-    kr[nodes, nodes] = 1.0  # placeholder, the diagonal is set below
+    np.fill_diagonal(kr, 1.0)  # placeholder, the diagonal is set below
     j0 = sp.j0(kr)
-    s = (trap / 8.0) * (1j * j0 - sp.y0(kr)) - weights * j0 / (8.0 * np.pi)
+    # s = (trap/8) (i J0 - Y0) - weights J0 / 8 pi, written part by part in place
+    s = np.empty(kr.shape, dtype=complex)
+    np.multiply(sp.y0(kr), -trap / 8.0, out=s.real)
+    del kr
     # the limit of the smooth part, with Kress's weights in full where tau = s or tau = -s
     ends = nodes % n == 0
     log_speed = np.log(kd / 8.0 * np.where(ends, 1.0, 2.0 * np.abs(np.sin(tau))))
-    s[nodes, nodes] = trap * (0.125j - (np.euler_gamma + log_speed) / (4.0 * np.pi))
-    s[nodes, nodes] -= weights[nodes, nodes] / (8.0 * np.pi)
+    diag = np.empty(n + 1, dtype=complex)
+    diag.real = -(trap * ((np.euler_gamma + log_speed) / (4.0 * np.pi)))
+    diag.real -= weights.diagonal() / (8.0 * np.pi)
+    diag.imag = trap / 8.0
+    weights *= j0
+    weights /= 8.0 * np.pi
+    s.real -= weights
+    np.multiply(j0, trap / 8.0, out=s.imag)
+    del weights, j0
+    np.fill_diagonal(s, diag)
     mult = np.where(ends, 1.0, 2.0)
     s *= mult
     u0 = np.exp(1j * k * np.sin(incidence) * x)
     pref = 0.125j * trap * np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    phase = np.exp(-1j * k * np.outer(np.sin(angles), x))
+    arg = np.multiply.outer(np.sin(angles), x)
+    arg *= -k
+    phase = np.empty(arg.shape, dtype=complex)  # e^(i arg), arg real
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    del arg
     if bc is BoundaryCondition.SOFT:  # S psi = -u0, psi = (d/2) |sin tau| sigma
         psi, rcond = _solve_dense(s, -u0)
         return pref * (phase @ (mult * psi)), rcond

@@ -66,7 +66,8 @@ _ufuncs = _LazyModule("scipy.special._ufuncs")
 def _check_order(n: Order) -> Order:
     """Validate a scalar or array order; every entry must lie in [0, MAX_ORDER]."""
     order = np.asarray(n)
-    if order.dtype.kind not in "iu" and not isinstance(n, int):
+    # a Python int past int64 is an object array; a bool is an int to Python, not an order
+    if isinstance(n, bool) or (order.dtype.kind not in "iu" and not isinstance(n, int)):
         raise DomainError(f"order must be an integer or integer array, got {n!r}")
     if (order < 0).any():
         raise DomainError(f"order must be non-negative, got {np.min(order)}")

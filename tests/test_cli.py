@@ -605,6 +605,13 @@ def test_unwritable_output_exits_2_with_reason(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".waveortho-")]
 
 
+def test_output_into_a_missing_nested_directory_creates_it(tmp_path):
+    out = tmp_path / "a" / "b" / "m.csv"
+    assert cli.main(["kernel-profile", "--ka", "2", "--out", str(out)]) == 0
+    assert os.listdir(out.parent) == ["m.csv"]
+    assert os.listdir(tmp_path) == ["a"] and os.listdir(tmp_path / "a") == ["b"]
+
+
 def test_written_table_follows_the_umask(tmp_path):
     old = os.umask(0o022)
     try:

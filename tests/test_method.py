@@ -126,10 +126,15 @@ def test_refine_first_step_is_diagonal(strip_system):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_refine_history_records_the_residual_of_the_returned_coefficients(strip_system, k):
     # the residual that drives each step is the one recorded, so the last
-    # entry is ||G v + b|| of the coefficients returned, bit for bit
+    # entry is ||G v + b|| of the coefficients returned, bit for bit; every
+    # entry is np.linalg.norm of its step's residual, bit for bit, though the
+    # history sums the squares without calling it
     *_, sys = strip_system
     v, hist = mth.refine_iterate(sys, k)
     assert hist[-1] == float(np.linalg.norm(sys.g @ v + sys.b))
+    steps = [np.zeros(sys.size, dtype=complex)]
+    steps += [mth.refine_iterate(sys, j)[0] for j in range(1, k)] + [v]
+    assert hist == [float(np.linalg.norm(-sys.b - sys.g @ u)) for u in steps]
 
 
 @st.composite

@@ -493,6 +493,9 @@ def test_strip_arc_oracle_peak_memory_within_guard(bc, monkeypatch):
             with pytest.raises(MemoryError) as refused:
                 orc.strip_arc_solve(bc, kd, 0.0, angles)
         assert f"needs about {need:.4g} bytes" in str(refused.value)
+        # the first call imports scipy.special and scipy.linalg, whose own
+        # allocations are not the oracle's: run it once before tracing
+        orc.strip_arc_solve(bc, kd, 0.0, angles)
         tracemalloc.start()
         try:
             orc.strip_arc_solve(bc, kd, 0.0, angles)
@@ -865,6 +868,21 @@ def test_scattered_field_rejects_points_near_grid():
     # the refusal comes when the Green rows for the point are built
     with pytest.raises(DomainError):
         orc.volume_green(pot, k, np.array([[0.0, 0.61]]))
+
+
+def test_dense_solve_refuses_a_non_finite_or_exactly_singular_matrix():
+    # the LAPACK routines are called directly, with scipy's refusals kept:
+    # lu_factor's finiteness check, and rcond 0 for a zero pivot
+    rhs = np.ones(2, dtype=complex)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            orc._solve_dense(np.array([[1.0, 2.0], [bad, 1.0]], dtype=complex), rhs)
+    for singular in (np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 1.0]]):
+        with pytest.raises(SingularSystemError, match=r"condition number ~ inf\)$"):
+            orc._solve_dense(np.array(singular, dtype=complex), rhs)
+    # a finite matrix whose 1-norm overflows is not refused as non-finite
+    with np.errstate(over="ignore"), pytest.raises(SingularSystemError):
+        orc._solve_dense(np.array([[1e308, 0.0], [1e308, 1.0]], dtype=complex), rhs)
 
 
 def test_dense_solve_refuses_a_near_singular_matrix_with_its_condition_number():

@@ -128,6 +128,10 @@ def test_domain_errors():
         specfun.sph_bessel_j(-1, 1.0)
     with pytest.raises(DomainError):
         specfun.sph_bessel_j(2.5, 1.0)
+    # a bool is an int to Python, but not an order, as a scalar or in an array
+    for order in (True, np.array([True])):
+        with pytest.raises(DomainError, match="^order must be an integer or integer array"):
+            specfun.sph_bessel_j(order, 1.0)
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, np.inf, np.array([1.0, np.nan])])
@@ -195,6 +199,8 @@ def test_legendre_deriv_order_zero_is_positive_zero():
         (np.array([[2], [specfun.MAX_ORDER + 1]]), DomainError),
         (np.array([0.0, 1.0]), DomainError),
         (np.array([True, False]), DomainError),
+        (np.array([True]), DomainError),
+        (True, DomainError),
     ],
 )
 def test_order_arrays_are_validated_whole(orders, error):

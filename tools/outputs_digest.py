@@ -66,6 +66,8 @@ RUNS = {
     "sphere-galerkin": ("sphere", {"solver": "galerkin"}, ("out", "history_out")),
     "sphere-iterate7": ("sphere", {"solver": "iterate:7"}, ("out", "history_out")),
     "sphere-plane-waves": ("sphere", {"basis": "plane-waves", "bc": "hard"}, ()),
+    # the benchmark's two strip-bem runs, and the hard strip at 10 degrees
+    "strip-4pi-hard-0deg": ("strip", {"kd": KD_4PI, "bc": "hard"}, ("out", "history_out")),
     "strip-4pi-hard-10deg": ("strip", {"kd": KD_4PI, "bc": "hard", "incidence_deg": "10"},
                              ("out", "history_out")),
     "strip-4pi-soft-10deg": ("strip", {"kd": KD_4PI, "bc": "soft", "incidence_deg": "10"},
