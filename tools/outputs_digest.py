@@ -63,6 +63,10 @@ RUNS = {
     "sphere-ka80": ("sphere", {"ka": "80"}, ("out", "history_out")),
     # an explicit resolution, and a small ka where b's high orders cancel to rounding
     "sphere-ka1-quad40": ("sphere", {"ka": "1", "quad_resolution": "40"}, ("out", "history_out")),
+    # a two-row Hankel table, where h_0' needs order 1; the run fails
+    # far_field_matches_mie (exit 1), and its tables are digested all the same
+    "sphere-order1-hard": ("sphere", {"ka": "1", "bc": "hard", "basis_size": "1"},
+                           ("out", "history_out")),
     "sphere-galerkin": ("sphere", {"solver": "galerkin"}, ("out", "history_out")),
     "sphere-iterate7": ("sphere", {"solver": "iterate:7"}, ("out", "history_out")),
     "sphere-plane-waves": ("sphere", {"basis": "plane-waves", "bc": "hard"}, ()),
@@ -87,6 +91,8 @@ RUNS = {
     "born-restart": ("born", {"amplitude": "1e5"}, ("out",)),
     "kernel-profile-csv": ("kernel-profile", {}, ("out",)),
     "kernel-profile-json": ("kernel-profile", {"format": "json"}, ("out",)),
+    # the hard trace: Hankel and Legendre derivatives on the full sphere grid
+    "kernel-profile-hard": ("kernel-profile", {"bc": "hard"}, ("out",)),
     "riemann-decay": ("riemann-decay", {}, ("out",)),
     # runs that a usage rule may refuse: only their exit codes are compared
     "sphere-ka-deg": ("sphere", {"ka_deg": "180"}, ()),
