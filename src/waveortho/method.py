@@ -189,10 +189,10 @@ class SphericalModeBasis:
     def dim(self) -> int:
         return 3
 
-    def _tables(self, points: np.ndarray):
-        """Every order's h_n, h_n' on the distinct k r and P_n, P_n' on the distinct mu.
+    def _tables(self, points: np.ndarray, derivative: bool):
+        """Every order's h_n on the distinct k r and P_n on the distinct mu.
 
-        On a sphere grid k r takes one value and mu = cos theta one per polar
+        With derivative set, h_n' and P_n' too (None otherwise). On a sphere grid k r takes one value and mu = cos theta one per polar
         ring, so each special function is evaluated there once, all orders in
         one call; row n of a table gathered with its returned index gives
         order n at every point.
@@ -202,21 +202,21 @@ class SphericalModeBasis:
         if np.any(r < 1e-12):
             raise DomainError("spherical modes are singular at the origin")
         mu = np.clip(points[:, 2] / r, -1.0, 1.0)
-        orders = np.arange(self.size)[:, None]
         x, at_r = np.unique(self.k * r, return_inverse=True)
         c, at_mu = np.unique(mu, return_inverse=True)
-        h, hp = specfun.sph_hankel1(orders, x)
-        p, pp = specfun.legendre_p(orders, c), specfun.legendre_p_deriv(orders, c)
+        h, hp = specfun.sph_hankel1(self.size, x, derivative)
+        p = specfun.legendre_p(np.arange(self.size)[:, None], c)
+        pp = specfun.legendre_p_deriv(p, c) if derivative else None
         return points, r, mu, (h, hp, at_r), (p, pp, at_mu)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        _, _, _, (h, _, at_r), (p, _, at_mu) = self._tables(points)
+        _, _, _, (h, _, at_r), (p, _, at_mu) = self._tables(points, derivative=False)
         out = h.T[at_r]
         out *= p.T[at_mu]
         return out
 
     def normal_derivatives(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        points, r, mu, (h, hp, at_r), (p, pp, at_mu) = self._tables(points)
+        points, r, mu, (h, hp, at_r), (p, pp, at_mu) = self._tables(points, derivative=True)
         # dD/dn = k h' P (rhat.n) + h P'(mu) (n_z - mu rhat.n) / r
         radial = np.einsum("pd,pd->p", points, normals) / r
         tangent = (normals[:, 2] - mu * radial) / r

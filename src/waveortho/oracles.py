@@ -11,8 +11,7 @@ Five oracle families, none of which share numerics with the method module:
   Burton-Miller type, with the hypersingular operator handled through
   Maue's identity), solved by one LU of the whole matrix.
 * A Lippmann-Schwinger volume-integral solver for scattering by a compact
-  inhomogeneity on a uniform 2D grid, by a numpy GMRES whose Givens
-  rotations are a Python port of LAPACK's zlartg (`_givens`).
+  inhomogeneity on a uniform 2D grid, by a restarted GMRES in numpy.
 
 Importing this module loads no scipy module. scipy.special is loaded by the
 first special-function call through `sp`, which is `specfun`'s handle: the
@@ -72,11 +71,12 @@ def mie_series(
     angles = np.asarray(angles, dtype=float)
     k = ka  # a = 1
     orders = np.arange(int(max(np.ceil(ka) + 12, np.ceil(ka + 4.0 * np.cbrt(ka) + 10))) + 1)
-    h, hp = specfun.sph_hankel1(orders, ka)
-    j, jp = h.real, hp.real
+    hard = bc is BoundaryCondition.HARD
+    h, hp = specfun.sph_hankel1(orders.size, ka, derivative=hard)
+    f = hp if hard else h  # a_n = -j_n'/h_n' (hard) or -j_n/h_n (soft)
     # at a tiny ka y_n' overflows, so h_n' turns nan, and k^2 underflows
     with np.errstate(all="ignore"):
-        a_n = -(j / h) if bc is BoundaryCondition.SOFT else -(jp / hp)
+        a_n = -(f.real / f)
     if not np.all(np.isfinite(a_n)):
         raise DomainError(f"the series oracle has no finite coefficients at ka = {ka!r}")
     sigma = float(4.0 * np.pi * np.sum((2 * orders + 1) * np.abs(a_n / k) ** 2))
@@ -839,75 +839,16 @@ def grid_green_matrix(pot: VolumePotential, k: float) -> np.ndarray:
 LS_RESTART = 100
 LS_CYCLES = 2
 
-# zlartg's safe range: the least normal double, its reciprocal, and the bounds
-# inside which squared entries neither underflow nor overflow
-_SAFMIN = float(np.finfo(float).tiny)
-_SAFMAX = 1.0 / _SAFMIN
-_RTMIN, _RTMAX = math.sqrt(_SAFMIN), math.sqrt(_SAFMAX / 4)
+def _plane_rotation(f: complex, g: complex) -> Tuple[float, complex, complex]:
+    """c, s and r of the rotation [c s; -conj(s) c], c real, that takes (f, g) to (r, 0).
 
-
-def _abs_sq(z: complex) -> float:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _givens(f: complex, g: complex) -> Tuple[float, complex, complex]:
-    """The plane rotation [c s; -conj(s) c] with c real that takes (f, g) to (r, 0).
-
-    A port of zlartg.f90 of LAPACK 3.12 (Anderson, ACM TOMS 44, 2017),
-    with the branches that scale f and g where their squares would
-    overflow or underflow. A real operand enters each complex product and
-    quotient as x + 0i, as in the compiled Fortran, and Python's complex
-    product and Smith quotient are gfortran's formulas: c, s and r carry
-    zlartg's bits, signed zeros included.
+    math.hypot forms |f|, |g| and their norm without overflow or underflow.
     """
-    f, g = complex(f), complex(g)
-    if g == 0:
-        return 1.0, 0j, f
-    if f == 0:
-        if g.real == 0 or g.imag == 0:
-            r = complex(abs(g.imag) if g.real == 0 else abs(g.real), 0.0)
-            return 0.0, g.conjugate() / r, r
-        g1 = max(abs(g.real), abs(g.imag))
-        if _RTMIN < g1 < math.sqrt(_SAFMAX / 2):
-            d = complex(math.sqrt(_abs_sq(g)), 0.0)
-            return 0.0, g.conjugate() / d, d
-        u = min(_SAFMAX, max(_SAFMIN, g1))
-        gs = g / complex(u, 0.0)
-        d = math.sqrt(_abs_sq(gs))
-        return 0.0, gs.conjugate() / complex(d, 0.0), complex(d * u, 0.0)
-    f1, g1 = max(abs(f.real), abs(f.imag)), max(abs(g.real), abs(g.imag))
-    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
-        f2 = _abs_sq(f)
-        return _rotation(f, g, f2, f2 + _abs_sq(g))
-    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
-    gs = g / complex(u, 0.0)
-    if f1 / u < _RTMIN:  # f is badly scaled by u: scale it by its own size v
-        v = min(_SAFMAX, max(_SAFMIN, f1))
-        w = v / u
-        fs = f / complex(v, 0.0)
-        f2 = _abs_sq(fs)
-        h2 = f2 * (w * w) + _abs_sq(gs)
-    else:
-        w, fs = 1.0, f / complex(u, 0.0)
-        f2 = _abs_sq(fs)
-        h2 = f2 + _abs_sq(gs)
-    c, s, r = _rotation(fs, gs, f2, h2)
-    return c * w, s, r * complex(u, 0.0)
-
-
-def _rotation(f: complex, g: complex, f2: float, h2: float) -> Tuple[float, complex, complex]:
-    """zlartg's c, s and r for f and g in range, with f2 = |f|^2 and h2 = f2 + |g|^2."""
-    if f2 >= h2 * _SAFMIN:
-        c = math.sqrt(f2 / h2)
-        r = f / complex(c, 0.0)
-        if f2 > _RTMIN and h2 < 2.0 * _RTMAX:
-            return c, g.conjugate() * (f / complex(math.sqrt(f2 * h2), 0.0)), r
-        return c, g.conjugate() * (r / complex(h2, 0.0)), r
-    # f2 / h2 may be subnormal: the rotation is formed from sqrt(f2 h2)
-    d = math.sqrt(f2 * h2)
-    c = f2 / d
-    r = f / complex(c, 0.0) if c >= _SAFMIN else f * complex(h2 / d, 0.0)
-    return c, g.conjugate() * (f / complex(d, 0.0)), r
+    norm = math.hypot(abs(f), abs(g))
+    if norm == 0:
+        return 1.0, 0j, 0j
+    phase = f / abs(f) if f else 1.0
+    return abs(f) / norm, phase * g.conjugate() / norm, phase * norm
 
 
 def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -917,11 +858,10 @@ def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     Returns x, its step count and its true residual b - apply(x). Each cycle
     runs Arnoldi steps by modified Gram-Schmidt, storing each Krylov vector
     when it is made, and reduces the Hessenberg matrix by complex Givens
-    rotations (`_givens`, LAPACK's zlartg in Python) as it grows. A cycle
-    stops after LS_RESTART steps or where the rotated residual estimate
-    reaches `tol`, and ends by forming the true residual; the next one
-    restarts from it, unless it is within `tol`. At most LS_CYCLES cycles
-    run.
+    rotations (`_plane_rotation`) as it grows. A cycle stops after
+    LS_RESTART steps or where the rotated residual estimate reaches `tol`,
+    and ends by forming the true residual; the next one restarts from it,
+    unless it is within `tol`. At most LS_CYCLES cycles run.
     """
     x, r, steps = np.zeros_like(b), b, 0
     for _ in range(LS_CYCLES):
@@ -942,7 +882,7 @@ def _gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             for i, (c, s) in enumerate(rot[:j]):
                 hess[i, j], hess[i + 1, j] = (c * hess[i, j] + s * hess[i + 1, j],
                                               c * hess[i + 1, j] - np.conj(s) * hess[i, j])
-            c, s, hess[j, j] = _givens(hess[j, j], hess[j + 1, j])
+            c, s, hess[j, j] = _plane_rotation(hess[j, j], hess[j + 1, j])
             rot[j] = c, s
             g[j], g[j + 1] = c * g[j], -np.conj(s) * g[j]
             steps += 1

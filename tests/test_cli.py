@@ -864,7 +864,7 @@ def test_sphere_basis_sizing_matches_order_by_order_search():
     cfg = cli.build_config("sphere")
     for ka in [*range(1, 21), 2.5, 9.75]:
         n = math.ceil(ka) + 8
-        while 3.0 * ka * specfun.sph_bessel_j(n, float(ka))[0] ** 2 > cli.FAR_TOL:
+        while 3.0 * ka * specfun.sph_bessel_j_value(n, float(ka)) ** 2 > cli.FAR_TOL:
             n += 1
         basis, _ = cli._sphere_modes(cfg, float(ka), cli.FAR_TOL)
         assert basis.max_order == n, ka
@@ -878,7 +878,7 @@ def test_sphere_mode_window_chooses_the_full_scans_order(tol):
     cfg = cli.build_config("sphere")
     for ka in np.linspace(0.1, 170.0, 300):
         orders = np.arange(math.ceil(ka) + 8, specfun.MAX_ORDER + 1)
-        met = 3.0 * ka * specfun.sph_bessel_j(orders, ka)[0] ** 2 <= tol
+        met = 3.0 * ka * specfun.sph_bessel_j_value(orders, ka) ** 2 <= tol
         if met.any():
             assert cli._sphere_modes(cfg, ka, tol)[0].max_order == orders[np.argmax(met)], ka
         else:

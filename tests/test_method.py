@@ -320,8 +320,17 @@ def test_far_field_spherical_mode_phase_is_exact_at_high_order():
     assert amp == [-1j, -1.0, 1j, 1.0]
 
 
+def _public_hankel(n, x, derivative=False):
+    """scipy's public j_n + i y_n (or their derivatives), set part by part."""
+    h = np.empty(np.shape(x), dtype=complex)
+    h.real, h.imag = (special.spherical_jn(n, x, derivative),
+                      special.spherical_yn(n, x, derivative))
+    return h
+
+
 def _spherical_modes_per_order(basis, points, normals):
-    """Values and normal derivatives of the modes with one Hankel call per order."""
+    """Values and normal derivatives of the modes at every point, order by order:
+    h_n and h_n' from scipy's public functions, P_n' from a table at every mu."""
     r = np.linalg.norm(points, axis=1)
     mu = np.clip(points[:, 2] / r, -1.0, 1.0)
     # dD/dn = k h' P (rhat.n) + h P'(mu) (n_z - mu rhat.n) / r
@@ -329,10 +338,11 @@ def _spherical_modes_per_order(basis, points, normals):
     tangent = (normals[:, 2] - mu * radial) / r
     vals = np.empty((points.shape[0], basis.size), dtype=complex)
     derivs = np.empty((points.shape[0], basis.size), dtype=complex)
+    dp = specfun.legendre_p_deriv(specfun.legendre_p(np.arange(basis.size)[:, None], mu), mu)
     for n in range(basis.size):
-        h, hp = specfun.sph_hankel1(n, basis.k * r)
+        h, hp = _public_hankel(n, basis.k * r), _public_hankel(n, basis.k * r, True)
         p = specfun.legendre_p(n, mu)
-        pp = specfun.legendre_p_deriv(n, mu)
+        pp = dp[n]
         vals[:, n] = h * p
         derivs[:, n] = basis.k * hp * (p * radial) + h * (pp * tangent)
     return vals, derivs
@@ -357,6 +367,22 @@ def _scattered_points(n, seed, dim=3):
 def test_spherical_modes_equal_per_order_evaluation(points):
     basis = mth.SphericalModeBasis(max_order=14, k=7.5)
     normals = _unit_vectors(points.shape[0], 6)
+    vals, derivs = _spherical_modes_per_order(basis, points, normals)
+    assert np.array_equal(basis.values(points), vals)
+    assert np.array_equal(basis.normal_derivatives(points, normals), derivs)
+
+
+def test_order_zero_modes_take_h0_derivative_from_order_one():
+    # a one-mode basis: h_0' = -h_1 and P_0' = +0.0, bit for bit
+    basis = mth.SphericalModeBasis(max_order=0, k=2.5)
+    points = _scattered_points(50, 9)
+    normals = _unit_vectors(50, 10)
+    _, r, _, (h, hp, at_r), (p, pp, at_mu) = basis._tables(points, derivative=True)
+    assert h.shape == hp.shape == (1, at_r.max() + 1)
+    x = np.unique(basis.k * r)
+    assert np.array_equal(hp[0], -_public_hankel(1, x))
+    assert np.array_equal(hp[0], _public_hankel(0, x, True))
+    assert np.array_equal(pp.view(np.uint64), np.zeros_like(p).view(np.uint64))
     vals, derivs = _spherical_modes_per_order(basis, points, normals)
     assert np.array_equal(basis.values(points), vals)
     assert np.array_equal(basis.normal_derivatives(points, normals), derivs)
@@ -398,15 +424,23 @@ def test_spherical_mode_trace_bessel_calls_do_not_grow_with_order(bc, monkeypatc
     # the Bessel kinds come from scipy's ufuncs, the Legendre tables from scipy.special
     monkeypatch.setattr(specfun, "_ufuncs", Counting(special._ufuncs))
     monkeypatch.setattr(specfun, "_sp", Counting(special))
+    # the derivative tables asked for: h' by sph_hankel1's flag, P' by legendre_p_deriv
+    hankel, legendre_deriv = specfun.sph_hankel1, specfun.legendre_p_deriv
+    monkeypatch.setattr(specfun, "sph_hankel1", lambda size, x, derivative=False: (
+        calls.append(f"h' {derivative}") or hankel(size, x, derivative)))
+    monkeypatch.setattr(specfun, "legendre_p_deriv", lambda p, x: (
+        calls.append("P'") or legendre_deriv(p, x)))
     s = geo.make_surface(geo.Sphere(1.0), 32)
     counts = []
     for max_order in (2, 25):
         calls.clear()
         mth.eval_basis_trace(mth.SphericalModeBasis(max_order=max_order, k=6.0), bc, s)
-        counts.append((sum(c in ("_spherical_jn", "_spherical_yn") for c in calls),
-                       calls.count("eval_legendre")))
-    # one scipy call per Bessel kind and per Legendre table, whatever the order
-    assert counts == [(2, 2), (2, 2)]
+        counts.append((calls.count("_spherical_jn"), calls.count("_spherical_yn"),
+                       calls.count("eval_legendre"), calls.count("h' True"), calls.count("P'")))
+    # one scipy call per Bessel kind and one for the Legendre table, whatever the
+    # order; a soft trace forms no derivative, a hard one each derivative once
+    hard = int(bc is mth.BoundaryCondition.HARD)
+    assert counts == [(1, 1, 1, hard, hard)] * 2
 
 
 def test_far_field_rejects_plane_waves(strip_system):
