@@ -192,10 +192,11 @@ class SphericalModeBasis:
     def _tables(self, points: np.ndarray, derivative: bool):
         """Every order's h_n on the distinct k r and P_n on the distinct mu.
 
-        With derivative set, h_n' and P_n' too (None otherwise). On a sphere grid k r takes one value and mu = cos theta one per polar
-        ring, so each special function is evaluated there once, all orders in
-        one call; row n of a table gathered with its returned index gives
-        order n at every point.
+        With derivative set, h_n' and P_n' too (None otherwise). On a sphere
+        grid k r takes one value and mu = cos theta one per polar ring, so
+        each special function is evaluated there once, all orders in one
+        call; row n of a table gathered with its returned index gives order n
+        at every point.
         """
         points = np.asarray(points, dtype=float)
         r = np.linalg.norm(points, axis=1)

@@ -137,7 +137,7 @@ def legendre_p(n: Order, x: ArrayLike) -> np.ndarray:
 
 
 def legendre_p_deriv(p: np.ndarray, x: ArrayLike) -> np.ndarray:
-    """Derivatives P_n'(x) on [-1, 1] from the rows p = P_0(x), P_1(x), ..., finite at the endpoints.
+    """Derivatives P_n'(x) on [-1, 1], finite at the endpoints, from rows p = P_0(x), P_1(x), ...
 
     Row n follows from rows n - 1 and n of p by the recurrence
     (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x)) (DLMF 14.10.5); at x = +-1

@@ -136,8 +136,9 @@ def test_domain_errors():
         with pytest.raises(DomainError, match="^order must be an integer or integer array"):
             specfun.sph_bessel_j_value(order, 1.0)
     # a Hankel table has 1 to MAX_ORDER + 1 rows, counted by an integer
+    refusal = f"^size must be an integer from 1 to {specfun.MAX_ORDER + 1}, got"
     for size in (0, -1, True, 2.5, np.array([3]), specfun.MAX_ORDER + 2):
-        with pytest.raises(DomainError, match=f"^size must be an integer from 1 to {specfun.MAX_ORDER + 1}, got"):
+        with pytest.raises(DomainError, match=refusal):
             specfun.sph_hankel1(size, 1.0)
 
 
